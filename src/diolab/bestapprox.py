@@ -21,10 +21,8 @@ from typing import Optional, Sequence
 from .core import (
     BudgetExceededError,
     NonGenericLatticeError,
-    canonical_sign,
-    fp_enumerate,
-    kth_root_upper,
-    lll_columns,
+    _int_columns,
+    chain_step,
     minkowski_bound_sq_range,
     minkowski_leq,
     nearest_int,
@@ -84,16 +82,6 @@ def sample_theta(d: int, c: int, bits: int, rng: random.Random) -> Theta:
     )
 
 
-def _scaled(theta: Theta) -> tuple[list[list[int]], int]:
-    """Integer matrix T with theta[j][i] = T[j][i]/D for a common D."""
-    den = 1
-    for col in theta:
-        for t in col:
-            den = den * t.denominator // math.gcd(den, t.denominator)
-    tnum = [[int(t * den) for t in col] for col in theta]
-    return tnum, den
-
-
 # ---------------------------------------------------------------------------
 # exhaustive engine
 
@@ -132,7 +120,7 @@ def direct_scan(
     """
     c = len(theta)
     d = len(theta[0])
-    tnum, den = _scaled(theta)
+    tnum, den = _int_columns(theta)
     den_sq = den * den
 
     def dist_sq_scaled(qvec: tuple[int, ...]) -> int:
@@ -230,24 +218,6 @@ def direct_scan(
 # chain engine
 
 
-def _matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a[0])
-    return [
-        [sum(a[j][i] * bj[j] for j in range(len(bj))) for i in range(n)] for bj in b
-    ]
-
-
-def _matvec_int(cols: list[list[int]], y: Sequence[int]) -> list[int]:
-    n = len(cols[0])
-    out = [0] * n
-    for j, yj in enumerate(y):
-        if yj:
-            cj = cols[j]
-            for i in range(n):
-                out[i] += yj * cj[i]
-    return out
-
-
 def chain_engine(
     theta: Theta,
     *,
@@ -257,19 +227,20 @@ def chain_engine(
 ) -> list[BestApproxRecord]:
     """Best approximation records by chaining cylinder enumerations.
 
-    Each step encloses the successor in the cylinder
-    {width < r_n} x {height <= bound} with the height bound supplied by
-    the Minkowski inequality, LLL-reduces the working basis warm-started
-    from the previous step, and takes the candidate minimizing
-    (height_sq, width_sq).  An exact tie on that key between two distinct
-    sign-canonical vectors raises NonGenericLatticeError.
+    Each step is core.chain_step on the integer columns of the target's
+    lattice: the successor minimizes (height_sq, width_sq) among vectors
+    narrower than r_n, inside the cylinder cut off by the Minkowski
+    inequality, with LLL warm-started from the previous step.  An exact
+    tie on that key between two height vectors raises
+    NonGenericLatticeError; two nearest points of one height vector
+    resolve to the lexicographically smaller.
     """
     if depth is None and q_max is None:
         raise ValueError("need depth or q_max")
     c = len(theta)
     d = len(theta[0])
     m = d + c
-    tnum, den = _scaled(theta)
+    tnum, den = _int_columns(theta)
     den_sq = den * den
     _, c_sq_hi = minkowski_bound_sq_range(d, c)
 
@@ -319,67 +290,27 @@ def chain_engine(
     if wsq == 0:
         return records
 
-    u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    au = [list(col) for col in acols]
-    qmax_hsq = None if q_max is None else q_max * q_max
-
+    mink_sq = c_sq_hi * den_sq**m
+    cap = None if q_max is None else q_max * q_max * den_sq
+    u = None
+    y = first[1]
     while depth is None or len(records) < depth:
-        # Minkowski bound on the successor height, scaled by den
-        val = c_sq_hi * Fraction(den_sq, wsq) ** d
-        hb = val if c == 1 else kth_root_upper(val, c, guard_bits=8)
-        hb_sq = (hb.numerator * den_sq) // hb.denominator + 1
-        if qmax_hsq is not None:
-            hb_sq = min(hb_sq, qmax_hsq * den_sq)
-        a = max(0, isqrt(hb_sq).bit_length() - isqrt(wsq).bit_length())
-        work = [list(col) for col in au]
-        if a:
-            for col in work:
-                for i in range(d):
-                    col[i] <<= a
-        red, u2 = lll_columns(work)
-        u = _matmul_int(u, u2)
-        au = _matmul_int(acols, u)
-        bound = (wsq << (2 * a)) + hb_sq
-
-        best_key: Optional[tuple[int, int]] = None
-        best_y: Optional[tuple[int, ...]] = None
-        tie = False
-
-        def visit(yred: tuple[int, ...]) -> None:
-            nonlocal best_key, best_y, tie
-            raw = _matvec_int(au, yred)
-            w = sum(t * t for t in raw[:d])
-            if w >= wsq:
-                return
-            h = sum(t * t for t in raw[d:])
-            if h == 0 or h > hb_sq:
-                return
-            y = canonical_sign(_matvec_int(u, yred), d)
-            key = (h, w)
-            if best_key is None or key < best_key:
-                best_key, best_y, tie = key, y, False
-            elif key == best_key and y != best_y:
-                if y[d:] == best_y[d:]:
-                    # same height vector, two nearest points: keep lex-min,
-                    # matching the scan engine's half-down rounding
-                    best_y = min(best_y, y)
-                else:
-                    tie = True
-
-        fp_enumerate(red, Fraction(bound), visit, budget=budget)
-        if best_y is None:
+        key, members, u = chain_step(
+            acols, u, y, d, mink_sq, cap=cap, budget=budget
+        )
+        if not members:
             break  # only reachable with a q_max cap
-        if tie:
+        h, w = key
+        if any(yv[d:] != members[0][d:] for yv in members):
             raise NonGenericLatticeError(
-                "two successor candidates tie on (height, width)"
+                "two heights of norm^2 %d tie as the successor" % (h // den_sq)
             )
-        h, w = best_key
-        q_sq_int = sum(t * t for t in best_y[d:])
+        # one height vector with two nearest points: the lex-min one
+        # matches the scan engine's half-down rounding
+        y = members[0]
+        q_sq_int = sum(t * t for t in y[d:])
         assert q_sq_int * den_sq == h
-        if qmax_hsq is not None and q_sq_int > qmax_hsq:
-            break
-        emit(best_y, w, q_sq_int)
-        wsq = w
+        emit(y, w, q_sq_int)
         if w == 0:
             break
     return records

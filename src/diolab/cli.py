@@ -259,6 +259,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     summary = {
         "config": config.to_dict(),
         "pool": int(ecdf.samples.size),
+        "resamples": ecdf.resamples,
         "support_min": float(ecdf.samples.min()),
         "support_max": float(ecdf.samples.max()),
         "ks_vs_oracle": ks_distance(ecdf, bjw_cdf_1d) if closed else None,

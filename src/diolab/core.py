@@ -46,6 +46,7 @@ __all__ = [
     "canonical_sign",
     "lll_columns",
     "fp_enumerate",
+    "chain_step",
     "lll_reduce",
     "enumerate_in_cylinder",
     "shortest_mixed_vectors",
@@ -333,27 +334,8 @@ class Cylinder:
     r_plus_sq: Fraction
     r_minus_sq: Fraction
 
-    @classmethod
-    def from_radii(cls, r_plus, r_minus) -> "Cylinder":
-        rp = Fraction(r_plus)
-        rm = Fraction(r_minus)
-        if rp < 0 or rm < 0:
-            raise ValueError("radii must be nonnegative")
-        return cls(rp * rp, rm * rm)
-
-    @property
-    def r_plus(self) -> float:
-        return math.sqrt(float_from_frac(self.r_plus_sq))
-
-    @property
-    def r_minus(self) -> float:
-        return math.sqrt(float_from_frac(self.r_minus_sq))
-
     def contains_sq(self, width_sq: Fraction, height_sq: Fraction) -> bool:
         return width_sq <= self.r_plus_sq and height_sq <= self.r_minus_sq
-
-    def contains(self, v: AmbientVector) -> bool:
-        return self.contains_sq(v.norm_plus_sq, v.norm_minus_sq)
 
 
 @dataclass(frozen=True)
@@ -375,9 +357,6 @@ class LatticeVector:
     @property
     def mixed_sq(self) -> Fraction:
         return max(self.width_sq, self.height_sq)
-
-    def ambient(self) -> AmbientVector:
-        return AmbientVector(tuple(self.raw[: self.d]), tuple(self.raw[self.d :]))
 
     def __neg__(self) -> "LatticeVector":
         return LatticeVector(
@@ -633,33 +612,6 @@ def fp_enumerate(
     return nodes
 
 
-# ---------------------------------------------------------------------------
-# public wrappers on LatticeBasis
-
-
-def _int_columns(basis: LatticeBasis) -> tuple[list[list[int]], int]:
-    """Clear denominators: integer columns plus the common scale L such
-    that int_cols = L * raw columns."""
-    den = 1
-    for col in basis.columns:
-        for t in col:
-            den = den * t.denominator // math.gcd(den, t.denominator)
-    cols = [[int(t * den) for t in col] for col in basis.columns]
-    return cols, den
-
-
-def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, tuple[tuple[int, ...], ...]]:
-    """LLL-reduced basis of the same lattice plus the unimodular column
-    transform relating it to the input."""
-    cols, den = _int_columns(basis)
-    red, u = lll_columns(cols)
-    new_cols = tuple(tuple(Fraction(t, den) for t in col) for col in red)
-    out = LatticeBasis(
-        basis.d, basis.c, new_cols, basis.scale_sq, basis.precision_bits
-    )
-    return out, tuple(tuple(col) for col in u)
-
-
 def _matvec_int(cols: Sequence[Sequence[int]], y: Sequence[int]) -> list[int]:
     n = len(cols[0])
     out = [0] * n
@@ -669,6 +621,133 @@ def _matvec_int(cols: Sequence[Sequence[int]], y: Sequence[int]) -> list[int]:
             for i in range(n):
                 out[i] += yj * cj[i]
     return out
+
+
+def _matmul_int(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    return [_matvec_int(a, bj) for bj in b]
+
+
+def chain_step(
+    cols: Sequence[Sequence[int]],
+    u: Optional[Sequence[Sequence[int]]],
+    y: Sequence[int],
+    d: int,
+    mink_sq: Fraction,
+    *,
+    forward: bool = True,
+    tol: Fraction = Fraction(0),
+    unit: Fraction = Fraction(1),
+    cap: Optional[int] = None,
+    budget: int = 10**7,
+) -> tuple[Optional[tuple[int, int]], list[tuple[int, ...]], list[list[int]]]:
+    """One step along the minimal-vector chain of the lattice spanned by
+    the integer columns ``cols``, from the vector with coordinates ``y``.
+
+    Rows [:d] are the width block and rows [d:] the height block.  The
+    successor (``forward``) is the class of minimal (height^2, width^2)
+    among vectors strictly narrower and strictly taller than y; the
+    predecessor is the same step with the blocks swapped.  The cylinder
+    searched is cut off by Minkowski's bound width^(2d) height^(2c) <=
+    ``mink_sq`` (C_{d,c}^2 det^2 in the units of ``cols``), or by
+    ``cap`` on the other block when that is lower.  LLL starts from the
+    basis ``cols . u`` of the previous step (``u`` None: from ``cols``).
+
+    Returns (key, members, u): the minimal (other^2, narrow^2) in integer
+    units, the sorted sign-canonical coordinates achieving it, and the
+    transform for the next step; (None, [], u) when y has zero narrow
+    norm or the cylinder holds no candidate.  Two norms count as equal
+    when |a - b| <= tol * max(a, b, unit), ``unit`` being the integer
+    value of a squared norm of 1: a decrease must clear that margin, and
+    a second key within it of the minimal one raises
+    NonGenericLatticeError.
+    """
+    m = len(cols)
+    k = d if forward else m - d  # size of the narrowing block
+    narrow = slice(0, d) if forward else slice(d, m)
+    other = slice(d, m) if forward else slice(0, d)
+    if u is None:
+        u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
+    x = _matvec_int(cols, y)
+    x_n = sum(t * t for t in x[narrow])
+    x_o = sum(t * t for t in x[other])
+    if x_n == 0:
+        return None, [], u
+    val = mink_sq / Fraction(x_n) ** k
+    bound = floor_frac(kth_root_upper(val, m - k, guard_bits=8))
+    if cap is not None:
+        bound = min(bound, cap)
+
+    def close(a: int, b: int) -> bool:
+        return abs(a - b) <= tol * max(a, b, unit)
+
+    # rebalance the cylinder inside the Euclidean ball: scale the block
+    # with the smaller radius up by 2^a, warm-starting from cols . u
+    a = isqrt(bound).bit_length() - isqrt(x_n).bit_length()
+    work = _matmul_int(cols, u)
+    if a:
+        rows = range(m)[narrow] if a > 0 else range(m)[other]
+        for col in work:
+            for i in rows:
+                col[i] <<= abs(a)
+    ball = (x_n << 2 * a) + bound if a > 0 else x_n + (bound << -2 * a)
+    red, u2 = lll_columns(work)
+    u = _matmul_int(u, u2)
+    au = _matmul_int(cols, u)
+
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def visit(yred: tuple[int, ...]) -> None:
+        raw = _matvec_int(au, yred)
+        n = sum(t * t for t in raw[narrow])
+        if n >= x_n or (tol and close(n, x_n)):
+            return
+        o = sum(t * t for t in raw[other])
+        if o <= x_o or o > bound:
+            return
+        found[canonical_sign(_matvec_int(u, yred), d)] = (o, n)
+
+    fp_enumerate(red, Fraction(ball), visit, budget=budget)
+    if not found:
+        return None, [], u
+    best = min(found.values())
+    if tol:
+        for key in found.values():
+            if key != best and close(key[0], best[0]) and close(key[1], best[1]):
+                raise NonGenericLatticeError(
+                    "two chain candidates tie within tolerance"
+                )
+    return best, sorted(yv for yv, key in found.items() if key == best), u
+
+
+# ---------------------------------------------------------------------------
+# public wrappers on LatticeBasis
+
+
+def _int_columns(
+    columns: Sequence[Sequence[Fraction]],
+) -> tuple[list[list[int]], int]:
+    """Clear denominators: integer columns plus the common scale L such
+    that int_cols = L * columns."""
+    den = 1
+    for col in columns:
+        for t in col:
+            den = den * t.denominator // math.gcd(den, t.denominator)
+    cols = [[int(t * den) for t in col] for col in columns]
+    return cols, den
+
+
+def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, tuple[tuple[int, ...], ...]]:
+    """LLL-reduced basis of the same lattice plus the unimodular column
+    transform relating it to the input."""
+    cols, den = _int_columns(basis.columns)
+    red, u = lll_columns(cols)
+    new_cols = tuple(tuple(Fraction(t, den) for t in col) for col in red)
+    out = LatticeBasis(
+        basis.d, basis.c, new_cols, basis.scale_sq, basis.precision_bits
+    )
+    return out, tuple(tuple(col) for col in u)
 
 
 def enumerate_in_cylinder(
@@ -684,7 +763,7 @@ def enumerate_in_cylinder(
     power-of-two change of variables before enumeration so the Euclidean
     relaxation stays tight.
     """
-    cols, den = _int_columns(basis)
+    cols, den = _int_columns(basis.columns)
     d, m = basis.d, basis.m
     den_sq = den * den
     # bounds on raw squared norms (physical * scale_sq), then int-scaled

@@ -32,10 +32,11 @@ from .core import (
     PrecisionPolicy,
     SearchLimitError,
     SingularBasisError,
+    _int_columns,
+    chain_step,
     enumerate_in_cylinder,
     exact_sqrt,
     frac_from_mpf,
-    kth_root_upper,
     ln_frac,
     minkowski_bound_sq_range,
     mpf_from_frac,
@@ -139,137 +140,73 @@ class MinimalVectorChain:
         raise KeyError(n)
 
 
-def _rep(members: list[LatticeVector]) -> LatticeVector:
-    return min(members, key=lambda v: tuple(reversed(v.y)))
+def _chain_stepper(basis: LatticeBasis, policy: PrecisionPolicy, budget: int):
+    """Chain steps on ``basis`` through core.chain_step, sharing one
+    warm-start transform.  ``step(x)`` returns the successor class of
+    the vector x and ``step(x, forward=False)`` its predecessor class,
+    each sorted by reversed coordinates so that the first member is the
+    class representative; None when x is vertical (resp. horizontal)."""
+    cols, den = _int_columns(basis.columns)
+    det_sq = basis.det_sq()
+    if det_sq == 0:
+        raise SingularBasisError("degenerate basis")
+    unit = den * den * basis.scale_sq
+    _, c_sq_hi = minkowski_bound_sq_range(basis.d, basis.c)
+    mink_sq = c_sq_hi * det_sq * unit**basis.m
+    tol = policy.tol_for(basis)
+    u = None
 
-
-def _grow_bound_search(
-    basis: LatticeBasis,
-    fixed_sq: Fraction,
-    grow_sq: Fraction,
-    fixed_is_width: bool,
-    accept,
-    budget: int,
-) -> Optional[list[LatticeVector]]:
-    """Enumerate cylinders with one radius fixed and the other growing
-    until ``accept`` returns a nonempty candidate list."""
-    r = grow_sq
-    for _ in range(80):
-        cyl = Cylinder(fixed_sq, r) if fixed_is_width else Cylinder(r, fixed_sq)
-        got = accept(enumerate_in_cylinder(basis, cyl, budget=budget))
-        if got:
-            return got
-        r *= 4
-    raise SearchLimitError("cylinder search failed to produce a candidate")
-
-
-class _ChainWalker:
-    """Successor/predecessor steps shared by chains and return maps."""
-
-    def __init__(
-        self,
-        basis: LatticeBasis,
-        policy: PrecisionPolicy,
-        budget: int,
-    ) -> None:
-        self.basis = basis
-        self.policy = policy
-        self.tol = policy.tol_for(basis)
-        self.budget = budget
-        self.det_sq = basis.det_sq()
-        if self.det_sq == 0:
-            raise SingularBasisError("degenerate basis")
-        _, self.c_sq_hi = minkowski_bound_sq_range(basis.d, basis.c)
-
-    def close(self, a: Fraction, b: Fraction) -> bool:
-        return self.policy.sq_close(a, b, self.tol)
-
-    def lt(self, a: Fraction, b: Fraction) -> bool:
-        return a < b and not self.close(a, b)
-
-    def _pick_class(
-        self, cands: list[LatticeVector], key
-    ) -> Optional[list[LatticeVector]]:
-        if not cands:
+    def step(x: LatticeVector, forward: bool = True) -> Optional[list[LatticeVector]]:
+        nonlocal u
+        if (x.width_sq if forward else x.height_sq) == 0:
             return None
-        cands = sorted(cands, key=lambda v: (*key(v), tuple(reversed(v.y))))
-        best = cands[0]
-        cls = [v for v in cands if key(v) == key(best)]
-        for v in cands:
-            if key(v) == key(best):
-                continue
-            if self.close(v.width_sq, best.width_sq) and self.close(
-                v.height_sq, best.height_sq
-            ):
-                raise NonGenericLatticeError(
-                    "two chain candidates tie within tolerance"
-                )
-        return cls
-
-    def successor(self, x: LatticeVector) -> Optional[list[LatticeVector]]:
-        """Class of the next minimal vector: minimal (height, width) among
-        vectors strictly narrower than x.  None when x is vertical."""
-        if x.width_sq == 0:
-            return None
-        val = self.c_sq_hi * self.det_sq / x.width_sq**self.basis.d
-        hb_sq = kth_root_upper(val, self.basis.c, guard_bits=8)
-
-        def accept(cands: list[LatticeVector]):
-            filt = [
-                v
-                for v in cands
-                if self.lt(v.width_sq, x.width_sq) and v.height_sq > x.height_sq
-            ]
-            return self._pick_class(filt, lambda v: (v.height_sq, v.width_sq))
-
-        return _grow_bound_search(
-            self.basis, x.width_sq, hb_sq, True, accept, self.budget
+        _, members, u = chain_step(
+            cols, u, x.y, basis.d, mink_sq,
+            forward=forward, tol=tol, unit=unit, budget=budget,
         )
+        if not members:
+            raise SearchLimitError(
+                "the Minkowski cylinder holds no chain neighbour"
+            )
+        members.sort(key=lambda y: y[::-1])
+        return [basis.vector(y) for y in members]
 
-    def predecessor(self, x: LatticeVector) -> Optional[list[LatticeVector]]:
-        if x.height_sq == 0:
-            return None
-        val = self.c_sq_hi * self.det_sq / x.height_sq**self.basis.c
-        wb_sq = kth_root_upper(val, self.basis.d, guard_bits=8)
+    return step
 
-        def accept(cands: list[LatticeVector]):
-            filt = [
-                v
-                for v in cands
-                if self.lt(v.height_sq, x.height_sq) and v.width_sq > x.width_sq
-            ]
-            return self._pick_class(filt, lambda v: (v.width_sq, v.height_sq))
 
-        return _grow_bound_search(
-            self.basis, x.height_sq, wb_sq, False, accept, self.budget
-        )
-
-    def certify(self, x: LatticeVector) -> int:
-        """Check that every lattice point of C(x) is cylinder-equal to x;
-        returns the number of sign-canonical points found."""
-        cands = enumerate_in_cylinder(
-            self.basis, Cylinder(x.width_sq, x.height_sq), budget=self.budget
-        )
-        for v in cands:
-            if not (
-                self.close(v.width_sq, x.width_sq)
-                and self.close(v.height_sq, x.height_sq)
-            ):
-                raise NonGenericLatticeError(
-                    "chain entry is not minimal: cylinder contains a "
-                    "strictly smaller vector"
-                )
-        return len(cands)
-
-    def anchor(self) -> list[LatticeVector]:
-        svs = shortest_mixed_vectors(self.basis, budget=self.budget)
-        lam_sq = svs[0].mixed_sq
-        wide = [v for v in svs if v.width_sq == lam_sq]
-        if wide:
-            h_min = min(v.height_sq for v in wide)
-            return [v for v in wide if v.height_sq == h_min]
+def _anchor(basis: LatticeBasis, budget: int) -> list[LatticeVector]:
+    """The chain class through a shortest mixed-norm vector."""
+    svs = shortest_mixed_vectors(basis, budget=budget)
+    lam_sq = svs[0].mixed_sq
+    wide = [v for v in svs if v.width_sq == lam_sq]
+    if wide:
+        h_min = min(v.height_sq for v in wide)
+        cls = [v for v in wide if v.height_sq == h_min]
+    else:
         w_min = min(v.width_sq for v in svs)
-        return [v for v in svs if v.width_sq == w_min]
+        cls = [v for v in svs if v.width_sq == w_min]
+    return sorted(cls, key=lambda v: v.y[::-1])
+
+
+def _certify(
+    basis: LatticeBasis, x: LatticeVector, policy: PrecisionPolicy, budget: int
+) -> int:
+    """Check that every lattice point of C(x) is cylinder-equal to x;
+    returns the number of sign-canonical points found."""
+    tol = policy.tol_for(basis)
+    cands = enumerate_in_cylinder(
+        basis, Cylinder(x.width_sq, x.height_sq), budget=budget
+    )
+    for v in cands:
+        if not (
+            policy.sq_close(v.width_sq, x.width_sq, tol)
+            and policy.sq_close(v.height_sq, x.height_sq, tol)
+        ):
+            raise NonGenericLatticeError(
+                "chain entry is not minimal: cylinder contains a "
+                "strictly smaller vector"
+            )
+    return len(cands)
 
 
 def minimal_vectors(
@@ -291,15 +228,16 @@ def minimal_vectors(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    walker = _ChainWalker(basis, policy, budget)
-    chain: deque[list[LatticeVector]] = deque([walker.anchor()])
+    step = _chain_stepper(basis, policy, budget)
+    tol = policy.tol_for(basis)
+    chain: deque[list[LatticeVector]] = deque([_anchor(basis, budget)])
     backward_finite = forward_finite = False
 
     def grow_forward() -> bool:
         nonlocal forward_finite
         if forward_finite:
             return False
-        nxt = walker.successor(_rep(chain[-1]))
+        nxt = step(chain[-1][0])
         if nxt is None:
             forward_finite = True
             return False
@@ -310,7 +248,7 @@ def minimal_vectors(
         nonlocal backward_finite
         if backward_finite:
             return False
-        prv = walker.predecessor(_rep(chain[0]))
+        prv = step(chain[0][0], forward=False)
         if prv is None:
             backward_finite = True
             return False
@@ -318,9 +256,9 @@ def minimal_vectors(
         return True
 
     def cond(i: int) -> bool:
-        h = _rep(chain[i + 1]).height_sq
-        w = _rep(chain[i]).width_sq
-        return h > w or walker.close(h, w)
+        h = chain[i + 1][0].height_sq
+        w = chain[i][0].width_sq
+        return h > w or policy.sq_close(h, w, tol)
 
     # walk backward to before the numbering transition
     for _ in range(10000):
@@ -360,8 +298,11 @@ def minimal_vectors(
     for j, members in enumerate(chain):
         n = j - idx0
         if -back <= n < count:
-            rep = _rep(members)
-            size = walker.certify(rep) if certify else len(members)
+            rep = members[0]
+            if certify:
+                size = _certify(basis, rep, policy, budget)
+            else:
+                size = len(members)
             entries.append(ChainEntry(n, rep, size, certify))
     return MinimalVectorChain(
         basis, tuple(entries), backward_finite, forward_finite
@@ -527,11 +468,10 @@ def first_return(
     mem = surface_membership_S(basis, policy=policy, budget=budget)
     if not mem.member:
         raise ValueError(f"lattice is not on the transversal: {mem.reason}")
-    walker = _ChainWalker(basis, policy, budget)
-    cls = walker.successor(mem.tall)
+    cls = _chain_stepper(basis, policy, budget)(mem.tall)
     if cls is None:
         raise NonGenericLatticeError("tall short vector is vertical")
-    x2 = _rep(cls)
+    x2 = cls[0]
     ratio_sq = x2.height_sq / mem.tall.width_sq
     m = basis.d + basis.c
     tau = float(ln_frac(ratio_sq, 53)) / (2 * m)
@@ -637,11 +577,10 @@ def surface_first_return_1d(
     mem = surface_membership_S(basis, budget=budget)
     if not mem.member:
         raise ValueError(f"chart point left the transversal: {mem.reason}")
-    walker = _ChainWalker(basis, DEFAULT_POLICY, budget)
-    cls = walker.successor(mem.tall)
+    cls = _chain_stepper(basis, DEFAULT_POLICY, budget)(mem.tall)
     if cls is None:
         raise NonGenericLatticeError("chart successor is vertical")
-    x2 = _rep(cls)
+    x2 = cls[0]
     x_sq = x2.width_sq / mem.tall.width_sq
     y_sq = mem.tall.height_sq / x2.height_sq
     x_next = exact_sqrt(x_sq)

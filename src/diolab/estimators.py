@@ -14,13 +14,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import mpmath
 import numpy as np
 from scipy import integrate
 
-from .bestapprox import beta_sequence, chain_engine, sample_theta
+from .bestapprox import BestApproxRecord, beta_sequence, chain_engine, sample_theta
 from .core import (
     NonGenericLatticeError,
     SearchLimitError,
@@ -85,6 +85,39 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _seeded_chains(
+    d: int, c: int, trials: int, depth: int, bits: int, seed: int, budget: int
+) -> Iterator[tuple[list[BestApproxRecord], int]]:
+    """Chains of ``depth + 1`` records for ``trials`` random theta, each
+    drawn from its own generator seeded by a master ``Random(seed)``.
+
+    A theta that is non-generic or whose chain terminates before the
+    requested depth (a dyadic resonance) is re-drawn.  Yields each
+    accepted chain with the number of re-draws so far; more than
+    2 * trials + 64 draws in total raise SearchLimitError.
+    """
+    master = random.Random(seed)
+    accepted = resamples = 0
+    while accepted < trials:
+        if accepted + resamples >= 2 * trials + 64:
+            raise SearchLimitError(
+                "resonance exhaustion: %d re-samples at bits=%d"
+                % (resamples, bits)
+            )
+        sub = random.Random(master.getrandbits(64))
+        theta = sample_theta(d, c, bits, sub)
+        try:
+            recs = chain_engine(theta, depth=depth + 1, budget=budget)
+        except NonGenericLatticeError:
+            resamples += 1
+            continue
+        if len(recs) <= depth or recs[depth].terminal:
+            resamples += 1
+            continue
+        accepted += 1
+        yield recs, resamples
+
+
 def levy_ergodic(
     d: int,
     c: int,
@@ -108,28 +141,10 @@ def levy_ergodic(
     if trials < 2:
         raise ValueError("need at least two trials")
     h = depth // 2
-    master = random.Random(seed)
+    span = 2 * (depth - h)
     per: list[tuple[float, float]] = []
     resamples = 0
-    draws = 0
-    while len(per) < trials:
-        if draws >= 2 * trials + 64:
-            raise SearchLimitError(
-                "resonance exhaustion: %d re-samples at bits=%d"
-                % (resamples, bits)
-            )
-        draws += 1
-        sub = random.Random(master.getrandbits(64))
-        theta = sample_theta(d, c, bits, sub)
-        try:
-            recs = chain_engine(theta, depth=depth + 1, budget=budget)
-        except NonGenericLatticeError:
-            resamples += 1
-            continue
-        if len(recs) <= depth or recs[depth].terminal:
-            resamples += 1
-            continue
-        span = 2 * (depth - h)
+    for recs, resamples in _seeded_chains(d, c, trials, depth, bits, seed, budget):
         slope_q = float(ln_frac(recs[depth].q_sq / recs[h].q_sq, 53)) / span
         slope_r = float(ln_frac(recs[h].r_sq / recs[depth].r_sq, 53)) / span
         per.append((slope_q, slope_r))
@@ -323,9 +338,11 @@ def surface_mc_2d(
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCDF:
-    """Right-continuous step function of a pooled sample."""
+    """Right-continuous step function of a pooled sample; ``resamples``
+    counts the targets re-drawn while pooling it."""
 
     samples: np.ndarray
+    resamples: int = 0
 
     def __post_init__(self) -> None:
         arr = np.sort(np.asarray(self.samples, dtype=float))
@@ -349,7 +366,8 @@ def bjw_empirical(
     budget: int = 10**7,
 ) -> EmpiricalCDF:
     """Pool the products q_{k+1}^c r_k^d over random theta, discarding the
-    first indices of each chain as transient.
+    first indices of each chain as transient.  Re-drawn targets are
+    counted as in levy_ergodic and returned with the pool.
 
     Every pooled value is checked exactly against the Minkowski bound
     before conversion to float; for d=c=1 the double inequality
@@ -357,33 +375,16 @@ def bjw_empirical(
     """
     if depth <= discard + 1:
         raise ValueError("depth must exceed discard + 1")
-    master = random.Random(seed)
     pooled: list[float] = []
-    draws = 0
-    done = 0
-    while done < trials:
-        if draws >= 2 * trials + 64:
-            raise SearchLimitError(
-                "resonance exhaustion at bits=%d" % bits
-            )
-        draws += 1
-        sub = random.Random(master.getrandbits(64))
-        theta = sample_theta(d, c, bits, sub)
-        try:
-            recs = chain_engine(theta, depth=depth + 1, budget=budget)
-        except NonGenericLatticeError:
-            continue
-        if len(recs) <= depth or recs[depth].terminal:
-            continue
-        betas_sq = beta_sequence(recs, d, c)
-        for b_sq in betas_sq[discard:]:
+    resamples = 0
+    for recs, resamples in _seeded_chains(d, c, trials, depth, bits, seed, budget):
+        for b_sq in beta_sequence(recs, d, c)[discard:]:
             if b_sq <= 0 or not minkowski_leq(b_sq, d, c):
                 raise RuntimeError("product escaped the Minkowski bound")
             if d == 1 and c == 1 and not Fraction(1, 4) <= b_sq <= 1:
                 raise RuntimeError("product escaped [1/2, 1]")
             pooled.append(math.sqrt(float(b_sq)))
-        done += 1
-    return EmpiricalCDF(np.asarray(pooled))
+    return EmpiricalCDF(np.asarray(pooled), resamples)
 
 
 def bjw_cdf_1d(t: float) -> float:

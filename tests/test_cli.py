@@ -120,6 +120,7 @@ def test_dist_smoke(tmp_path, capsys):
     assert "KS vs oracle" in out
     summary = read_json(str(only_file(tmp_path, r"dist_[0-9a-f]{12}\.json")))
     assert summary["pool"] == 3 * 22
+    assert summary["resamples"] == 0
     assert 0.5 < summary["support_min"] <= summary["support_max"] <= 1.0 + 1e-12
     assert summary["ks_vs_oracle"] is not None
     _, header, rows = read_csv(str(only_file(tmp_path, r"dist_[0-9a-f]{12}\.csv")))

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from diolab.bestapprox import chain_engine, sample_theta
+from diolab.bestapprox import chain_engine, direct_scan, sample_theta
 from diolab.core import (
+    DEFAULT_POLICY,
     LatticeBasis,
     NonGenericLatticeError,
     a_safe,
@@ -15,6 +16,7 @@ from diolab.core import (
 )
 from diolab.dynamics import (
     SurfacePoint1D,
+    _chain_stepper,
     SurfacePoint2D,
     apply_flow,
     apply_flow_log,
@@ -119,7 +121,7 @@ def test_chain_fibonacci_heights_are_records():
 
 def test_chain_matches_records_random():
     rng = random.Random(31)
-    for d, c in ((1, 1), (2, 1)):
+    for d, c in ((1, 1), (2, 1), (1, 2)):
         for _ in range(4):
             theta = sample_theta(d, c, 64, rng)
             basis = LatticeBasis.from_theta(theta)
@@ -129,6 +131,38 @@ def test_chain_matches_records_random():
                 assert entry.vector.y == (*rec.P, *rec.Q)
                 assert entry.vector.height_sq == rec.q_sq
                 assert entry.vector.width_sq == rec.r_sq
+
+
+def test_predecessor_inverts_successor():
+    bases = [
+        theta_basis(64, seed, d, c)[1]
+        for d, c in ((1, 1), (2, 1), (1, 2))
+        for seed in (34, 35)
+    ]
+    bases.append(apply_flow(theta_basis(64, 33)[1], 0.7))
+    pairs = 0
+    for basis in bases:
+        step = _chain_stepper(basis, DEFAULT_POLICY, 10**7)
+        for entry in minimal_vectors(basis, 10, certify=False).entries[:-1]:
+            back = step(step(entry.vector)[0], forward=False)
+            assert back[0].y == entry.vector.y
+            assert len(back) == entry.class_size
+            pairs += 1
+    assert pairs == 63
+
+
+def test_tie_policies_share_the_kernel():
+    # heights (1, 2) and (2, -1) of norm^2 5 both hit an integer point:
+    # the record sequence is undefined there, while the chain has one
+    # class of two members
+    theta = ((Fraction(1, 5),), (Fraction(2, 5),))
+    with pytest.raises(NonGenericLatticeError, match=r"norm\^2 5 "):
+        direct_scan(theta, 40)
+    with pytest.raises(NonGenericLatticeError, match=r"norm\^2 5 "):
+        chain_engine(theta, depth=20)
+    entry = minimal_vectors(LatticeBasis.from_theta(theta), 6).entry(2)
+    assert entry.vector.height_sq == 5
+    assert entry.class_size == 2
 
 
 def test_chain_class_sizes_bounded():

@@ -136,6 +136,21 @@ def test_bjw_empirical_pool():
     assert np.array_equal(again.samples, ecdf.samples)
 
 
+def test_bjw_empirical_resonance_exhaustion():
+    # 3-bit targets always terminate long before depth 12
+    with pytest.raises(SearchLimitError):
+        bjw_empirical(1, 1, trials=2, depth=12, bits=3, seed=1, discard=10)
+
+
+def test_bjw_empirical_counts_resamples():
+    # 20-bit targets often terminate before depth 12; both estimators
+    # draw through the same loop and count the same re-draws
+    ecdf = bjw_empirical(1, 1, trials=6, depth=12, bits=20, seed=1, discard=2)
+    est = levy_ergodic(1, 1, trials=6, depth=12, bits=20, seed=1)
+    assert ecdf.samples.size == 6 * 10
+    assert ecdf.resamples == est.resamples > 0
+
+
 def test_bjw_empirical_validation():
     with pytest.raises(ValueError):
         bjw_empirical(1, 1, trials=2, depth=10, bits=64, seed=1, discard=10)

@@ -1,0 +1,52 @@
+"""Property tests on small-denominator targets, where ties are common and
+chains terminate: the chain engine agrees with the exhaustive scan, and
+the minimal-vector chain of the target's lattice carries the records."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from diolab.bestapprox import chain_engine, direct_scan
+from diolab.core import LatticeBasis, NonGenericLatticeError
+from diolab.dynamics import minimal_vectors
+
+SHAPES = ((1, 1), (2, 1), (1, 2))
+# height caps past every terminal record of a target with denominators <= 16
+Q_MAX = {1: 40, 2: 20}
+
+
+@st.composite
+def small_theta(draw):
+    d, c = draw(st.sampled_from(SHAPES))
+    entry = st.integers(1, 16).flatmap(
+        lambda den: st.integers(0, den - 1).map(lambda num: Fraction(num, den))
+    )
+    return tuple(tuple(draw(entry) for _ in range(d)) for _ in range(c))
+
+
+def records_or_tie(engine, *args, **kwargs):
+    try:
+        return engine(*args, **kwargs)
+    except NonGenericLatticeError:
+        return "tie"
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(small_theta())
+def test_chain_equals_scan_or_both_raise(theta):
+    q_max = Q_MAX[len(theta)]
+    chain = records_or_tie(chain_engine, theta, q_max=q_max)
+    assert chain == records_or_tie(direct_scan, theta, q_max)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(small_theta())
+def test_minimal_vectors_carry_the_records(theta):
+    recs = records_or_tie(chain_engine, theta, depth=64)
+    if recs == "tie":
+        return
+    assert recs[-1].terminal
+    chain = minimal_vectors(LatticeBasis.from_theta(theta), len(recs) + 1)
+    assert [(e.vector.height_sq, e.vector.width_sq) for e in chain.entries[1:]] == [
+        (r.q_sq, r.r_sq) for r in recs
+    ]
