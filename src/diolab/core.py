@@ -1,11 +1,12 @@
 """Exact geometry core: mixed norms, cylinders, lattice bases, LLL
 reduction, Fincke-Pohst enumeration and Minkowski bounds.
 
-Scalars are exact :class:`fractions.Fraction` throughout.  mpmath
-supplies arbitrary-precision floats for logarithms, flow factors and
-display, but every decision made here (containment, minimality, ties)
-reduces to comparisons of exact squared norms.  Irrational constants
-enter only through certified rational bounds.
+Scalars are exact :class:`fractions.Fraction`s, except in the integer
+kernel (LLL and Fincke-Pohst), which is integer-only.  mpmath supplies
+arbitrary-precision floats for logarithms, flow factors and display,
+but every decision made here (containment, minimality, ties) reduces
+to comparisons of exact squared norms.  Irrational constants enter
+only through certified rational bounds.
 """
 
 from __future__ import annotations
@@ -489,78 +490,74 @@ class LatticeBasis:
 # integer-column kernel: LLL and Fincke-Pohst
 
 
-def _gram(cols: Sequence[Sequence[int]]) -> list[list[int]]:
+def _int_gso(
+    cols: Sequence[Sequence[int]],
+) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of integer columns (Cohen, Alg. 2.6.7):
+    dd[i] is the Gram determinant of the first i columns (dd[0] = 1) and
+    lam[i][j] = dd[j+1] * mu_ij for j < i, all exact integers."""
     m = len(cols)
-    return [
-        [sum(cols[i][t] * cols[j][t] for t in range(len(cols[i]))) for j in range(m)]
-        for i in range(m)
-    ]
-
-
-def _gso(gram: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Gram-Schmidt data from a Gram matrix: mu (unit lower triangular)
-    and the squared norms of the orthogonalized vectors."""
-    m = len(gram)
-    mu = [[Fraction(0)] * m for _ in range(m)]
-    dvec = [Fraction(0)] * m
+    dd = [1] * (m + 1)
+    lam: list[list[int]] = []
     for i in range(m):
-        mu[i][i] = Fraction(1)
-        for j in range(i):
-            s = Fraction(gram[i][j])
-            for k in range(j):
-                s -= mu[i][k] * mu[j][k] * dvec[k]
-            if dvec[j] == 0:
-                raise SingularBasisError("dependent columns")
-            mu[i][j] = s / dvec[j]
-        s = Fraction(gram[i][i])
-        for k in range(i):
-            s -= mu[i][k] * mu[i][k] * dvec[k]
-        dvec[i] = s
-        if dvec[i] <= 0:
+        row: list[int] = []
+        for j in range(i + 1):
+            lj = row if j == i else lam[j]
+            s = sum(a * b for a, b in zip(cols[i], cols[j]))
+            for t in range(j):
+                s = (dd[t + 1] * s - row[t] * lj[t]) // dd[t]
+            row.append(s)
+        dd[i + 1] = row.pop()
+        if dd[i + 1] <= 0:
             raise SingularBasisError("dependent columns")
-    return mu, dvec
+        lam.append(row)
+    return dd, lam
 
 
 def lll_columns(
     cols: Sequence[Sequence[int]], delta: Fraction = Fraction(99, 100)
 ) -> tuple[list[list[int]], list[list[int]]]:
     """LLL-reduce integer columns; returns (reduced columns, transform U)
-    with reduced = original . U and U unimodular (columns convention)."""
+    with reduced = original . U and U unimodular (columns convention).
+    Integral LLL on dd, lam of _int_gso.  Size reduction is stale-mu: a
+    pass takes every r_j = round-half-up(lam_kj / dd[j+1]) from the row
+    before it, so only |mu_{k,k-1}| <= 1/2 is guaranteed.  Lovasz with
+    delta = p/q: q (dd[k+1] dd[k-1] + lam_{k,k-1}^2) >= p dd[k]^2."""
     m = len(cols)
     b = [list(col) for col in cols]
     u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     if m == 1:
         return b, u
-
-    def refresh() -> tuple[list[list[Fraction]], list[Fraction]]:
-        return _gso(_gram(b))
-
-    mu, dvec = refresh()
+    p, q = delta.numerator, delta.denominator
+    dd, lam = _int_gso(b)
     k = 1
     rounds = 0
     while k < m:
         rounds += 1
         if rounds > 100000:
             raise RuntimeError("reduction failed to terminate")
-        changed = False
-        for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            r = (2 * q.numerator + q.denominator) // (2 * q.denominator)
+        lk = lam[k]
+        rs = [(2 * lk[j] + dd[j + 1]) // (2 * dd[j + 1]) for j in range(k)]
+        for j, r in enumerate(rs):
             if r:
-                for t in range(len(b[k])):
-                    b[k][t] -= r * b[j][t]
-                for t in range(m):
-                    u[k][t] -= r * u[j][t]
-                changed = True
-        if changed:
-            mu, dvec = refresh()
-        if dvec[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * dvec[k - 1]:
+                b[k] = [s - r * t for s, t in zip(b[k], b[j])]
+                u[k] = [s - r * t for s, t in zip(u[k], u[j])]
+                lk[: j + 1] = [s - r * t for s, t in zip(lk, lam[j] + [dd[j + 1]])]
+        lm = lk[k - 1]
+        if q * (dd[k + 1] * dd[k - 1] + lm * lm) >= p * dd[k] * dd[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
-            mu, dvec = refresh()
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        u[k], u[k - 1] = u[k - 1], u[k]
+        lam[k - 1], lam[k] = lk[: k - 1], lam[k - 1] + [lm]
+        dk = (dd[k + 1] * dd[k - 1] + lm * lm) // dd[k]
+        for i in range(k + 1, m):
+            li = lam[i]
+            t = li[k]
+            li[k] = (dd[k + 1] * li[k - 1] - lm * t) // dd[k]
+            li[k - 1] = (dk * t + lm * li[k]) // dd[k + 1]
+        dd[k] = dk
+        k = max(k - 1, 1)
     return b, u
 
 
@@ -572,43 +569,43 @@ def fp_enumerate(
 ) -> int:
     """Visit every nonzero integer combination y with |cols . y|^2 <=
     bound_sq (Euclidean, both of +-y).  Returns nodes used; raises
-    BudgetExceededError when the traversal exceeds ``budget`` nodes."""
+    BudgetExceededError when the traversal exceeds ``budget`` nodes.
+    Integer Fincke-Pohst on dd, lam of _int_gso, the bound scaled once by
+    S = den(bound_sq) prod_i dd[i+1] dd[i]: level i weighs t^2 by w_i =
+    S / (dd[i+1] dd[i]), t = y_i dd[i+1] - N_i, N_i = -sum_{j>i} lam_ji
+    y_j, and visits in increasing order the y_i with |t| <= isqrt(R // w_i),
+    R the integer remaining bound."""
     m = len(cols)
-    mu, dvec = _gso(_gram(cols))
-    if bound_sq < 0:
+    dd, lam = _int_gso(cols)
+    num, den = bound_sq.numerator, bound_sq.denominator
+    if num < 0:
         return 0
+    prod = math.prod(dd[i + 1] * dd[i] for i in range(m))
+    w = [den * prod // (dd[i + 1] * dd[i]) for i in range(m)]
     y = [0] * m
     nodes = 0
 
-    def descend(i: int, remaining: Fraction) -> None:
+    def descend(i: int, rem: int) -> None:
         nonlocal nodes
-        # center of the admissible interval for y_i given y_{i+1..m-1}
-        ci = Fraction(0)
-        for j in range(i + 1, m):
-            if y[j]:
-                ci -= mu[j][i] * y[j]
-        half = sqrt_upper(remaining / dvec[i])
-        lo = ceil_frac(ci - half)
-        hi = floor_frac(ci + half)
-        for yi in range(lo, hi + 1):
+        n = -sum(lam[j][i] * y[j] for j in range(i + 1, m))
+        di, wi = dd[i + 1], w[i]
+        h = isqrt(rem // wi)
+        for yi in range((n - h + di - 1) // di, (n + h) // di + 1):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
                     f"enumeration exceeded budget of {budget} nodes"
                 )
-            diff = yi - ci
-            used = diff * diff * dvec[i]
-            if used > remaining:
-                continue
             y[i] = yi
             if i == 0:
                 if any(y):
                     visit(tuple(y))
             else:
-                descend(i - 1, remaining - used)
+                t = yi * di - n
+                descend(i - 1, rem - t * t * wi)
         y[i] = 0
 
-    descend(m - 1, Fraction(bound_sq))
+    descend(m - 1, num * prod)
     return nodes
 
 

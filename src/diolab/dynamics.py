@@ -304,6 +304,9 @@ def minimal_vectors(
             else:
                 size = len(members)
             entries.append(ChainEntry(n, rep, size, certify))
+    # a vertical last (horizontal first) entry ends the chain unsearched
+    backward_finite |= chain[0][0].height_sq == 0
+    forward_finite |= chain[-1][0].width_sq == 0
     return MinimalVectorChain(
         basis, tuple(entries), backward_finite, forward_finite
     )

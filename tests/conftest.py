@@ -4,10 +4,13 @@ The brute-force cylinder scan is the ground truth the lattice kernel is
 measured against: it knows nothing about LLL, bounds, or pruning, it
 just walks an integer coefficient box and keeps what lands inside.  The
 exact integer scan plays the same part for the d=2, c=1 record
-sequence: it uses no lattice, LLL or chain code.
+sequence: it uses no lattice, LLL or chain code.  The Fraction
+Gram-Schmidt process is the oracle the integral LLL data are checked
+against.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +33,25 @@ def brute_cylinder(basis, cyl, box):
         if cyl.contains_sq(v.width_sq, v.height_sq):
             seen[ys] = v
     return sorted(seen.values(), key=lambda v: (v.height_sq, v.width_sq, v.y))
+
+
+def fraction_gso(cols):
+    """Gram-Schmidt data of integer columns in exact Fractions: mu (unit
+    lower triangular) and the squared norms of the orthogonalized
+    vectors."""
+    m = len(cols)
+    gram = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(m)] for i in range(m)]
+    mu = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    dvec = [Fraction(0)] * m
+    for i in range(m):
+        for j in range(i):
+            s = Fraction(gram[i][j])
+            for k in range(j):
+                s -= mu[i][k] * mu[j][k] * dvec[k]
+            mu[i][j] = s / dvec[j]
+        dvec[i] = gram[i][i] - sum(mu[i][k] ** 2 * dvec[k] for k in range(i))
+        assert dvec[i] > 0, "dependent columns"
+    return mu, dvec
 
 
 def exact_scan_2x1(theta, bits, q_max):
@@ -103,6 +125,27 @@ def _inverse(cols):
                 a[r] = [t - g * s for t, s in zip(a[r], a[k])]
                 inv[r] = [t - g * s for t, s in zip(inv[r], inv[k])]
     return inv
+
+
+def ellipsoid_box(cols, bound):
+    """The exact coefficient box of {y : |cols . y|^2 <= bound}:
+    |y_i|^2 <= bound * sum_k (B^-1)_ik^2, B the column matrix."""
+    return [math.isqrt(math.floor(bound * sum(t * t for t in row))) for row in _inverse(cols)]
+
+
+def brute_ellipsoid(cols, bound):
+    """The nonzero integer y with |cols . y|^2 <= bound, in fp_enumerate's
+    visiting order (y[m-1] outermost, each coordinate increasing), by a
+    scan of the exact box."""
+    m = len(cols)
+    out = []
+    box = ellipsoid_box(cols, bound)
+    for rev in itertools.product(*(range(-b, b + 1) for b in reversed(box))):
+        y = rev[::-1]
+        x = [sum(cols[j][i] * y[j] for j in range(m)) for i in range(m)]
+        if any(y) and sum(t * t for t in x) <= bound:
+            out.append(y)
+    return out
 
 
 def safe_box(basis, cyl):

@@ -8,7 +8,8 @@
 5. Enumeration first-return map vs the explicit chart map on 10^3
    random surface points: relative error <= 1e-9, exact sign agreement.
 6. Pooled q_{k+1} r_k sample, d=c=1, >= 1e5 values: exact support
-   inside [1/2, 1] and KS distance to the oracle CDF <= 0.02.
+   inside [1/2, 1] and KS distance to the closed-form CDF <= 0.02 (the
+   quadrature oracle is pinned to the closed form in test_estimators).
 7. Pooled sample, d=2, c=1, >= 2000 values: all mass <= 4/pi exactly;
    the mass below 0.05 is >= 0.2% in both the chain pool and a pool from
    an exact integer scan (no lattice code), and the two-sample KS
@@ -67,8 +68,8 @@ from diolab.dynamics import (
 )
 from diolab.estimators import (
     LEVY_2_1,
+    bjw_cdf_1d,
     bjw_empirical,
-    bjw_oracle_cdf_1d,
     ks_distance,
     levy_closed_form_1d,
     levy_ergodic,
@@ -167,7 +168,7 @@ def test_criterion_6_bjw_distribution_1d():
     # bjw_empirical; a violation raises instead of polluting the sample
     ecdf = bjw_empirical(1, 1, trials=500, depth=215, bits=512, seed=SEED)
     pool = ecdf.samples.size
-    ks = ks_distance(ecdf, bjw_oracle_cdf_1d)
+    ks = ks_distance(ecdf, bjw_cdf_1d)
     lo, hi = float(ecdf.samples.min()), float(ecdf.samples.max())
     report(
         "criterion 6 (limit law d=c=1)",

@@ -1,6 +1,7 @@
 """Kernel tests: exact helpers, norms, Minkowski bounds, LLL, and the
 cylinder enumeration against the brute-force oracle."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from diolab.core import (
     enumerate_in_cylinder,
     exact_sqrt,
     floor_frac,
+    fp_enumerate,
     frac_from_mpf,
     float_from_frac,
     ln_frac,
@@ -36,7 +38,15 @@ from diolab.core import (
     sqrt_upper,
 )
 
-from conftest import brute_cylinder, random_cylinder, random_unimodular_basis, safe_box
+from conftest import (
+    brute_cylinder,
+    brute_ellipsoid,
+    ellipsoid_box,
+    fraction_gso,
+    random_cylinder,
+    random_unimodular_basis,
+    safe_box,
+)
 
 
 def test_nearest_int_halves_round_down():
@@ -184,6 +194,109 @@ def test_lll_columns_unimodular_transform():
                 sum(cols[t][i] * u[j][t] for t in range(m)) for i in range(m)
             ]
             assert comb == red[j]
+
+
+def lll_test_bases():
+    """Seeded nonsingular integer bases, m = 2, 3, 4, entries up to 2^300:
+    dense random ones, and skewed theta-lattice ones shaped like a chain
+    step's (den * e_i, then (-a, den), with the height row scaled)."""
+    rng = random.Random(4)
+    bases = []
+    for m in (2, 3, 4):
+        for bits in (2, 8, 64, 300):
+            for _ in range(20):
+                cols = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(m)] for _ in range(m)]
+                if LatticeBasis(1, m - 1, cols).det_raw() != 0:
+                    bases.append(cols)
+                den = 1 << bits
+                cols = [[den if i == j else 0 for i in range(m)] for j in range(m - 1)]
+                cols.append([-rng.randrange(den) for _ in range(m - 1)] + [den])
+                for col in cols:
+                    col[-1] <<= rng.randrange(bits)
+                bases.append(cols)
+    return bases
+
+
+# SHA-256 of repr([(red, u), ...]) over lll_test_bases(), computed with the
+# Fraction Gram-Schmidt LLL this kernel replaced
+LLL_DIGEST = "f192b4c08e46249449a37129405e95718e09d50065958275d58a145d149bc17c"
+
+
+def test_lll_columns_against_fraction_oracle():
+    delta = Fraction(99, 100)
+    outputs = []
+    stale = 0
+    for cols in lll_test_bases():
+        m = len(cols)
+        red, u = lll_columns(cols)
+        assert LatticeBasis(1, m - 1, u).det_raw() in (1, -1)
+        assert red == [
+            [sum(u[j][t] * cols[t][i] for t in range(m)) for i in range(m)]
+            for j in range(m)
+        ]
+        mu, dvec = fraction_gso(red)
+        for k in range(1, m):
+            assert abs(mu[k][k - 1]) <= Fraction(1, 2)
+            assert dvec[k] >= (delta - mu[k][k - 1] ** 2) * dvec[k - 1]
+        # stale-mu size reduction leaves some |mu_kj| > 1/2 for j < k-1
+        stale += any(abs(mu[k][j]) > Fraction(1, 2) for k in range(m) for j in range(k - 1))
+        outputs.append((red, u))
+    assert len(outputs) == 477 and stale > 0
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == LLL_DIGEST
+
+
+def fp_test_cases():
+    """Seeded (cols, bound, on) cases, m = 1, 2, 3: small non-reduced
+    integer bases, bounds with denominators 3 and 7, and integer bounds
+    met exactly by the lattice vector of coordinates ``on``; the brute
+    box of every case stays under 4000 points."""
+    rng = random.Random(12)
+    cases = []
+    for m in (1, 2, 3):
+        while len(cases) < 60 * m:
+            cols = [[rng.randrange(-4, 5) + 6 * (i == j) for i in range(m)] for j in range(m)]
+            for _ in range(3 * (m - 1)):
+                a, b = rng.sample(range(m), 2)
+                cols[a] = [s + rng.choice((-2, -1, 1, 2)) * t for s, t in zip(cols[a], cols[b])]
+            on = tuple(rng.randrange(-2, 3) for _ in range(m))
+            x = [sum(cols[j][i] * on[j] for j in range(m)) for i in range(m)]
+            three = [
+                (cols, Fraction(rng.randrange(1, 400), 3), None),
+                (cols, Fraction(rng.randrange(1, 400), 7), None),
+                (cols, Fraction(sum(t * t for t in x)), on),
+            ]
+            if all(math.prod(2 * b + 1 for b in ellipsoid_box(*case[:2])) < 4000 for case in three):
+                cases.extend(three)
+    return cases
+
+
+# SHA-256 of repr([visit sequence, ...]) over fp_test_cases(), computed
+# with the Fraction Gram-Schmidt enumeration this kernel replaced
+FP_DIGEST = "ab8d783ab2095b68574691c66e41d7ab1ba1f8e54b4da55519cbc56938139408"
+
+
+def test_fp_enumerate_exact_against_brute_force():
+    sequences = []
+    on_bound = 0
+    for cols, bound, on in fp_test_cases():
+        seen = []
+        nodes = fp_enumerate(cols, bound, seen.append)
+        assert seen == brute_ellipsoid(cols, bound)
+        assert nodes >= len(seen)
+        if on is not None and any(on):
+            assert on in seen and tuple(-t for t in on) in seen
+            on_bound += 1
+        sequences.append(seen)
+    assert on_bound >= 50
+    assert hashlib.sha256(repr(sequences).encode()).hexdigest() == FP_DIGEST
+
+
+def test_fp_enumerate_negative_bound_and_budget():
+    seen = []
+    assert fp_enumerate([[2, 1], [1, 3]], Fraction(-1, 3), seen.append) == 0
+    assert seen == []
+    with pytest.raises(BudgetExceededError):
+        fp_enumerate([[1, 0], [0, 1]], Fraction(10**6, 7), seen.append, budget=10)
 
 
 def test_lll_reduce_rejects_dependent_columns():

@@ -93,6 +93,15 @@ def test_chain_z2_terminates_both_ways():
         chain.entry(7)
 
 
+@pytest.mark.parametrize("count", [2, 3])
+def test_chain_ends_known_without_search(count):
+    # the last entry (0, 1) is vertical and the first (1, 0) horizontal,
+    # so both ends are known whether or not the walk tried to pass them
+    chain = minimal_vectors(LatticeBasis.from_theta(((Fraction(0),),)), count)
+    assert [(e.n, e.vector.y) for e in chain.entries] == [(0, (1, 0)), (1, (0, 1))]
+    assert chain.forward_finite and chain.backward_finite
+
+
 def test_chain_z3_class_sizes():
     chain = minimal_vectors(LatticeBasis.identity(2, 1), 5)
     assert [(e.n, e.vector.y) for e in chain.entries] == [

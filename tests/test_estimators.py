@@ -61,6 +61,14 @@ def test_bjw_quadrature_oracle_matches_closed_form():
     assert bjw_oracle_cdf_1d(1.0) == 1.0
 
 
+def test_bjw_quadrature_pins_closed_form_on_grid():
+    # criterion 6 measures KS against the closed form; this keeps the
+    # quadrature route checking it, at the 200 midpoints of (1/2, 1)
+    grid = [0.5 + (k + 0.5) / 400 for k in range(200)]
+    diff = max(abs(bjw_oracle_cdf_1d(t) - bjw_cdf_1d(t)) for t in grid)
+    assert diff <= 1e-12
+
+
 def test_empirical_cdf():
     ecdf = EmpiricalCDF(np.array([3.0, 1.0, 2.0, 2.0]))
     assert list(ecdf.samples) == [1.0, 2.0, 2.0, 3.0]

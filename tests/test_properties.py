@@ -1,12 +1,13 @@
 """Property tests on small-denominator targets, where ties are common and
 chains terminate: the chain engine agrees with the exhaustive scan, and
-the minimal-vector chain of the target's lattice carries the records."""
+the minimal-vector chain of the target's lattice carries the records;
+in 1x1 the chain engine recovers the continued-fraction denominators."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from diolab.bestapprox import chain_engine, direct_scan
+from diolab.bestapprox import cf_best_denominators, chain_engine, direct_scan
 from diolab.core import LatticeBasis, NonGenericLatticeError
 from diolab.dynamics import minimal_vectors
 
@@ -50,3 +51,15 @@ def test_minimal_vectors_carry_the_records(theta):
     assert [(e.vector.height_sq, e.vector.width_sq) for e in chain.entries[1:]] == [
         (r.q_sq, r.r_sq) for r in recs
     ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=800)
+@given(st.integers(1, 10**4).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q))))
+def test_chain_equals_continued_fraction_1x1(x):
+    # the records of a 1x1 target x = p/q end at height q = den(x)
+    q = x.denominator
+    chain = records_or_tie(chain_engine, ((x,),), q_max=q)
+    if chain == "tie":
+        assert records_or_tie(direct_scan, ((x,),), q) == "tie"
+    else:
+        assert [r.Q[0] for r in chain] == cf_best_denominators(x)
