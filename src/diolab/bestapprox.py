@@ -20,10 +20,11 @@ from typing import Optional, Sequence
 
 from .core import (
     BudgetExceededError,
+    LatticeBasis,
     NonGenericLatticeError,
     _int_columns,
+    _minkowski_sq,
     chain_step,
-    minkowski_bound_sq_range,
     minkowski_leq,
     nearest_int,
 )
@@ -240,20 +241,10 @@ def chain_engine(
     c = len(theta)
     d = len(theta[0])
     m = d + c
-    tnum, den = _int_columns(theta)
-    den_sq = den * den
-    _, c_sq_hi = minkowski_bound_sq_range(d, c)
-
+    basis = LatticeBasis.from_theta(theta)
     # integer columns of den * (P - theta Q, Q)
-    acols: list[list[int]] = []
-    for i in range(d):
-        col = [0] * m
-        col[i] = den
-        acols.append(col)
-    for j in range(c):
-        col = [-tnum[j][i] for i in range(d)] + [0] * c
-        col[d + j] = den
-        acols.append(col)
+    acols, den = _int_columns(basis.columns)
+    den_sq = den * den
 
     records: list[BestApproxRecord] = []
 
@@ -273,8 +264,9 @@ def chain_engine(
     first: Optional[tuple[int, tuple[int, ...]]] = None
     tie = False
     for j in range(c):
-        p = [nearest_int(Fraction(tnum[j][i], den)) for i in range(d)]
-        w = sum((p[i] * den - tnum[j][i]) ** 2 for i in range(d))
+        t = acols[d + j][:d]  # -den * theta_j
+        p = [nearest_int(Fraction(-t[i], den)) for i in range(d)]
+        w = sum((p[i] * den + t[i]) ** 2 for i in range(d))
         y = list(p) + [0] * c
         y[d + j] = 1
         if first is None or w < first[0]:
@@ -290,7 +282,7 @@ def chain_engine(
     if wsq == 0:
         return records
 
-    mink_sq = c_sq_hi * den_sq**m
+    mink_sq = _minkowski_sq(basis) * den_sq**m
     cap = None if q_max is None else q_max * q_max * den_sq
     u = None
     y = first[1]

@@ -36,8 +36,6 @@ __all__ = [
     "minkowski_leq",
     "a_safe",
     "nearest_int",
-    "sqrt_lower",
-    "sqrt_upper",
     "kth_root_upper",
     "exact_sqrt",
     "frac_from_mpf",
@@ -86,24 +84,6 @@ def floor_frac(x: Fraction) -> int:
 
 def ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
-
-
-def sqrt_lower(x: Fraction, guard_bits: int = 0) -> Fraction:
-    """Rational lower bound on sqrt(x); tightens as ``guard_bits`` grows."""
-    if x < 0:
-        raise ValueError("negative argument")
-    num, den = x.numerator, x.denominator
-    g = guard_bits
-    return Fraction(isqrt(num * den << (2 * g)), den << g)
-
-
-def sqrt_upper(x: Fraction, guard_bits: int = 0) -> Fraction:
-    """Rational upper bound on sqrt(x)."""
-    if x < 0:
-        raise ValueError("negative argument")
-    num, den = x.numerator, x.denominator
-    g = guard_bits
-    return Fraction(isqrt(num * den << (2 * g)) + 1, den << g)
 
 
 def _iroot(n: int, k: int) -> int:
@@ -563,7 +543,7 @@ def lll_columns(
 
 def fp_enumerate(
     cols: Sequence[Sequence[int]],
-    bound_sq: Fraction,
+    bound_sq: Fraction | int,
     visit: Callable[[tuple[int, ...]], None],
     budget: int = 10**7,
 ) -> int:
@@ -626,6 +606,53 @@ def _matmul_int(
     return [_matvec_int(a, bj) for bj in b]
 
 
+def _cylinder_points(
+    cols: Sequence[Sequence[int]],
+    u: Optional[Sequence[Sequence[int]]],
+    d: int,
+    rp: int,
+    rm: int,
+    budget: int,
+) -> tuple[dict[tuple[int, ...], tuple[int, int]], list[list[int]]]:
+    """The cylinder search under chain_step and enumerate_in_cylinder:
+    every nonzero y with |cols . y|^2 <= rp on rows [:d] and <= rm on
+    rows [d:] (closed integer squared radii).
+
+    The cylinder is rebalanced inside the Euclidean ball: with a =
+    bitlen(isqrt(rm)) - bitlen(isqrt(rp)), the block with the smaller
+    radius is scaled up by 2^|a|, which also pins a zero-radius block to
+    zero (every nonzero integer point there lands beyond the ball).  LLL
+    starts from cols . u (``u`` None: from cols).  Returns {sign-canonical
+    y: (width^2, height^2)} in the units of ``cols``, and the transform
+    for the next search.
+    """
+    m = len(cols)
+    work = [list(col) for col in cols] if u is None else _matmul_int(cols, u)
+    a = isqrt(rm).bit_length() - isqrt(rp).bit_length()
+    if a:
+        rows = range(d) if a > 0 else range(d, m)
+        for col in work:
+            for i in rows:
+                col[i] <<= abs(a)
+    ball = (rp << 2 * a) + rm if a > 0 else rp + (rm << -2 * a)
+    red, u2 = lll_columns(work)
+    u = u2 if u is None else _matmul_int(u, u2)
+    au = _matmul_int(cols, u)
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
+
+    def visit(yred: tuple[int, ...]) -> None:
+        raw = _matvec_int(au, yred)
+        w = sum(t * t for t in raw[:d])
+        if w > rp:
+            return
+        h = sum(t * t for t in raw[d:])
+        if h <= rm:
+            found[canonical_sign(_matvec_int(u, yred), d)] = (w, h)
+
+    fp_enumerate(red, ball, visit, budget=budget)
+    return found, u
+
+
 def chain_step(
     cols: Sequence[Sequence[int]],
     u: Optional[Sequence[Sequence[int]]],
@@ -648,8 +675,9 @@ def chain_step(
     predecessor is the same step with the blocks swapped.  The cylinder
     searched is cut off by Minkowski's bound width^(2d) height^(2c) <=
     ``mink_sq`` (C_{d,c}^2 det^2 in the units of ``cols``), or by
-    ``cap`` on the other block when that is lower.  LLL starts from the
-    basis ``cols . u`` of the previous step (``u`` None: from ``cols``).
+    ``cap`` on the other block when that is lower; it goes through
+    _cylinder_points, which rebalances it and starts LLL from the basis
+    ``cols . u`` of the previous step (``u`` None: from ``cols``).
 
     Returns (key, members, u): the minimal (other^2, narrow^2) in integer
     units, the sorted sign-canonical coordinates achieving it, and the
@@ -662,13 +690,9 @@ def chain_step(
     """
     m = len(cols)
     k = d if forward else m - d  # size of the narrowing block
-    narrow = slice(0, d) if forward else slice(d, m)
-    other = slice(d, m) if forward else slice(0, d)
-    if u is None:
-        u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     x = _matvec_int(cols, y)
-    x_n = sum(t * t for t in x[narrow])
-    x_o = sum(t * t for t in x[other])
+    x_n = sum(t * t for t in (x[:d] if forward else x[d:]))
+    x_o = sum(t * t for t in (x[d:] if forward else x[:d]))
     if x_n == 0:
         return None, [], u
     val = mink_sq / Fraction(x_n) ** k
@@ -679,33 +703,13 @@ def chain_step(
     def close(a: int, b: int) -> bool:
         return abs(a - b) <= tol * max(a, b, unit)
 
-    # rebalance the cylinder inside the Euclidean ball: scale the block
-    # with the smaller radius up by 2^a, warm-starting from cols . u
-    a = isqrt(bound).bit_length() - isqrt(x_n).bit_length()
-    work = _matmul_int(cols, u)
-    if a:
-        rows = range(m)[narrow] if a > 0 else range(m)[other]
-        for col in work:
-            for i in rows:
-                col[i] <<= abs(a)
-    ball = (x_n << 2 * a) + bound if a > 0 else x_n + (bound << -2 * a)
-    red, u2 = lll_columns(work)
-    u = _matmul_int(u, u2)
-    au = _matmul_int(cols, u)
-
+    radii = (x_n - 1, bound) if forward else (bound, x_n - 1)
+    points, u = _cylinder_points(cols, u, d, *radii, budget)
     found: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def visit(yred: tuple[int, ...]) -> None:
-        raw = _matvec_int(au, yred)
-        n = sum(t * t for t in raw[narrow])
-        if n >= x_n or (tol and close(n, x_n)):
-            return
-        o = sum(t * t for t in raw[other])
-        if o <= x_o or o > bound:
-            return
-        found[canonical_sign(_matvec_int(u, yred), d)] = (o, n)
-
-    fp_enumerate(red, Fraction(ball), visit, budget=budget)
+    for yv, (w, h) in points.items():
+        n, o = (w, h) if forward else (h, w)
+        if o > x_o and not (tol and close(n, x_n)):
+            found[yv] = (o, n)
     if not found:
         return None, [], u
     best = min(found.values())
@@ -735,6 +739,17 @@ def _int_columns(
     return cols, den
 
 
+def _minkowski_sq(basis: LatticeBasis) -> Fraction:
+    """Certified upper bound C_{d,c}^2 det^2 on the product
+    width^(2d) height^(2c) of the chain neighbours, and on lambda_1^(2m)
+    for the mixed norm, in physical units."""
+    det_sq = basis.det_sq()
+    if det_sq == 0:
+        raise SingularBasisError("degenerate basis")
+    _, c_sq_hi = minkowski_bound_sq_range(basis.d, basis.c)
+    return c_sq_hi * det_sq
+
+
 def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, tuple[tuple[int, ...], ...]]:
     """LLL-reduced basis of the same lattice plus the unimodular column
     transform relating it to the input."""
@@ -755,69 +770,31 @@ def enumerate_in_cylinder(
 ) -> list[LatticeVector]:
     """All sign-canonical nonzero lattice vectors in the closed cylinder.
 
-    Output is sorted by (height_sq, width_sq, y).  Containment is decided
-    exactly on squared norms; eccentric cylinders are rebalanced by a
-    power-of-two change of variables before enumeration so the Euclidean
-    relaxation stays tight.
+    Output is sorted by (height_sq, width_sq, y).  The radii are floored
+    into the integer units of the cleared columns, which is exact since
+    the squared norms there are integers, and the points come from
+    _cylinder_points, the search chain_step also uses, with LLL from
+    scratch.
     """
     cols, den = _int_columns(basis.columns)
-    d, m = basis.d, basis.m
-    den_sq = den * den
-    # bounds on raw squared norms (physical * scale_sq), then int-scaled
-    rp = cyl.r_plus_sq * basis.scale_sq * den_sq
-    rm = cyl.r_minus_sq * basis.scale_sq * den_sq
+    unit = den * den * basis.scale_sq
+    rp = floor_frac(cyl.r_plus_sq * unit)
+    rm = floor_frac(cyl.r_minus_sq * unit)
     if rp < 0 or rm < 0:
         return []
-    # rebalance: scale the narrow block up by 2^a.  A zero radius pins its
-    # block to exact zero: scaling by 2^a with 4^a > bound expels every
-    # integer point with a nonzero coordinate there from the search ball.
-    aw = ah = 0
-    if rp > 0 and rm > 0:
-        if rm > rp:
-            ratio = rm / rp
-            aw = (ratio.numerator // ratio.denominator).bit_length() // 2
-        else:
-            ratio = rp / rm
-            ah = (ratio.numerator // ratio.denominator).bit_length() // 2
-    elif rp == 0 and rm > 0:
-        aw = (rm.numerator // rm.denominator).bit_length() // 2 + 1
-    elif rm == 0 and rp > 0:
-        ah = (rp.numerator // rp.denominator).bit_length() // 2 + 1
-    work = [list(col) for col in cols]
-    if aw:
-        for col in work:
-            for i in range(d):
-                col[i] <<= aw
-    if ah:
-        for col in work:
-            for i in range(d, m):
-                col[i] <<= ah
-    bound = rp * (1 << (2 * aw)) + rm * (1 << (2 * ah))
-    red, u = lll_columns(work)
-    hits: list[tuple[int, ...]] = []
-
-    def visit(yred: tuple[int, ...]) -> None:
-        hits.append(yred)
-
-    fp_enumerate(red, bound, visit, budget=budget)
-    seen: set[tuple[int, ...]] = set()
-    out: list[LatticeVector] = []
-    for yred in hits:
-        yorig = canonical_sign(_matvec_int(u, yred), d)
-        if yorig in seen:
-            continue
-        seen.add(yorig)
-        raw_int = _matvec_int(cols, yorig)
-        wsq_i = sum(t * t for t in raw_int[:d])
-        hsq_i = sum(t * t for t in raw_int[d:])
-        if wsq_i > rp or hsq_i > rm:
-            continue
-        wsq = Fraction(wsq_i, den_sq) / basis.scale_sq
-        hsq = Fraction(hsq_i, den_sq) / basis.scale_sq
-        raw = tuple(Fraction(t, den) for t in raw_int)
-        out.append(
-            LatticeVector(yorig, raw, basis.scale_sq, d, basis.c, wsq, hsq)
+    found, _ = _cylinder_points(cols, None, basis.d, rp, rm, budget)
+    out = [
+        LatticeVector(
+            y,
+            tuple(Fraction(t, den) for t in _matvec_int(cols, y)),
+            basis.scale_sq,
+            basis.d,
+            basis.c,
+            w / unit,
+            h / unit,
         )
+        for y, (w, h) in found.items()
+    ]
     out.sort(key=lambda v: (v.height_sq, v.width_sq, v.y))
     return out
 
@@ -827,22 +804,13 @@ def shortest_mixed_vectors(
 ) -> list[LatticeVector]:
     """All sign-canonical vectors achieving the mixed-norm first minimum.
 
-    The search radius starts from the Minkowski bound for the mixed ball
-    and doubles on the (theoretically impossible, numerically conceivable)
-    chance of an empty window.
+    One enumeration of the mixed ball of the certified Minkowski radius,
+    lambda_1^(2m) <= C^2 det^2, which always holds a nonzero vector; an
+    empty result raises SearchLimitError.
     """
-    det_sq = basis.det_sq()
-    if det_sq == 0:
-        raise SingularBasisError("degenerate basis")
-    _, c_sq_hi = minkowski_bound_sq_range(basis.d, basis.c)
-    # lambda_1^(2m) <= C^2 * det^2
-    r_sq = kth_root_upper(c_sq_hi * det_sq, basis.m, guard_bits=4)
-    for _ in range(80):
-        found = enumerate_in_cylinder(
-            basis, Cylinder(r_sq, r_sq), budget=budget
-        )
-        if found:
-            lam_sq = min(v.mixed_sq for v in found)
-            return [v for v in found if v.mixed_sq == lam_sq]
-        r_sq *= 4
-    raise SearchLimitError("no lattice vector found within expanded radius")
+    r_sq = kth_root_upper(_minkowski_sq(basis), basis.m, guard_bits=4)
+    found = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
+    if not found:
+        raise SearchLimitError("the Minkowski ball holds no lattice vector")
+    lam_sq = min(v.mixed_sq for v in found)
+    return [v for v in found if v.mixed_sq == lam_sq]

@@ -31,14 +31,14 @@ from .core import (
     NonGenericLatticeError,
     PrecisionPolicy,
     SearchLimitError,
-    SingularBasisError,
     _int_columns,
+    _minkowski_sq,
     chain_step,
     enumerate_in_cylinder,
     exact_sqrt,
     frac_from_mpf,
+    kth_root_upper,
     ln_frac,
-    minkowski_bound_sq_range,
     mpf_from_frac,
     shortest_mixed_vectors,
 )
@@ -147,12 +147,8 @@ def _chain_stepper(basis: LatticeBasis, policy: PrecisionPolicy, budget: int):
     each sorted by reversed coordinates so that the first member is the
     class representative; None when x is vertical (resp. horizontal)."""
     cols, den = _int_columns(basis.columns)
-    det_sq = basis.det_sq()
-    if det_sq == 0:
-        raise SingularBasisError("degenerate basis")
     unit = den * den * basis.scale_sq
-    _, c_sq_hi = minkowski_bound_sq_range(basis.d, basis.c)
-    mink_sq = c_sq_hi * det_sq * unit**basis.m
+    mink_sq = _minkowski_sq(basis) * unit**basis.m
     tol = policy.tol_for(basis)
     u = None
 
@@ -369,12 +365,21 @@ class SurfaceMembership:
 def _critical_ball(
     basis: LatticeBasis, policy: PrecisionPolicy, budget: int
 ) -> tuple[Fraction, list[LatticeVector], Fraction]:
+    """lambda_1^2, the vectors on the closed critical ball (mixed^2 <=
+    lambda_1^2 (1 + 4 tol) and within tolerance of lambda_1^2), and tol,
+    from one enumeration of the Minkowski ball widened by 1 + 4 tol."""
     tol = policy.tol_for(basis)
-    svs = shortest_mixed_vectors(basis, budget=budget)
-    lam_sq = svs[0].mixed_sq
-    r_sq = lam_sq * (1 + 4 * tol)
+    slack = 1 + 4 * tol
+    r_sq = kth_root_upper(_minkowski_sq(basis), basis.m, guard_bits=4) * slack
     cands = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
-    on = [v for v in cands if policy.sq_close(v.mixed_sq, lam_sq, tol)]
+    if not cands:
+        raise SearchLimitError("the Minkowski ball holds no lattice vector")
+    lam_sq = min(v.mixed_sq for v in cands)
+    on = [
+        v
+        for v in cands
+        if v.mixed_sq <= lam_sq * slack and policy.sq_close(v.mixed_sq, lam_sq, tol)
+    ]
     return lam_sq, on, tol
 
 

@@ -34,8 +34,6 @@ from diolab.core import (
     mpf_from_frac,
     nearest_int,
     shortest_mixed_vectors,
-    sqrt_lower,
-    sqrt_upper,
 )
 
 from conftest import (
@@ -63,16 +61,6 @@ def test_floor_ceil_frac():
     assert floor_frac(Fraction(-7, 3)) == -3
     assert ceil_frac(Fraction(-7, 3)) == -2
     assert floor_frac(Fraction(4)) == ceil_frac(Fraction(4)) == 4
-
-
-def test_sqrt_bounds_bracket():
-    rng = random.Random(11)
-    for _ in range(200):
-        x = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**3))
-        lo = sqrt_lower(x, 20)
-        hi = sqrt_upper(x, 20)
-        assert lo * lo <= x <= hi * hi
-        assert 0 <= hi - lo <= Fraction(1, 1 << 18) * hi
 
 
 def test_exact_sqrt():
@@ -330,25 +318,51 @@ def test_enumerate_budget_error():
         enumerate_in_cylinder(basis, Cylinder(Fraction(10**6), Fraction(10**6)), budget=10)
 
 
+def _brute_checked(basis, cyl):
+    """enumerate_in_cylinder's output after checking it against the brute
+    scan, or None when the safe box is too large to scan."""
+    box = safe_box(basis, cyl)
+    if box > (16 if basis.m == 2 else 7):
+        return None
+    got = enumerate_in_cylinder(basis, cyl)
+    want = brute_cylinder(basis, cyl, box)
+    assert [v.y for v in got] == [v.y for v in want]
+    assert [(v.width_sq, v.height_sq) for v in got] == [
+        (v.width_sq, v.height_sq) for v in want
+    ]
+    return got
+
+
+def _random_basis(rng):
+    d, c = rng.choice(((1, 1), (1, 1), (1, 1), (2, 1), (1, 2)))
+    return random_unimodular_basis(rng, d, c, ops=4 if d + c == 3 else 5)
+
+
 def test_enumerate_matches_brute_force():
     rng = random.Random(2024)
     checked = attempts = 0
     while checked < 500:
         attempts += 1
         assert attempts < 5000, "safe boxes reject too many random bases"
-        d, c = rng.choice(((1, 1), (1, 1), (1, 1), (2, 1), (1, 2)))
-        basis = random_unimodular_basis(rng, d, c, ops=4 if d + c == 3 else 5)
-        cyl = random_cylinder(rng)
-        box = safe_box(basis, cyl)
-        if box > (16 if d + c == 2 else 7):
-            continue
-        got = enumerate_in_cylinder(basis, cyl)
-        want = brute_cylinder(basis, cyl, box)
-        assert [v.y for v in got] == [v.y for v in want]
-        assert [(v.width_sq, v.height_sq) for v in got] == [
-            (v.width_sq, v.height_sq) for v in want
-        ]
-        checked += 1
+        if _brute_checked(_random_basis(rng), random_cylinder(rng)) is not None:
+            checked += 1
+    # eccentric cylinders, radius ratios 2^k for |k| <= 11 both ways, and
+    # zero radii, which the rebalancing pins by scaling one block
+    rng = random.Random(2025)
+    checked = attempts = zero_hits = 0
+    while checked < 400:
+        attempts += 1
+        assert attempts < 4000, "safe boxes reject too many random bases"
+        basis = _random_basis(rng)
+        k = rng.randrange(-11, 12)
+        big = Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
+        small = Fraction(0) if rng.getrandbits(1) else big / (1 << abs(k))
+        cyl = Cylinder(big, small) if k >= 0 else Cylinder(small, big)
+        got = _brute_checked(basis, cyl)
+        if got is not None:
+            checked += 1
+            zero_hits += small == 0 and bool(got)
+    assert zero_hits >= 100
 
 
 def test_enumerate_output_sorted_and_canonical():

@@ -9,10 +9,13 @@ import pytest
 from diolab.bestapprox import chain_engine, direct_scan, sample_theta
 from diolab.core import (
     DEFAULT_POLICY,
+    Cylinder,
     LatticeBasis,
     NonGenericLatticeError,
     a_safe,
+    kth_root_upper,
     ln_frac,
+    minkowski_bound_sq_range,
 )
 from diolab.dynamics import (
     SurfacePoint1D,
@@ -32,6 +35,8 @@ from diolab.dynamics import (
     surface_membership_Sprime,
     visiting_times,
 )
+
+from conftest import brute_cylinder, safe_box
 
 
 def fib(n):
@@ -268,6 +273,66 @@ def test_sprime_frozen_corner_lattice():
     assert mem.corner.y == (-1, 1)
     assert mem.lam1_sq == Fraction(4, 25)
     assert not surface_membership_S(basis).member
+
+
+def brute_critical_ball(basis, policy=DEFAULT_POLICY):
+    """lambda_1^2 and the wide, tall and corner vectors of the critical
+    ball, from a brute scan of the Minkowski ball widened by 1 + 4 tol."""
+    tol = policy.tol_for(basis)
+    _, c_sq_hi = minkowski_bound_sq_range(basis.d, basis.c)
+    slack = 1 + 4 * tol
+    r_sq = kth_root_upper(c_sq_hi * basis.det_sq(), basis.m, guard_bits=4) * slack
+    cyl = Cylinder(r_sq, r_sq)
+    box = safe_box(basis, cyl)
+    assert box <= 4
+    found = brute_cylinder(basis, cyl, box)
+    lam_sq = min(v.mixed_sq for v in found)
+
+    def close(a, b):
+        return policy.sq_close(a, b, tol)
+
+    on = [v for v in found if v.mixed_sq <= lam_sq * slack and close(v.mixed_sq, lam_sq)]
+    wide = [v.y for v in on if close(v.width_sq, lam_sq) and not close(v.height_sq, lam_sq)]
+    tall = [v.y for v in on if close(v.height_sq, lam_sq) and not close(v.width_sq, lam_sq)]
+    corner = [v.y for v in on if close(v.width_sq, lam_sq) and close(v.height_sq, lam_sq)]
+    return lam_sq, len(on), wide, tall, corner
+
+
+def test_membership_matches_brute_force():
+    rng = random.Random(77)
+    lattices = [
+        LatticeBasis.identity(1, 1),
+        LatticeBasis.identity(2, 1),
+        LatticeBasis(1, 1, ((1, Fraction(3, 5)), (Fraction(3, 5), 1))),
+        chart_lattice_2d(SurfacePoint2D(
+            Fraction(-5, 16), Fraction(5, 8), Fraction(-7, 8), Fraction(-1, 2),
+            Fraction(1, 8), Fraction(61, 16),
+        )),
+    ]
+    for i in range(60):
+        basis = chart_lattice_1d(sample_surface_point_1d(rng, bits=8))
+        if i % 2:
+            basis = apply_flow(basis, Fraction(rng.randrange(-20, 21), 100))
+        lattices.append(basis)
+    flowed = members = 0
+    for basis in lattices:
+        flowed += DEFAULT_POLICY.tol_for(basis) > 0
+        lam_sq, n_on, wide, tall, corner = brute_critical_ball(basis)
+        mem = surface_membership_S(basis)
+        assert mem.lam1_sq == lam_sq
+        if corner:
+            assert not mem.member and mem.corner.y == corner[0]
+        elif n_on == 2 and len(wide) == len(tall) == 1:
+            assert (mem.wide.y, mem.tall.y) == (wide[0], tall[0])
+            members += mem.member
+        else:
+            assert not mem.member and mem.wide is None and mem.corner is None
+        mem = surface_membership_Sprime(basis)
+        assert mem.lam1_sq == lam_sq
+        assert mem.member == (n_on == 1 and len(corner) == 1)
+        if mem.member:
+            assert mem.corner.y == corner[0]
+    assert flowed >= 25 and members >= 25
 
 
 # ---------------------------------------------------------------------------
