@@ -9,7 +9,6 @@ badly-approximable classes.
 
 from .core import (
     DEFAULT_POLICY,
-    AmbientVector,
     BudgetExceededError,
     Cylinder,
     LatticeBasis,
@@ -21,10 +20,7 @@ from .core import (
     a_safe,
     enumerate_in_cylinder,
     exact_sqrt,
-    lll_reduce,
-    minkowski_bound,
     minkowski_leq,
-    mixed_norm,
     shortest_mixed_vectors,
 )
 from .bestapprox import (

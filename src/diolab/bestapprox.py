@@ -23,7 +23,9 @@ from .core import (
     LatticeBasis,
     NonGenericLatticeError,
     _int_columns,
-    _minkowski_sq,
+    _kernel_columns,
+    _kernel_minkowski_sq,
+    _matvec_int,
     chain_step,
     minkowski_leq,
     nearest_int,
@@ -240,11 +242,8 @@ def chain_engine(
         raise ValueError("need depth or q_max")
     c = len(theta)
     d = len(theta[0])
-    m = d + c
-    basis = LatticeBasis.from_theta(theta)
-    # integer columns of den * (P - theta Q, Q)
-    acols, den = _int_columns(basis.columns)
-    den_sq = den * den
+    # integer columns of (den * (P - theta Q), Q), units (den^2, 1)
+    acols, (unit_w, _), _ = _kernel_columns(LatticeBasis.from_theta(theta))
 
     records: list[BestApproxRecord] = []
 
@@ -255,7 +254,7 @@ def chain_engine(
                 tuple(y[d:]),
                 tuple(y[:d]),
                 Fraction(q_sq),
-                Fraction(wsq_scaled, den_sq),
+                wsq_scaled / unit_w,
                 terminal=(wsq_scaled == 0),
             )
         )
@@ -264,11 +263,9 @@ def chain_engine(
     first: Optional[tuple[int, tuple[int, ...]]] = None
     tie = False
     for j in range(c):
-        t = acols[d + j][:d]  # -den * theta_j
-        p = [nearest_int(Fraction(-t[i], den)) for i in range(d)]
-        w = sum((p[i] * den + t[i]) ** 2 for i in range(d))
-        y = list(p) + [0] * c
+        y = [nearest_int(theta[j][i]) for i in range(d)] + [0] * c
         y[d + j] = 1
+        w = sum(t * t for t in _matvec_int(acols, y)[:d])
         if first is None or w < first[0]:
             first = (w, tuple(y))
             tie = False
@@ -282,8 +279,8 @@ def chain_engine(
     if wsq == 0:
         return records
 
-    mink_sq = _minkowski_sq(basis) * den_sq**m
-    cap = None if q_max is None else q_max * q_max * den_sq
+    mink_sq = _kernel_minkowski_sq(acols, d)
+    cap = None if q_max is None else q_max * q_max
     u = None
     y = first[1]
     while depth is None or len(records) < depth:
@@ -295,14 +292,12 @@ def chain_engine(
         h, w = key
         if any(yv[d:] != members[0][d:] for yv in members):
             raise NonGenericLatticeError(
-                "two heights of norm^2 %d tie as the successor" % (h // den_sq)
+                "two heights of norm^2 %d tie as the successor" % h
             )
         # one height vector with two nearest points: the lex-min one
         # matches the scan engine's half-down rounding
         y = members[0]
-        q_sq_int = sum(t * t for t in y[d:])
-        assert q_sq_int * den_sq == h
-        emit(y, w, q_sq_int)
+        emit(y, w, h)
         if w == 0:
             break
     return records

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import mpmath
 
@@ -26,12 +26,9 @@ __all__ = [
     "SearchLimitError",
     "PrecisionPolicy",
     "DEFAULT_POLICY",
-    "AmbientVector",
     "Cylinder",
     "LatticeBasis",
     "LatticeVector",
-    "mixed_norm",
-    "minkowski_bound",
     "minkowski_bound_sq_range",
     "minkowski_leq",
     "a_safe",
@@ -46,7 +43,6 @@ __all__ = [
     "lll_columns",
     "fp_enumerate",
     "chain_step",
-    "lll_reduce",
     "enumerate_in_cylinder",
     "shortest_mixed_vectors",
 ]
@@ -187,13 +183,6 @@ _BALL_VOLUMES: dict[int, tuple[Fraction, int]] = {
 }
 
 
-def minkowski_bound(d: int, c: int) -> float:
-    """2**(d+c) / (V_d * V_c), the sharp bound on q_{n+1}^c r_n^d."""
-    cd, pd = _BALL_VOLUMES[d]
-    cc, pc = _BALL_VOLUMES[c]
-    return float(2 ** (d + c) / (cd * cc)) / math.pi ** (pd + pc)
-
-
 def minkowski_bound_sq_range(
     d: int, c: int, prec: int = 200
 ) -> tuple[Fraction, Fraction]:
@@ -205,7 +194,7 @@ def minkowski_bound_sq_range(
     p = pd + pc
     if p == 0:
         return rat * rat, rat * rat
-    lo_pi, hi_pi = _pi_bounds(prec)
+    lo_pi, hi_pi = (PI_LO, PI_HI) if prec == 200 else _pi_bounds(prec)
     return rat * rat / hi_pi ** (2 * p), rat * rat / lo_pi ** (2 * p)
 
 
@@ -274,38 +263,6 @@ DEFAULT_POLICY = PrecisionPolicy()
 
 # ---------------------------------------------------------------------------
 # ambient objects
-
-
-@dataclass(frozen=True)
-class AmbientVector:
-    """Point of R^d x R^c; ``plus`` is the expanding block, ``minus`` the
-    contracting one."""
-
-    plus: tuple[Fraction, ...]
-    minus: tuple[Fraction, ...]
-
-    @classmethod
-    def make(cls, plus: Iterable, minus: Iterable) -> "AmbientVector":
-        return cls(
-            tuple(Fraction(t) for t in plus), tuple(Fraction(t) for t in minus)
-        )
-
-    @property
-    def norm_plus_sq(self) -> Fraction:
-        return sum((t * t for t in self.plus), Fraction(0))
-
-    @property
-    def norm_minus_sq(self) -> Fraction:
-        return sum((t * t for t in self.minus), Fraction(0))
-
-    @property
-    def mixed_norm_sq(self) -> Fraction:
-        return max(self.norm_plus_sq, self.norm_minus_sq)
-
-
-def mixed_norm(v: AmbientVector) -> float:
-    """max of the Euclidean norms of the two blocks."""
-    return math.sqrt(float_from_frac(v.mixed_norm_sq))
 
 
 @dataclass(frozen=True)
@@ -461,9 +418,6 @@ class LatticeBasis:
         """Squared covolume of the physical lattice."""
         dr = self.det_raw()
         return dr * dr / self.scale_sq ** self.m
-
-    def is_unimodular(self, tol: Fraction = Fraction(0)) -> bool:
-        return abs(self.det_sq() - 1) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -622,30 +576,32 @@ def _cylinder_points(
     bitlen(isqrt(rm)) - bitlen(isqrt(rp)), the block with the smaller
     radius is scaled up by 2^|a|, which also pins a zero-radius block to
     zero (every nonzero integer point there lands beyond the ball).  LLL
-    starts from cols . u (``u`` None: from cols).  Returns {sign-canonical
-    y: (width^2, height^2)} in the units of ``cols``, and the transform
-    for the next search.
+    starts from cols . u (``u`` None: from cols).  The visitor reads the
+    norms off the reduced columns, shifting the scaled block back
+    exactly.  Returns {sign-canonical y: (width^2, height^2)} in the
+    units of ``cols``, and the transform for the next search.
     """
     m = len(cols)
     work = [list(col) for col in cols] if u is None else _matmul_int(cols, u)
-    a = isqrt(rm).bit_length() - isqrt(rp).bit_length()
+    # (r.bit_length() + 1) // 2 == isqrt(r).bit_length() for r >= 0
+    a = (rm.bit_length() + 1) // 2 - (rp.bit_length() + 1) // 2
     if a:
         rows = range(d) if a > 0 else range(d, m)
         for col in work:
             for i in rows:
                 col[i] <<= abs(a)
     ball = (rp << 2 * a) + rm if a > 0 else rp + (rm << -2 * a)
+    sw, sh = (2 * a, 0) if a > 0 else (0, -2 * a)
     red, u2 = lll_columns(work)
     u = u2 if u is None else _matmul_int(u, u2)
-    au = _matmul_int(cols, u)
     found: dict[tuple[int, ...], tuple[int, int]] = {}
 
     def visit(yred: tuple[int, ...]) -> None:
-        raw = _matvec_int(au, yred)
-        w = sum(t * t for t in raw[:d])
+        raw = _matvec_int(red, yred)
+        w = sum(t * t for t in raw[:d]) >> sw
         if w > rp:
             return
-        h = sum(t * t for t in raw[d:])
+        h = sum(t * t for t in raw[d:]) >> sh
         if h <= rm:
             found[canonical_sign(_matvec_int(u, yred), d)] = (w, h)
 
@@ -662,7 +618,7 @@ def chain_step(
     *,
     forward: bool = True,
     tol: Fraction = Fraction(0),
-    unit: Fraction = Fraction(1),
+    units: tuple[Fraction, Fraction] = (Fraction(1), Fraction(1)),
     cap: Optional[int] = None,
     budget: int = 10**7,
 ) -> tuple[Optional[tuple[int, int]], list[tuple[int, ...]], list[list[int]]]:
@@ -682,25 +638,28 @@ def chain_step(
     Returns (key, members, u): the minimal (other^2, narrow^2) in integer
     units, the sorted sign-canonical coordinates achieving it, and the
     transform for the next step; (None, [], u) when y has zero narrow
-    norm or the cylinder holds no candidate.  Two norms count as equal
-    when |a - b| <= tol * max(a, b, unit), ``unit`` being the integer
-    value of a squared norm of 1: a decrease must clear that margin, and
-    a second key within it of the minimal one raises
-    NonGenericLatticeError.
+    norm or the cylinder holds no candidate.  ``units`` = (unit_w,
+    unit_h) are the integer values of a squared norm of 1 in the width
+    and the height block (see _kernel_columns).  Two norms of one block
+    count as equal when |a - b| <= tol * max(a, b, unit) with that
+    block's unit, the physical rule of PrecisionPolicy.sq_close: a
+    decrease must clear that margin, and a second key within it of the
+    minimal one raises NonGenericLatticeError.
     """
     m = len(cols)
     k = d if forward else m - d  # size of the narrowing block
+    unit_n, unit_o = units if forward else units[::-1]
     x = _matvec_int(cols, y)
     x_n = sum(t * t for t in (x[:d] if forward else x[d:]))
     x_o = sum(t * t for t in (x[d:] if forward else x[:d]))
     if x_n == 0:
         return None, [], u
-    val = mink_sq / Fraction(x_n) ** k
-    bound = floor_frac(kth_root_upper(val, m - k, guard_bits=8))
+    # other^2 is an integer, so the exact floor of the root is the bound
+    bound = _iroot(mink_sq.numerator // (mink_sq.denominator * x_n**k), m - k)
     if cap is not None:
         bound = min(bound, cap)
 
-    def close(a: int, b: int) -> bool:
+    def close(a: int, b: int, unit: Fraction) -> bool:
         return abs(a - b) <= tol * max(a, b, unit)
 
     radii = (x_n - 1, bound) if forward else (bound, x_n - 1)
@@ -708,14 +667,18 @@ def chain_step(
     found: dict[tuple[int, ...], tuple[int, int]] = {}
     for yv, (w, h) in points.items():
         n, o = (w, h) if forward else (h, w)
-        if o > x_o and not (tol and close(n, x_n)):
+        if o > x_o and not (tol and close(n, x_n, unit_n)):
             found[yv] = (o, n)
     if not found:
         return None, [], u
     best = min(found.values())
     if tol:
         for key in found.values():
-            if key != best and close(key[0], best[0]) and close(key[1], best[1]):
+            if (
+                key != best
+                and close(key[0], best[0], unit_o)
+                and close(key[1], best[1], unit_n)
+            ):
                 raise NonGenericLatticeError(
                     "two chain candidates tie within tolerance"
                 )
@@ -735,7 +698,7 @@ def _int_columns(
     for col in columns:
         for t in col:
             den = den * t.denominator // math.gcd(den, t.denominator)
-    cols = [[int(t * den) for t in col] for col in columns]
+    cols = [[t.numerator * (den // t.denominator) for t in col] for col in columns]
     return cols, den
 
 
@@ -750,16 +713,42 @@ def _minkowski_sq(basis: LatticeBasis) -> Fraction:
     return c_sq_hi * det_sq
 
 
-def lll_reduce(basis: LatticeBasis) -> tuple[LatticeBasis, tuple[tuple[int, ...], ...]]:
-    """LLL-reduced basis of the same lattice plus the unimodular column
-    transform relating it to the input."""
-    cols, den = _int_columns(basis.columns)
-    red, u = lll_columns(cols)
-    new_cols = tuple(tuple(Fraction(t, den) for t in col) for col in red)
-    out = LatticeBasis(
-        basis.d, basis.c, new_cols, basis.scale_sq, basis.precision_bits
-    )
-    return out, tuple(tuple(col) for col in u)
+def _kernel_columns(
+    basis: LatticeBasis,
+) -> tuple[list[list[int]], tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    """The basis in the integer units of the lattice kernel.
+
+    Each block, rows [:d] (width) and rows [d:] (height), is cleared of
+    its own denominators, L_b the least common one, and then divided by
+    its content g_b, the gcd of all its entries, so that the integer
+    block is s_b = L_b / g_b times the raw one.  A physical squared norm
+    of block b is the integer one divided by the block's unit
+    s_b^2 * scale_sq; this is the one place that convention is computed.
+    Returns (integer columns, (unit_w, unit_h), (s_w, s_h)).
+    """
+    d, m = basis.d, basis.m
+    blocks = []
+    scales = []
+    for rows in (slice(0, d), slice(d, m)):
+        ints, den = _int_columns([col[rows] for col in basis.columns])
+        g = math.gcd(*(t for col in ints for t in col))
+        if g == 0:
+            raise SingularBasisError("degenerate basis")
+        blocks.append([[t // g for t in col] for col in ints])
+        scales.append(Fraction(den, g))
+    cols = [w + h for w, h in zip(*blocks)]
+    units = (scales[0] ** 2 * basis.scale_sq, scales[1] ** 2 * basis.scale_sq)
+    return cols, units, (scales[0], scales[1])
+
+
+def _kernel_minkowski_sq(cols: Sequence[Sequence[int]], d: int) -> Fraction:
+    """C_{d,c}^2 det^2 in the integer units of _kernel_columns, for its
+    columns ``cols``: c_sq_hi times their Gram determinant, which equals
+    _minkowski_sq(basis) * unit_w^d * unit_h^c with no Fraction
+    elimination.  Raises SingularBasisError on dependent columns."""
+    dd, _ = _int_gso(cols)
+    _, c_sq_hi = minkowski_bound_sq_range(d, len(cols) - d)
+    return c_sq_hi * dd[-1]
 
 
 def enumerate_in_cylinder(
@@ -770,31 +759,27 @@ def enumerate_in_cylinder(
 ) -> list[LatticeVector]:
     """All sign-canonical nonzero lattice vectors in the closed cylinder.
 
-    Output is sorted by (height_sq, width_sq, y).  The radii are floored
-    into the integer units of the cleared columns, which is exact since
-    the squared norms there are integers, and the points come from
-    _cylinder_points, the search chain_step also uses, with LLL from
-    scratch.
+    Output is sorted by (height_sq, width_sq, y).  Each radius is
+    floored into the integer units of its block (_kernel_columns), which
+    is exact since the squared norms there are integers, and the points
+    come from _cylinder_points, the search chain_step also uses, with
+    LLL from scratch.
     """
-    cols, den = _int_columns(basis.columns)
-    unit = den * den * basis.scale_sq
-    rp = floor_frac(cyl.r_plus_sq * unit)
-    rm = floor_frac(cyl.r_minus_sq * unit)
+    cols, (unit_w, unit_h), (s_w, s_h) = _kernel_columns(basis)
+    rp = floor_frac(cyl.r_plus_sq * unit_w)
+    rm = floor_frac(cyl.r_minus_sq * unit_h)
     if rp < 0 or rm < 0:
         return []
     found, _ = _cylinder_points(cols, None, basis.d, rp, rm, budget)
-    out = [
-        LatticeVector(
-            y,
-            tuple(Fraction(t, den) for t in _matvec_int(cols, y)),
-            basis.scale_sq,
-            basis.d,
-            basis.c,
-            w / unit,
-            h / unit,
+    d = basis.d
+    out = []
+    for y, (w, h) in found.items():
+        x = _matvec_int(cols, y)
+        raw = tuple(
+            Fraction(t * s.denominator, s.numerator)
+            for t, s in zip(x, [s_w] * d + [s_h] * basis.c)
         )
-        for y, (w, h) in found.items()
-    ]
+        out.append(LatticeVector(y, raw, basis.scale_sq, d, basis.c, w / unit_w, h / unit_h))
     out.sort(key=lambda v: (v.height_sq, v.width_sq, v.y))
     return out
 

@@ -31,7 +31,8 @@ from .core import (
     NonGenericLatticeError,
     PrecisionPolicy,
     SearchLimitError,
-    _int_columns,
+    _kernel_columns,
+    _kernel_minkowski_sq,
     _minkowski_sq,
     chain_step,
     enumerate_in_cylinder,
@@ -146,9 +147,8 @@ def _chain_stepper(basis: LatticeBasis, policy: PrecisionPolicy, budget: int):
     the vector x and ``step(x, forward=False)`` its predecessor class,
     each sorted by reversed coordinates so that the first member is the
     class representative; None when x is vertical (resp. horizontal)."""
-    cols, den = _int_columns(basis.columns)
-    unit = den * den * basis.scale_sq
-    mink_sq = _minkowski_sq(basis) * unit**basis.m
+    cols, units, _ = _kernel_columns(basis)
+    mink_sq = _kernel_minkowski_sq(cols, basis.d)
     tol = policy.tol_for(basis)
     u = None
 
@@ -158,7 +158,7 @@ def _chain_stepper(basis: LatticeBasis, policy: PrecisionPolicy, budget: int):
             return None
         _, members, u = chain_step(
             cols, u, x.y, basis.d, mink_sq,
-            forward=forward, tol=tol, unit=unit, budget=budget,
+            forward=forward, tol=tol, units=units, budget=budget,
         )
         if not members:
             raise SearchLimitError(

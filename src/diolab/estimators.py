@@ -424,6 +424,6 @@ def ks_distance(ecdf: EmpiricalCDF, oracle: Callable[[float], float]) -> float:
     n = xs.size
     if n == 0:
         raise ValueError("empty sample")
-    F = np.asarray([oracle(float(x)) for x in xs])
+    F = np.fromiter((oracle(float(x)) for x in xs), dtype=float, count=n)
     steps = np.arange(1, n + 1) / n
     return float(max(np.max(steps - F), np.max(F - (steps - 1 / n))))

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from diolab.core import (
-    AmbientVector,
     BudgetExceededError,
+    _kernel_columns,
     Cylinder,
     LatticeBasis,
     SingularBasisError,
@@ -26,15 +26,14 @@ from diolab.core import (
     float_from_frac,
     ln_frac,
     lll_columns,
-    lll_reduce,
-    minkowski_bound,
     minkowski_bound_sq_range,
     minkowski_leq,
-    mixed_norm,
     mpf_from_frac,
     nearest_int,
     shortest_mixed_vectors,
 )
+
+from diolab.dynamics import apply_flow
 
 from conftest import (
     brute_cylinder,
@@ -92,8 +91,6 @@ def test_float_from_frac_extreme_exponents():
 
 
 def test_minkowski_constants():
-    assert minkowski_bound(1, 1) == pytest.approx(1.0, abs=1e-15)
-    assert minkowski_bound(2, 1) == pytest.approx(4 / math.pi, abs=1e-15)
     lo, hi = minkowski_bound_sq_range(2, 1, 300)
     assert lo < hi
     assert float(hi - lo) < 1e-60
@@ -121,14 +118,6 @@ def test_canonical_sign_scans_minus_block_first():
     assert canonical_sign((-1, 0), 1) == (1, 0)
     assert canonical_sign((0, 2), 1) == (0, 2)
     assert canonical_sign((0, 0), 1) == (0, 0)
-
-
-def test_ambient_vector_norms():
-    v = AmbientVector.make((3, 4), (1,))
-    assert v.norm_plus_sq == 25
-    assert v.norm_minus_sq == 1
-    assert v.mixed_norm_sq == 25
-    assert mixed_norm(v) == 5.0
 
 
 def test_precision_policy_tolerances():
@@ -287,9 +276,9 @@ def test_fp_enumerate_negative_bound_and_budget():
         fp_enumerate([[1, 0], [0, 1]], Fraction(10**6, 7), seen.append, budget=10)
 
 
-def test_lll_reduce_rejects_dependent_columns():
+def test_lll_columns_rejects_dependent_columns():
     with pytest.raises(SingularBasisError):
-        lll_reduce(LatticeBasis(1, 1, ((1, 1), (2, 2))))
+        lll_columns([[1, 1], [2, 2]])
 
 
 def test_enumerate_z2_unit_cylinder():
@@ -327,8 +316,8 @@ def _brute_checked(basis, cyl):
     got = enumerate_in_cylinder(basis, cyl)
     want = brute_cylinder(basis, cyl, box)
     assert [v.y for v in got] == [v.y for v in want]
-    assert [(v.width_sq, v.height_sq) for v in got] == [
-        (v.width_sq, v.height_sq) for v in want
+    assert [(v.width_sq, v.height_sq, v.raw) for v in got] == [
+        (v.width_sq, v.height_sq, v.raw) for v in want
     ]
     return got
 
@@ -336,6 +325,30 @@ def _brute_checked(basis, cyl):
 def _random_basis(rng):
     d, c = rng.choice(((1, 1), (1, 1), (1, 1), (2, 1), (1, 2)))
     return random_unimodular_basis(rng, d, c, ops=4 if d + c == 3 else 5)
+
+
+def _two_unit_basis(rng):
+    """A basis whose width and height blocks have different denominators
+    and contents: a flowed unimodular basis (t != 0) or a dyadic
+    theta-lattice, with one block stretched by a rational factor or
+    none, and scale_sq drawn from 1, 4, 9/4 and 2/3."""
+    d, c = rng.choice(((1, 1), (2, 1), (1, 2)))
+    if rng.getrandbits(1):
+        flow_t = Fraction(rng.choice((-1, 1)) * rng.randrange(5, 40), 100)
+        basis = apply_flow(_random_basis(rng), flow_t)
+        d, c = basis.d, basis.c
+    else:
+        den = 1 << rng.randrange(1, 5)
+        theta = [[Fraction(rng.randrange(den), den) for _ in range(d)] for _ in range(c)]
+        basis = LatticeBasis.from_theta(theta)
+    f = rng.choice((Fraction(3), Fraction(2, 3), Fraction(5, 4), Fraction(1, 2)))
+    stretch = rng.randrange(3)  # 0: none, 1: width block, 2: height block
+    rows = range(d) if stretch == 1 else range(d, d + c) if stretch == 2 else ()
+    cols = tuple(
+        tuple(t * f if i in rows else t for i, t in enumerate(col)) for col in basis.columns
+    )
+    scale_sq = rng.choice((Fraction(1), Fraction(4), Fraction(9, 4), Fraction(2, 3)))
+    return LatticeBasis(d, c, cols, scale_sq, basis.precision_bits)
 
 
 def test_enumerate_matches_brute_force():
@@ -363,6 +376,21 @@ def test_enumerate_matches_brute_force():
             checked += 1
             zero_hits += small == 0 and bool(got)
     assert zero_hits >= 100
+    # per-block integer units: blocks with different denominators,
+    # contents and scale_sq, against the scan in physical Fractions
+    rng = random.Random(2026)
+    checked = attempts = hits = two_units = 0
+    while checked < 200:
+        attempts += 1
+        assert attempts < 2000, "safe boxes reject too many random bases"
+        basis = _two_unit_basis(rng)
+        got = _brute_checked(basis, random_cylinder(rng))
+        if got is not None:
+            checked += 1
+            hits += bool(got)
+            _, (unit_w, unit_h), _ = _kernel_columns(basis)
+            two_units += unit_w != unit_h
+    assert hits >= 150 and two_units >= 150
 
 
 def test_enumerate_output_sorted_and_canonical():

@@ -1,6 +1,7 @@
 """Diagonal flow, minimal-vector chains, transversal membership, and the
 two first-return routes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ from diolab.core import (
     Cylinder,
     LatticeBasis,
     NonGenericLatticeError,
+    _kernel_columns,
+    _kernel_minkowski_sq,
+    _minkowski_sq,
     a_safe,
     kth_root_upper,
     ln_frac,
@@ -163,6 +167,123 @@ def test_predecessor_inverts_successor():
             assert len(back) == entry.class_size
             pairs += 1
     assert pairs == 63
+
+
+def test_kernel_units_and_minkowski_bound():
+    # the integer cut-off c_sq_hi * dd[m] is the physical C^2 det^2 in
+    # the per-block units, and each block's squared norm divides by its unit
+    chart_2d = chart_lattice_2d(SurfacePoint2D(
+        Fraction(-5, 16), Fraction(5, 8), Fraction(-7, 8), Fraction(-1, 2),
+        Fraction(1, 8), Fraction(61, 16),
+    ))
+    rng = random.Random(40)
+    bases = [theta_basis(128, 41 + i, d, c)[1] for i, (d, c) in enumerate(((1, 1), (2, 1), (1, 2)))]
+    bases += [chart_lattice_1d(sample_surface_point_1d(rng, 48)) for _ in range(3)]
+    bases.append(chart_2d)
+    bases += [first_return(b).basis_after for b in bases[3:]]
+    bases += [apply_flow(b, 0.3) for b in bases[:7]]
+    for basis in bases:
+        cols, (unit_w, unit_h), _ = _kernel_columns(basis)
+        d, c = basis.d, basis.c
+        assert _kernel_minkowski_sq(cols, d) == _minkowski_sq(basis) * unit_w**d * unit_h**c
+        for block in (slice(0, d), slice(d, basis.m)):
+            assert math.gcd(*(t for col in cols for t in col[block])) == 1
+        for y in ((1,) + (0,) * (basis.m - 1), (1, -2) + (1,) * (basis.m - 2)):
+            v = basis.vector(y)
+            x = [sum(cols[j][i] * y[j] for j in range(basis.m)) for i in range(basis.m)]
+            assert v.width_sq == sum(t * t for t in x[:d]) / unit_w
+            assert v.height_sq == sum(t * t for t in x[d:]) / unit_h
+    assert sum(b.precision_bits is not None for b in bases) >= 10
+
+
+def brute_chain_class(basis, x, forward, policy=DEFAULT_POLICY):
+    """The chain neighbour class of x from a brute scan of its Minkowski
+    cylinder in physical Fractions, with chain_step's rules stated in
+    physical units: strictly narrower, strictly taller, a narrow norm
+    within tolerance of x's is no decrease, minimal (other^2, narrow^2);
+    None when the scan box is too large."""
+    tol = policy.tol_for(basis)
+    k = basis.d if forward else basis.c
+    x_n, x_o = (x.width_sq, x.height_sq) if forward else (x.height_sq, x.width_sq)
+    r_o = kth_root_upper(_minkowski_sq(basis) / x_n**k, basis.m - k)
+    cyl = Cylinder(x_n, r_o) if forward else Cylinder(r_o, x_n)
+    box = safe_box(basis, cyl)
+    if box > (12 if basis.m == 2 else 5):
+        return None
+    found = {}
+    for v in brute_cylinder(basis, cyl, box):
+        n, o = (v.width_sq, v.height_sq) if forward else (v.height_sq, v.width_sq)
+        if n < x_n and o > x_o and not policy.sq_close(n, x_n, tol):
+            found[v] = (o, n)
+    best = min(found.values())
+    for key in found.values():
+        assert key == best or not (
+            policy.sq_close(key[0], best[0], tol) and policy.sq_close(key[1], best[1], tol)
+        )
+    return sorted((v for v, key in found.items() if key == best), key=lambda v: v.y[::-1])
+
+
+def test_stepper_with_tolerance_matches_brute_force():
+    # flowed chart and theta lattices (tol > 0), scale_sq != 1, whose
+    # blocks have different units
+    rng = random.Random(42)
+    checked = {(1, 1): 0, (2, 1): 0, (1, 2): 0}
+    for i in range(18):
+        d, c = ((1, 1), (2, 1), (1, 2))[i % 3]
+        if (d, c) == (1, 1):
+            basis = chart_lattice_1d(sample_surface_point_1d(rng, bits=8))
+        else:
+            basis = LatticeBasis.from_theta(sample_theta(d, c, 4, rng))
+        scale_sq = basis.scale_sq * Fraction(rng.choice((1, 4, 9)), rng.choice((1, 2)))
+        basis = LatticeBasis(d, c, basis.columns, scale_sq)
+        basis = apply_flow(basis, Fraction(rng.choice((-1, 1)) * rng.randrange(10, 40), 100))
+        _, (unit_w, unit_h), _ = _kernel_columns(basis)
+        assert DEFAULT_POLICY.tol_for(basis) > 0 and unit_w != unit_h
+        step = _chain_stepper(basis, DEFAULT_POLICY, 10**7)
+        for entry in minimal_vectors(basis, 5, back=4, certify=False).entries:
+            x = entry.vector
+            for forward in (True, False):
+                if (x.width_sq if forward else x.height_sq) == 0:
+                    continue
+                want = brute_chain_class(basis, x, forward)
+                if want is None:
+                    continue
+                got = step(x, forward)
+                assert [v.y for v in got] == [v.y for v in want]
+                assert [(v.width_sq, v.height_sq) for v in got] == [
+                    (v.width_sq, v.height_sq) for v in want
+                ]
+                checked[d, c] += 1
+    assert min(checked.values()) >= 10 and sum(checked.values()) >= 70
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("short", [False, True])
+def test_near_tie_within_tolerance_raises(forward, short):
+    # two candidates of the same other norm whose narrow norms differ by
+    # about tol/2: a tie within tolerance.  With short narrow norms (< 1)
+    # only the unit floor of sq_close makes them close, and the narrow
+    # block's unit is over 2^48 times the other's, so a comparison in the
+    # other block's unit would not.
+    w = Fraction(1, 2) if short else Fraction(3)
+    eps = Fraction(1, 1 << 25) if short else w / (1 << 26)
+    pair = [(w, Fraction(1)), (-(w + eps), Fraction(1))]
+    if not forward:
+        pair = [col[::-1] for col in pair]
+    exact = LatticeBasis(1, 1, pair)
+    basis = LatticeBasis(1, 1, pair, precision_bits=40)
+    tol = DEFAULT_POLICY.tol_for(basis)
+    x = basis.vector((1, -1))
+    a, b = basis.vector((1, 0)), basis.vector((0, 1))
+    n_a, n_b = (a.width_sq, b.width_sq) if forward else (a.height_sq, b.height_sq)
+    assert n_a != n_b and abs(n_a - n_b) <= tol * max(n_a, n_b, 1)
+    assert (abs(n_a - n_b) > tol * max(n_a, n_b)) == short
+    unit_n, unit_o = _kernel_columns(basis)[1][:: 1 if forward else -1]
+    assert unit_n >= unit_o * (1 << 48)
+    with pytest.raises(NonGenericLatticeError, match="tie within tolerance"):
+        _chain_stepper(basis, DEFAULT_POLICY, 10**7)(x, forward)
+    got = _chain_stepper(exact, DEFAULT_POLICY, 10**7)(exact.vector((1, -1)), forward)
+    assert [v.y for v in got] == [(1, 0)]
 
 
 def test_tie_policies_share_the_kernel():
