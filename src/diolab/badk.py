@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bestapprox import direct_scan
+from .bestapprox import chain_engine, direct_scan
 from .core import (
     BudgetExceededError,
     Cylinder,
@@ -31,6 +31,7 @@ from .core import (
     ceil_frac,
     enumerate_in_cylinder,
     floor_frac,
+    fp_enumerate,
     nearest_int,
 )
 
@@ -119,10 +120,22 @@ def _hnf_basis(u: int, v: int, q: int) -> tuple[int, int, int]:
     return g, c, y0
 
 
-def _solve_k(gamma: tuple[int, int], u: int, v: int, q: int) -> int:
-    """k in [0, q) with gamma = k*(u, v) mod q, for gcd(u, v, q) = 1."""
+def _lattice_minima(
+    theta: Pair, q: int
+) -> tuple[Fraction, Fraction, tuple[int, int], tuple[int, int]]:
+    """_gauss_minima_sq of the lattice q (Z theta + Z^2) = Z(q theta) +
+    qZ^2, for q the lowest common denominator of theta."""
+    d1, c, y0 = _hnf_basis(int(theta[0] * q), int(theta[1] * q), q)
+    return _gauss_minima_sq((d1, c), (0, y0))
+
+
+def _solve_k(gamma: tuple[int, int], theta: Pair, q: int) -> int:
+    """k in [0, q) with gamma = k q theta mod q, for q the lowest common
+    denominator of theta."""
     if q == 1:
         return 0
+    u = int(theta[0] * q) % q
+    v = int(theta[1] * q) % q
     g2, s2, t2 = _xgcd(u, v)
     if g2 == 0:
         raise ValueError("theta must not be an integer vector")
@@ -134,23 +147,28 @@ def _solve_k(gamma: tuple[int, int], u: int, v: int, q: int) -> int:
 
 
 def _annulus_min_width_sq(
-    theta: Pair, q_lo: int, q_hi: int, seed_w_sq: Fraction, budget: int
+    theta: Pair, q_lo: int, q_hi: int, budget: int
 ) -> Optional[Fraction]:
-    """Smallest d(q theta, Z^2)^2 over integers q_lo < q < q_hi, or None
-    when the range is empty."""
+    """Smallest d(q theta, Z^2)^2 over integers q_lo < q < q_hi (q_lo >=
+    1), or None when the range is empty.
+
+    One cylinder search, its width fixed by a witness height: w =
+    max(q_lo + 1, q_hi - q_lo) lies in the range, so the cylinder of
+    width^2 d(w theta, Z^2)^2 and height below q_hi holds w's own vector
+    and every height in the range that beats it.  When q_hi > 2 q_lo,
+    w = q_hi - q_lo and the triangle inequality bounds that width by
+    d(q_lo theta, Z^2) + d(q_hi theta, Z^2).
+    """
     if q_hi - q_lo < 2:
         return None
-    basis = LatticeBasis.from_theta((theta,))
-    h_cap = Fraction((q_hi - 1) ** 2)
-    w_sq = seed_w_sq if seed_w_sq > 0 else Fraction(1, q_hi)
+    w = max(q_lo + 1, q_hi - q_lo)
+    cyl = Cylinder(_r_sq(theta, w), Fraction((q_hi - 1) ** 2))
+    vecs = enumerate_in_cylinder(LatticeBasis.from_theta((theta,)), cyl, budget=budget)
     lo_sq = q_lo * q_lo
-    for _ in range(80):
-        vecs = enumerate_in_cylinder(basis, Cylinder(w_sq, h_cap), budget=budget)
-        found = [v.width_sq for v in vecs if v.height_sq > lo_sq]
-        if found:
-            return min(found)
-        w_sq *= 4
-    raise SearchLimitError("gap search radius exhausted")
+    found = [v.width_sq for v in vecs if v.height_sq > lo_sq]
+    if not found:
+        raise AssertionError("gap search missed its witness height %d" % w)
+    return min(found)
 
 
 @dataclass(frozen=True)
@@ -209,10 +227,19 @@ def _extend_tables(
         if (i, j) not in m_tab:
             m_tab[(i, j)] = (r_cache[i - 1], r_cache[i])
         if i < j and (i, j) not in M_tab:
-            gap = _annulus_min_width_sq(
-                theta_j, q_list[i - 1], q_list[i], 4 * r_cache[i - 1], budget
-            )
+            gap = _annulus_min_width_sq(theta_j, q_list[i - 1], q_list[i], budget)
             M_tab[(i, j)] = None if gap is None else (gap, r_cache[i - 1])
+
+
+def _drift_beats(drift_sq: Fraction, table: dict, j_max: int) -> Optional[tuple]:
+    """The first key (i, j) with j <= j_max whose entry (A, B) fails
+    sqrt(drift_sq) + sqrt(B) <= sqrt(A), or None."""
+    for key, ab in table.items():
+        if key[1] > j_max or ab is None:
+            continue
+        if not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
+            return key
+    return None
 
 
 def init_state() -> BadConstructionState:
@@ -235,34 +262,20 @@ def init_state() -> BadConstructionState:
 
 
 def _quadrant_candidates(
-    b1: tuple[int, int], b2: tuple[int, int], lo_sq: int, hi_sq: int
+    b1: tuple[int, int], b2: tuple[int, int], lo_sq: int, hi_sq: int, budget: int
 ) -> list[tuple[int, int, int]]:
     """Primitive points of the lattice spanned by the reduced basis
     (b1, b2) with both coordinates positive and lo_sq < norm^2 <= hi_sq,
-    sorted by (norm^2, x, y).
-
-    Coefficients are enumerated directly, so the cost is proportional to
-    the number of lattice points in the disk, not to its radius."""
+    sorted by (norm^2, x, y), from one enumeration of the disk."""
     out = []
-    n1 = b1[0] * b1[0] + b1[1] * b1[1]
-    n2b = b2[0] * b2[0] + b2[1] * b2[1]
-    d12 = b1[0] * b2[1] - b1[1] * b2[0]
-    dot = b1[0] * b2[0] + b1[1] * b2[1]
-    m2_max = math.isqrt(hi_sq * n1 // (d12 * d12)) + 1
-    for m2 in range(-m2_max, m2_max + 1):
-        # n1 m1^2 + 2 m1 m2 dot + m2^2 n2b <= hi_sq
-        disc = (m2 * dot) ** 2 - n1 * (m2 * m2 * n2b - hi_sq)
-        if disc < 0:
-            continue
-        sq = math.isqrt(disc)
-        for m1 in range((-m2 * dot - sq) // n1 - 1, (-m2 * dot + sq) // n1 + 2):
-            x = m1 * b1[0] + m2 * b2[0]
-            y = m1 * b1[1] + m2 * b2[1]
-            if x <= 0 or y <= 0:
-                continue
-            nsq = x * x + y * y
-            if lo_sq < nsq <= hi_sq and math.gcd(m1, m2) == 1:
-                out.append((nsq, x, y))
+
+    def visit(m: tuple[int, ...]) -> None:
+        x = m[0] * b1[0] + m[1] * b2[0]
+        y = m[0] * b1[1] + m[1] * b2[1]
+        if x > 0 and y > 0 and lo_sq < x * x + y * y and math.gcd(*m) == 1:
+            out.append((x * x + y * y, x, y))
+
+    fp_enumerate((b1, b2), hi_sq, visit, budget=budget)
     out.sort()
     return out
 
@@ -284,10 +297,7 @@ def step(
     n = state.n
     Q = state.Q
     theta = state.theta
-    u = int(theta[0] * Q) % Q
-    v = int(theta[1] * Q) % Q
-    d1, cc, y0 = _hnf_basis(u, v, Q)
-    _, _, rb1, rb2 = _gauss_minima_sq((d1, cc), (0, y0))
+    _, _, rb1, rb2 = _lattice_minima(theta, Q)
     M_tab = dict(state.M_table)
     m_tab = dict(state.m_table)
     _extend_tables(M_tab, m_tab, state.thetas, state.q_list, n, budget)
@@ -299,14 +309,14 @@ def step(
     hi_sq = 4 * base_sq
     growth = 1
     while growth <= x_search_bound:
-        for n2, x, y in _quadrant_candidates(rb1, rb2, lo_sq, hi_sq):
+        for n2, x, y in _quadrant_candidates(rb1, rb2, lo_sq, hi_sq, budget):
             gamma = (x, y) if n % 2 == 0 else (-x, -y)
             p_lo = ceil_frac(Fraction(10 * n2, Q))
             p_hi = floor_frac(Fraction(20 * n2, Q))
             p_count = p_hi - p_lo + 1
             if p_count < 2 or p_lo < 2:
                 continue
-            k = _solve_k(gamma, u, v, Q)
+            k = _solve_k(gamma, theta, Q)
             q_next = p_lo * Q - k
             if q_next > q_budget:
                 raise BudgetExceededError(
@@ -317,19 +327,7 @@ def step(
             if not e_sq < eps_prev_sq:
                 continue
             drift_sq = 64 * e_sq
-            ok = True
-            for key, ab in m_tab.items():
-                if ab is not None and not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
-                    ok = False
-                    break
-            if ok:
-                for key, ab in M_tab.items():
-                    if ab is not None and not sqrt_affine_leq(
-                        drift_sq, ab[1], ab[0]
-                    ):
-                        ok = False
-                        break
-            if not ok:
+            if _drift_beats(drift_sq, m_tab, n) or _drift_beats(drift_sq, M_tab, n):
                 continue
             alpha = (Fraction(gamma[0], Q), Fraction(gamma[1], Q))
             ab_vec = (
@@ -344,14 +342,7 @@ def step(
             if _lcd(theta_next) != q_next:
                 raise AssertionError("lowest common denominator mismatch")
             # the new shortest vector must be +-eps with the right sign
-            gam_next = (
-                int(eps[0] * q_next),
-                int(eps[1] * q_next),
-            )
-            u2 = int(theta_next[0] * q_next) % q_next
-            v2 = int(theta_next[1] * q_next) % q_next
-            g1, g2c, g3 = _hnf_basis(u2, v2, q_next)
-            lam1_sq, lam2_sq, _, _ = _gauss_minima_sq((g1, g2c), (0, g3))
+            lam1_sq, lam2_sq, _, _ = _lattice_minima(theta_next, q_next)
             if lam1_sq != Fraction(n2):
                 continue
             if not 4 * lam1_sq <= lam2_sq <= 900 * lam1_sq:
@@ -411,9 +402,10 @@ def certify(
     """Re-verify the seven inductive conditions from theta_n alone.
 
     Raises AssertionError with the offending datum on any violation;
-    shares no intermediate data with step (tables are recomputed, the
-    denominator list is re-derived by gap enumeration, and a direct scan
-    cross-checks it while Q_n is small enough).
+    shares no intermediate data with step: the tables are recomputed,
+    and condition 1 has three routes to the denominator list, the gap
+    searches (the tables' column n and the last gap), chain_engine on
+    theta_n, and a direct scan while Q_n <= scan_cap.
     """
     n = state.n
     theta = state.theta
@@ -422,6 +414,11 @@ def certify(
     vacuous = []
     if _lcd(theta) != qs[-1]:
         raise AssertionError("det invariant broken: lcd != Q_n")
+    # the fresh tables up to column n; column n holds the gaps i < n
+    M_tab: dict = {}
+    m_tab: dict = {}
+    for j in range(1, n + 1):
+        _extend_tables(M_tab, m_tab, state.thetas, qs, j, budget)
 
     # condition 1: Q_0..Q_n are exactly the best denominators of theta_n
     r_at = {i: _r_sq(theta, qs[i]) for i in range(n + 1)}
@@ -431,12 +428,18 @@ def certify(
         if not r_at[i] < r_at[i - 1]:
             raise AssertionError("distances fail to decrease at i=%d" % i)
         # a tie with r_{i-1} is allowed: a tying height is not a record
-        gap = _annulus_min_width_sq(theta, qs[i - 1], qs[i], 4 * r_at[i - 1], budget)
+        if i < n:
+            gap = None if M_tab[(i, n)] is None else M_tab[(i, n)][0]
+        else:
+            gap = _annulus_min_width_sq(theta, qs[n - 1], qs[n], budget)
         if gap is not None and gap < r_at[i - 1]:
             raise AssertionError(
                 "gap (%d, %d) beats r_{i-1}: %s < %s"
                 % (qs[i - 1], qs[i], gap, r_at[i - 1])
             )
+    recs = chain_engine((theta,), q_max=qs[-1], budget=budget)
+    if tuple(int(r.Q[0]) for r in recs) != qs:
+        raise AssertionError("chain_engine disagrees with Q list")
     scanned = False
     if qs[-1] <= scan_cap:
         recs = direct_scan((theta,), qs[-1])
@@ -454,11 +457,7 @@ def certify(
             raise AssertionError("no branching at recorded step %d" % rec.n)
     conditions["growth_and_branching"] = True
 
-    # conditions 3-5 need the fresh tables up to column n
-    M_tab: dict = {}
-    m_tab: dict = {}
-    for j in range(1, n + 1):
-        _extend_tables(M_tab, m_tab, state.thetas, qs, j, budget)
+    # conditions 3-5 on the fresh tables
     if n >= 2:
         for i in range(1, n):
             ab = M_tab[(i, n)]
@@ -469,24 +468,17 @@ def certify(
         vacuous.append("gap_minima_positive")
     delta = (theta[0] - state.thetas[-2][0], theta[1] - state.thetas[-2][1])
     drift_sq = 64 * qs[-2] ** 2 * (delta[0] ** 2 + delta[1] ** 2)
-    pairs_M = [(i, j) for (i, j) in M_tab if j <= n - 1]
-    pairs_m = [(i, j) for (i, j) in m_tab if j <= n - 1]
-    if pairs_M:
-        for key in pairs_M:
-            ab = M_tab[key]
-            if ab is not None and not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
-                raise AssertionError("drift beats M at %s" % (key,))
-        conditions["drift_below_gap_minima"] = True
-    else:
-        vacuous.append("drift_below_gap_minima")
-    if pairs_m:
-        for key in pairs_m:
-            ab = m_tab[key]
-            if ab is not None and not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
-                raise AssertionError("drift beats m at %s" % (key,))
-        conditions["drift_below_drop_minima"] = True
-    else:
-        vacuous.append("drift_below_drop_minima")
+    for name, tab, label in (
+        ("drift_below_gap_minima", M_tab, "M"),
+        ("drift_below_drop_minima", m_tab, "m"),
+    ):
+        if not any(j <= n - 1 for _, j in tab):
+            vacuous.append(name)
+            continue
+        key = _drift_beats(drift_sq, tab, n - 1)
+        if key is not None:
+            raise AssertionError("drift beats %s at %s" % (label, key))
+        conditions[name] = True
 
     # conditions 6-7 on the lattice of theta_n
     eps = state.eps_list[-1]
@@ -494,10 +486,7 @@ def certify(
     if gam[0].denominator != 1 or gam[1].denominator != 1:
         raise AssertionError("eps_{n-1} is not in the lattice")
     gam = (int(gam[0]), int(gam[1]))
-    u = int(theta[0] * qs[-1]) % qs[-1]
-    v = int(theta[1] * qs[-1]) % qs[-1]
-    d1, cc, y0 = _hnf_basis(u, v, qs[-1])
-    lam1_sq, lam2_sq, _, _ = _gauss_minima_sq((d1, cc), (0, y0))
+    lam1_sq, lam2_sq, _, _ = _lattice_minima(theta, qs[-1])
     if Fraction(gam[0] ** 2 + gam[1] ** 2) != lam1_sq:
         raise AssertionError("eps_{n-1} is not a shortest vector")
     sign = 1 if (n - 1) % 2 == 0 else -1
@@ -526,18 +515,21 @@ class PrefixStats:
     b_terms: tuple[Fraction, ...]
 
 
-def prefix_statistics(state: BadConstructionState) -> PrefixStats:
-    theta = state.theta
-    qs = state.q_list
+def _prefix_stats(theta: Pair, qs: tuple[int, ...]) -> PrefixStats:
+    """PrefixStats of theta over the denominators qs[0] < ... < qs[-1]."""
     a_terms = []
     b_terms = []
-    for i in range(state.n):
+    for i in range(len(qs) - 1):
         r_sq = _r_sq(theta, qs[i])
         a_terms.append(qs[i] * r_sq)
         b_terms.append(qs[i + 1] * r_sq)
     return PrefixStats(
-        state.n, min(a_terms), min(b_terms), tuple(a_terms), tuple(b_terms)
+        len(qs) - 1, min(a_terms), min(b_terms), tuple(a_terms), tuple(b_terms)
     )
+
+
+def prefix_statistics(state: BadConstructionState) -> PrefixStats:
+    return _prefix_stats(state.theta, state.q_list)
 
 
 def certificate(
@@ -571,17 +563,7 @@ def certificate(
             row["p"] = rec.p
             row["p_count"] = rec.p_count
             row["eps"] = [str(rec.eps[0]), str(rec.eps[1])]
-        stats = prefix_statistics(
-            BadConstructionState(
-                n=idx,
-                thetas=state.thetas[: idx + 1],
-                q_list=state.q_list[: idx + 1],
-                eps_list=state.eps_list[:idx],
-                steps=tuple(r for r in state.steps if r.n < idx),
-                M_table={},
-                m_table={},
-            )
-        )
+        stats = _prefix_stats(theta_idx, state.q_list[: idx + 1])
         row["prefix_min_q_r_sq"] = str(stats.a)
         row["prefix_min_qnext_r_sq"] = str(stats.b)
         rows.append(row)

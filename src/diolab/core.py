@@ -784,18 +784,35 @@ def enumerate_in_cylinder(
     return out
 
 
-def shortest_mixed_vectors(
-    basis: LatticeBasis, *, budget: int = 10**7
-) -> list[LatticeVector]:
-    """All sign-canonical vectors achieving the mixed-norm first minimum.
+def _critical_ball(
+    basis: LatticeBasis, tol: Fraction, budget: int
+) -> tuple[Fraction, list[LatticeVector]]:
+    """lambda_1^2 of the mixed norm and the vectors on the closed critical
+    ball: mixed^2 <= lambda_1^2 (1 + 4 tol) and within tol of lambda_1^2
+    (PrecisionPolicy.sq_close), so exactly lambda_1^2 when tol = 0.
 
     One enumeration of the mixed ball of the certified Minkowski radius,
-    lambda_1^(2m) <= C^2 det^2, which always holds a nonzero vector; an
-    empty result raises SearchLimitError.
+    lambda_1^(2m) <= C^2 det^2, widened by 1 + 4 tol; it always holds a
+    nonzero vector, and an empty result raises SearchLimitError.
     """
-    r_sq = kth_root_upper(_minkowski_sq(basis), basis.m, guard_bits=4)
+    slack = 1 + 4 * tol
+    r_sq = kth_root_upper(_minkowski_sq(basis), basis.m, guard_bits=4) * slack
     found = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
     if not found:
         raise SearchLimitError("the Minkowski ball holds no lattice vector")
     lam_sq = min(v.mixed_sq for v in found)
-    return [v for v in found if v.mixed_sq == lam_sq]
+    on = [
+        v
+        for v in found
+        if v.mixed_sq <= lam_sq * slack
+        and DEFAULT_POLICY.sq_close(v.mixed_sq, lam_sq, tol)
+    ]
+    return lam_sq, on
+
+
+def shortest_mixed_vectors(
+    basis: LatticeBasis, *, budget: int = 10**7
+) -> list[LatticeVector]:
+    """All sign-canonical vectors achieving the mixed-norm first minimum:
+    the critical ball with tol = 0."""
+    return _critical_ball(basis, Fraction(0), budget)[1]

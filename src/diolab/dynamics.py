@@ -31,14 +31,13 @@ from .core import (
     NonGenericLatticeError,
     PrecisionPolicy,
     SearchLimitError,
+    _critical_ball,
     _kernel_columns,
     _kernel_minkowski_sq,
-    _minkowski_sq,
     chain_step,
     enumerate_in_cylinder,
     exact_sqrt,
     frac_from_mpf,
-    kth_root_upper,
     ln_frac,
     mpf_from_frac,
     shortest_mixed_vectors,
@@ -362,27 +361,6 @@ class SurfaceMembership:
     corner: Optional[LatticeVector] = None
 
 
-def _critical_ball(
-    basis: LatticeBasis, policy: PrecisionPolicy, budget: int
-) -> tuple[Fraction, list[LatticeVector], Fraction]:
-    """lambda_1^2, the vectors on the closed critical ball (mixed^2 <=
-    lambda_1^2 (1 + 4 tol) and within tolerance of lambda_1^2), and tol,
-    from one enumeration of the Minkowski ball widened by 1 + 4 tol."""
-    tol = policy.tol_for(basis)
-    slack = 1 + 4 * tol
-    r_sq = kth_root_upper(_minkowski_sq(basis), basis.m, guard_bits=4) * slack
-    cands = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
-    if not cands:
-        raise SearchLimitError("the Minkowski ball holds no lattice vector")
-    lam_sq = min(v.mixed_sq for v in cands)
-    on = [
-        v
-        for v in cands
-        if v.mixed_sq <= lam_sq * slack and policy.sq_close(v.mixed_sq, lam_sq, tol)
-    ]
-    return lam_sq, on, tol
-
-
 def surface_membership_S(
     basis: LatticeBasis,
     *,
@@ -396,7 +374,8 @@ def surface_membership_S(
     (height = lambda_1, 0 < width < lambda_1), all inequalities strict
     beyond the basis tolerance.
     """
-    lam_sq, on, tol = _critical_ball(basis, policy, budget)
+    tol = policy.tol_for(basis)
+    lam_sq, on = _critical_ball(basis, tol, budget)
 
     def close(a, b):
         return policy.sq_close(a, b, tol)
@@ -431,7 +410,8 @@ def surface_membership_Sprime(
 ) -> SurfaceMembership:
     """True iff the critical ball is the cylinder of a single corner pair
     with width = height = lambda_1."""
-    lam_sq, on, tol = _critical_ball(basis, policy, budget)
+    tol = policy.tol_for(basis)
+    lam_sq, on = _critical_ball(basis, tol, budget)
 
     def close(a, b):
         return policy.sq_close(a, b, tol)

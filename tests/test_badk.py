@@ -10,6 +10,9 @@ from fractions import Fraction
 import pytest
 
 from diolab.badk import (
+    _annulus_min_width_sq,
+    _lattice_minima,
+    _quadrant_candidates,
     certificate,
     certify,
     init_state,
@@ -175,6 +178,104 @@ def test_certify_rejects_corrupted_sign():
     )
     with pytest.raises(AssertionError):
         certify(bad)
+
+
+def test_certify_rejects_skipped_denominator_beyond_scan_cap():
+    # Q_6 ~ 7.9e11 is beyond scan_cap, so direct_scan is off; doubling
+    # Q_3 skips the best denominator 39106 of theta_6
+    state = advance(5)
+    assert state.Q > 10**6
+    qs = state.q_list
+    assert qs[3] == 39106
+    bad = dataclasses.replace(state, q_list=qs[:3] + (2 * qs[3],) + qs[4:])
+    with pytest.raises(
+        AssertionError,
+        match=r"gap \(366, 78212\) beats r_\{i-1\}|chain_engine disagrees",
+    ):
+        certify(bad)
+
+
+def test_gap_search_matches_brute_force_on_the_construction():
+    state = advance(3)
+    qs = state.q_list
+    checked = 0
+    for j in range(2, state.n + 1):
+        theta = state.thetas[j]
+        # theta_j = (a, b) / Q_j, so Q_j^2 r_sq(q) = |qa|^2 + |qb|^2 mod Q_j
+        den = qs[j]
+        a, b = (int(t * den) for t in theta)
+        top = min(qs[j - 1], 39106)
+        num = [None] + [
+            min(q * a % den, -q * a % den) ** 2 + min(q * b % den, -q * b % den) ** 2
+            for q in range(1, top)
+        ]
+        for i in range(1, j):
+            gap = _annulus_min_width_sq(theta, qs[i - 1], qs[i], 10**7)
+            least = min(num[qs[i - 1] + 1 : qs[i]], default=None)
+            want = None if least is None else Fraction(least, den * den)
+            assert want is None or want == r_sq(theta, num.index(least))
+            assert gap == want, (i, j)
+            if (i, j) in state.M_table:
+                entry = state.M_table[(i, j)]
+                assert (None if entry is None else entry[0]) == want
+                checked += 1
+    assert checked == len(state.M_table) == 3
+
+
+def test_gap_search_matches_brute_force_on_random_ranges():
+    rng = random.Random(5)
+    kinds = {"empty": 0, "near": 0, "far": 0}
+    for _ in range(200):
+        theta = (
+            Fraction(rng.randrange(1, 97), 97),
+            Fraction(rng.randrange(1, 89), 89),
+        )
+        q_lo = rng.randrange(1, 120)
+        q_hi = q_lo + rng.choice(
+            [rng.randrange(0, 2), rng.randrange(2, q_lo + 2), rng.randrange(2, 3 * q_lo + 3)]
+        )
+        gap = _annulus_min_width_sq(theta, q_lo, q_hi, 10**7)
+        if q_hi - q_lo < 2:
+            assert gap is None
+            kinds["empty"] += 1
+            continue
+        kinds["near" if q_hi <= 2 * q_lo else "far"] += 1
+        assert gap == min(r_sq(theta, q) for q in range(q_lo + 1, q_hi))
+    # every branch of the witness height max(q_lo + 1, q_hi - q_lo) runs
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_quadrant_candidates_match_coefficient_box():
+    def brute(b1, b2, lo_sq, hi_sq):
+        # Cramer: |m_i| <= |x| max|b| / |det| for x = m1 b1 + m2 b2
+        det = abs(b1[0] * b2[1] - b1[1] * b2[0])
+        nb = max(b1[0] ** 2 + b1[1] ** 2, b2[0] ** 2 + b2[1] ** 2)
+        box = math.isqrt(hi_sq * nb // (det * det)) + 1
+        out = []
+        for m1 in range(-box, box + 1):
+            for m2 in range(-box, box + 1):
+                x = m1 * b1[0] + m2 * b2[0]
+                y = m1 * b1[1] + m2 * b2[1]
+                nsq = x * x + y * y
+                if x > 0 and y > 0 and lo_sq < nsq <= hi_sq and math.gcd(m1, m2) == 1:
+                    out.append((nsq, x, y))
+        return sorted(out)
+
+    state = init_state()
+    for _ in range(5):
+        _, _, b1, b2 = _lattice_minima(state.theta, state.Q)
+        assert abs(b1[0] * b2[1] - b1[1] * b2[0]) == state.Q
+        base = state.n * state.Q
+        # the first annulus of step and one 4x wider
+        for hi_sq in (4 * base, 16 * base):
+            got = _quadrant_candidates(b1, b2, base - 1, hi_sq, 10**7)
+            assert got == brute(b1, b2, base - 1, hi_sq)
+        assert got, state.n  # the wider annulus always holds candidates
+        # both ends of the annulus on a candidate's norm
+        lo_sq, hi_sq = got[0][0], got[-1][0]
+        want = [c for c in got if c[0] > lo_sq]
+        assert _quadrant_candidates(b1, b2, lo_sq, hi_sq, 10**7) == want
+        state = step(state)
 
 
 def test_search_limit_error():
