@@ -28,6 +28,7 @@ from .core import (
     Cylinder,
     LatticeBasis,
     SearchLimitError,
+    _gauss_pair,
     ceil_frac,
     enumerate_in_cylinder,
     floor_frac,
@@ -76,26 +77,6 @@ def _lcd(theta: Pair) -> int:
     return math.lcm(theta[0].denominator, theta[1].denominator)
 
 
-def _gauss_minima_sq(
-    v1: tuple[int, int], v2: tuple[int, int]
-) -> tuple[Fraction, Fraction, tuple[int, int], tuple[int, int]]:
-    """Lagrange-reduce a rank-2 integer basis; returns the two successive
-    minima squared and the reduced basis attaining them."""
-    a, b = v1, v2
-    na = a[0] * a[0] + a[1] * a[1]
-    nb = b[0] * b[0] + b[1] * b[1]
-    if na > nb:
-        a, b, na, nb = b, a, nb, na
-    while True:
-        dot = a[0] * b[0] + a[1] * b[1]
-        r = nearest_int(Fraction(dot, na))
-        b = (b[0] - r * a[0], b[1] - r * a[1])
-        nb = b[0] * b[0] + b[1] * b[1]
-        if nb >= na:
-            return Fraction(na), Fraction(nb), a, b
-        a, b, na, nb = b, a, nb, na
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
     old_r, r = a, b
@@ -123,10 +104,12 @@ def _hnf_basis(u: int, v: int, q: int) -> tuple[int, int, int]:
 def _lattice_minima(
     theta: Pair, q: int
 ) -> tuple[Fraction, Fraction, tuple[int, int], tuple[int, int]]:
-    """_gauss_minima_sq of the lattice q (Z theta + Z^2) = Z(q theta) +
-    qZ^2, for q the lowest common denominator of theta."""
+    """The two successive minima squared of the lattice q (Z theta + Z^2)
+    = Z(q theta) + qZ^2, for q the lowest common denominator of theta,
+    and the Lagrange-Gauss reduced basis attaining them."""
     d1, c, y0 = _hnf_basis(int(theta[0] * q), int(theta[1] * q), q)
-    return _gauss_minima_sq((d1, c), (0, y0))
+    b1, b2, (n1, _, n2), _ = _gauss_pair((d1, c), (0, y0))
+    return Fraction(n1), Fraction(n2), b1, b2
 
 
 def _solve_k(gamma: tuple[int, int], theta: Pair, q: int) -> int:

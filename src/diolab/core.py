@@ -1,12 +1,13 @@
 """Exact geometry core: mixed norms, cylinders, lattice bases, LLL
-reduction, Fincke-Pohst enumeration and Minkowski bounds.
+reduction, Fincke-Pohst enumeration, the Lagrange-Gauss plane search
+and Minkowski bounds.
 
 Scalars are exact :class:`fractions.Fraction`s, except in the integer
-kernel (LLL and Fincke-Pohst), which is integer-only.  mpmath supplies
-arbitrary-precision floats for logarithms, flow factors and display,
-but every decision made here (containment, minimality, ties) reduces
-to comparisons of exact squared norms.  Irrational constants enter
-only through certified rational bounds.
+kernel (LLL, Fincke-Pohst and Lagrange-Gauss), which is integer-only.
+mpmath supplies arbitrary-precision floats for logarithms, flow factors
+and display, but every decision made here (containment, minimality,
+ties) reduces to comparisons of exact squared norms.  Irrational
+constants enter only through certified rational bounds.
 """
 
 from __future__ import annotations
@@ -560,6 +561,92 @@ def _matmul_int(
     return [_matvec_int(a, bj) for bj in b]
 
 
+def _gauss_pair(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[
+    tuple[int, ...], tuple[int, ...], tuple[int, int, int], list[list[int]]
+]:
+    """Lagrange-Gauss reduction of two integer vectors.
+
+    Returns (a', b', (|a'|^2, <a', b'>, |b'|^2), u): the reduced pair,
+    with |a'| <= |b'| and 2|<a', b'>| <= |a'|^2, so |a'| and |b'| are
+    the successive minima of the lattice the pair spans, and u the
+    unimodular transform (a', b') = (a, b) . u in the columns convention
+    of lll_columns.  Size reduction rounds halves toward -inf, as
+    nearest_int does.  Raises SingularBasisError on dependent vectors.
+    """
+    na = sum(t * t for t in a)
+    nb = sum(t * t for t in b)
+    ua, ub = [1, 0], [0, 1]
+    if na > nb:
+        a, b, na, nb, ua, ub = b, a, nb, na, ub, ua
+    while True:
+        if na == 0:
+            raise SingularBasisError("dependent columns")
+        g = sum(s * t for s, t in zip(a, b))
+        r = (2 * g + na - 1) // (2 * na)
+        if r:
+            b = [s - r * t for s, t in zip(b, a)]
+            ub = [ub[0] - r * ua[0], ub[1] - r * ua[1]]
+            nb += r * (r * na - 2 * g)
+            g -= r * na
+        if nb >= na:
+            return tuple(a), tuple(b), (na, g, nb), [ua, ub]
+        a, b, na, nb, ua, ub = b, a, nb, na, ub, ua
+
+
+def _plane_points(
+    work: Sequence[Sequence[int]],
+    u: Optional[Sequence[Sequence[int]]],
+    rp: int,
+    rm: int,
+    ball: int,
+    sw: int,
+    sh: int,
+    budget: int,
+) -> tuple[dict[tuple[int, ...], tuple[int, int]], list[list[int]]]:
+    """The m = 2 search of _cylinder_points on the rebalanced pair
+    ``work`` (d = 1): Lagrange-Gauss reduction, then one pass over the
+    sign-canonical half-plane y_b >= 0 (y_a >= 1 on y_b = 0) of the
+    disk |y_a b_1 + y_b b_2|^2 <= ``ball``.  With A, G, B the reduced
+    Gram entries and D = AB - G^2, that disk is D y_b^2 + (A y_a +
+    G y_b)^2 <= A ball, so |y_b| <= isqrt(A ball // D) and |A y_a +
+    G y_b| <= isqrt(A ball - D y_b^2).  Every row and every y_a tried
+    counts one node against ``budget``.
+    """
+    (p0, p1), (q0, q1), (ga, gg, gb), u2 = _gauss_pair(*work)
+    u = u2 if u is None else _matmul_int(u, u2)
+    (s0, s1), (t0, t1) = u
+    det = ga * gb - gg * gg
+    bound = ga * ball
+    found: dict[tuple[int, ...], tuple[int, int]] = {}
+    nodes = 0
+    for yb in range(isqrt(bound // det) + 1):
+        h = isqrt(bound - yb * yb * det)
+        n = -gg * yb
+        lo = -((h - n) // ga) if yb else 1
+        hi = (n + h) // ga
+        nodes += 1 + max(hi - lo + 1, 0)
+        if nodes > budget:
+            raise BudgetExceededError(f"enumeration exceeded budget of {budget} nodes")
+        for ya in range(lo, hi + 1):
+            x0 = ya * p0 + yb * q0
+            w = x0 * x0 >> sw
+            if w > rp:
+                continue
+            x1 = ya * p1 + yb * q1
+            ht = x1 * x1 >> sh
+            if ht > rm:
+                continue
+            y0 = ya * s0 + yb * t0
+            y1 = ya * s1 + yb * t1
+            # canonical_sign for d = 1: the height coordinate decides first
+            if y1 < 0 or (y1 == 0 and y0 < 0):
+                y0, y1 = -y0, -y1
+            found[(y0, y1)] = (w, ht)
+    return found, u
+
+
 def _cylinder_points(
     cols: Sequence[Sequence[int]],
     u: Optional[Sequence[Sequence[int]]],
@@ -575,9 +662,11 @@ def _cylinder_points(
     The cylinder is rebalanced inside the Euclidean ball: with a =
     bitlen(isqrt(rm)) - bitlen(isqrt(rp)), the block with the smaller
     radius is scaled up by 2^|a|, which also pins a zero-radius block to
-    zero (every nonzero integer point there lands beyond the ball).  LLL
-    starts from cols . u (``u`` None: from cols).  The visitor reads the
-    norms off the reduced columns, shifting the scaled block back
+    zero (every nonzero integer point there lands beyond the ball).  The
+    reduction starts from cols . u (``u`` None: from cols): for m = 2 it
+    is Lagrange-Gauss and the ball is walked over a half-plane
+    (_plane_points), for m >= 3 LLL and fp_enumerate.  The visitor reads
+    the norms off the reduced columns, shifting the scaled block back
     exactly.  Returns {sign-canonical y: (width^2, height^2)} in the
     units of ``cols``, and the transform for the next search.
     """
@@ -592,6 +681,8 @@ def _cylinder_points(
                 col[i] <<= abs(a)
     ball = (rp << 2 * a) + rm if a > 0 else rp + (rm << -2 * a)
     sw, sh = (2 * a, 0) if a > 0 else (0, -2 * a)
+    if m == 2:
+        return _plane_points(work, u, rp, rm, ball, sw, sh, budget)
     red, u2 = lll_columns(work)
     u = u2 if u is None else _matmul_int(u, u2)
     found: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -632,8 +723,9 @@ def chain_step(
     searched is cut off by Minkowski's bound width^(2d) height^(2c) <=
     ``mink_sq`` (C_{d,c}^2 det^2 in the units of ``cols``), or by
     ``cap`` on the other block when that is lower; it goes through
-    _cylinder_points, which rebalances it and starts LLL from the basis
-    ``cols . u`` of the previous step (``u`` None: from ``cols``).
+    _cylinder_points, which rebalances it and starts the reduction from
+    the basis ``cols . u`` of the previous step (``u`` None: from
+    ``cols``).
 
     Returns (key, members, u): the minimal (other^2, narrow^2) in integer
     units, the sorted sign-canonical coordinates achieving it, and the
@@ -702,17 +794,6 @@ def _int_columns(
     return cols, den
 
 
-def _minkowski_sq(basis: LatticeBasis) -> Fraction:
-    """Certified upper bound C_{d,c}^2 det^2 on the product
-    width^(2d) height^(2c) of the chain neighbours, and on lambda_1^(2m)
-    for the mixed norm, in physical units."""
-    det_sq = basis.det_sq()
-    if det_sq == 0:
-        raise SingularBasisError("degenerate basis")
-    _, c_sq_hi = minkowski_bound_sq_range(basis.d, basis.c)
-    return c_sq_hi * det_sq
-
-
 def _kernel_columns(
     basis: LatticeBasis,
 ) -> tuple[list[list[int]], tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
@@ -743,9 +824,11 @@ def _kernel_columns(
 
 def _kernel_minkowski_sq(cols: Sequence[Sequence[int]], d: int) -> Fraction:
     """C_{d,c}^2 det^2 in the integer units of _kernel_columns, for its
-    columns ``cols``: c_sq_hi times their Gram determinant, which equals
-    _minkowski_sq(basis) * unit_w^d * unit_h^c with no Fraction
-    elimination.  Raises SingularBasisError on dependent columns."""
+    columns ``cols``: c_sq_hi times their Gram determinant.  Divided by
+    unit_w^d unit_h^c it is the certified upper bound on the product
+    width^(2d) height^(2c) of the chain neighbours, and on lambda_1^(2m)
+    for the mixed norm, in physical units, with no Fraction elimination.
+    Raises SingularBasisError on dependent columns."""
     dd, _ = _int_gso(cols)
     _, c_sq_hi = minkowski_bound_sq_range(d, len(cols) - d)
     return c_sq_hi * dd[-1]
@@ -763,9 +846,19 @@ def enumerate_in_cylinder(
     floored into the integer units of its block (_kernel_columns), which
     is exact since the squared norms there are integers, and the points
     come from _cylinder_points, the search chain_step also uses, with
-    LLL from scratch.
+    the reduction from scratch.
     """
-    cols, (unit_w, unit_h), (s_w, s_h) = _kernel_columns(basis)
+    return _kernel_cylinder(basis, _kernel_columns(basis), cyl, budget)
+
+
+def _kernel_cylinder(
+    basis: LatticeBasis,
+    kernel: tuple[list[list[int]], tuple[Fraction, Fraction], tuple[Fraction, Fraction]],
+    cyl: Cylinder,
+    budget: int,
+) -> list[LatticeVector]:
+    """enumerate_in_cylinder on ``kernel`` = _kernel_columns(basis)."""
+    cols, (unit_w, unit_h), (s_w, s_h) = kernel
     rp = floor_frac(cyl.r_plus_sq * unit_w)
     rm = floor_frac(cyl.r_minus_sq * unit_h)
     if rp < 0 or rm < 0:
@@ -792,12 +885,16 @@ def _critical_ball(
     (PrecisionPolicy.sq_close), so exactly lambda_1^2 when tol = 0.
 
     One enumeration of the mixed ball of the certified Minkowski radius,
-    lambda_1^(2m) <= C^2 det^2, widened by 1 + 4 tol; it always holds a
+    lambda_1^(2m) <= C^2 det^2 (_kernel_minkowski_sq on the columns the
+    enumeration runs on), widened by 1 + 4 tol; it always holds a
     nonzero vector, and an empty result raises SearchLimitError.
     """
+    kernel = _kernel_columns(basis)
+    cols, (unit_w, unit_h), _ = kernel
+    mink_sq = _kernel_minkowski_sq(cols, basis.d) / (unit_w**basis.d * unit_h**basis.c)
     slack = 1 + 4 * tol
-    r_sq = kth_root_upper(_minkowski_sq(basis), basis.m, guard_bits=4) * slack
-    found = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
+    r_sq = kth_root_upper(mink_sq, basis.m, guard_bits=4) * slack
+    found = _kernel_cylinder(basis, kernel, Cylinder(r_sq, r_sq), budget)
     if not found:
         raise SearchLimitError("the Minkowski ball holds no lattice vector")
     lam_sq = min(v.mixed_sq for v in found)

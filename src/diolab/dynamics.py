@@ -377,12 +377,18 @@ def surface_membership_S(
     tol = policy.tol_for(basis)
     lam_sq, on = _critical_ball(basis, tol, budget)
 
-    def close(a, b):
-        return policy.sq_close(a, b, tol)
-
-    wide = [v for v in on if close(v.width_sq, lam_sq) and not close(v.height_sq, lam_sq)]
-    tall = [v for v in on if close(v.height_sq, lam_sq) and not close(v.width_sq, lam_sq)]
-    corner = [v for v in on if close(v.width_sq, lam_sq) and close(v.height_sq, lam_sq)]
+    # the mixed norm of each vector on the ball is close to lambda_1, so
+    # its width or its height is
+    wide, tall, corner = [], [], []
+    for v in on:
+        at_w = policy.sq_close(v.width_sq, lam_sq, tol)
+        at_h = policy.sq_close(v.height_sq, lam_sq, tol)
+        if at_w and at_h:
+            corner.append(v)
+        elif at_w:
+            wide.append(v)
+        else:
+            tall.append(v)
     if corner:
         return SurfaceMembership(
             False, "corner vector on the critical ball", lam_sq, corner=corner[0]

@@ -14,11 +14,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import mpmath
 import numpy as np
-from scipy import integrate
 
 from .bestapprox import BestApproxRecord, beta_sequence, chain_engine, sample_theta
 from .core import (
@@ -198,6 +198,8 @@ def surface_density_1d(x: float, y: float) -> float:
 def surface_measure_1d() -> float:
     """Total transversal mass, integrating both sign sheets by adaptive
     quadrature; the exact value is 2 ln 2."""
+    from scipy import integrate  # scipy loads only for this check
+
     val, _ = integrate.dblquad(
         lambda y, x: 2.0 / (1.0 + x * y) ** 2, 0.0, 1.0, 0.0, 1.0,
         epsabs=1e-10, epsrel=1e-10,
@@ -335,6 +337,8 @@ def surface_mc_2d(
 # ---------------------------------------------------------------------------
 # limit distribution of the products q_{n+1}^c r_n^d
 
+_KS_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCDF:
@@ -345,7 +349,8 @@ class EmpiricalCDF:
     resamples: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.sort(np.asarray(self.samples, dtype=float))
+        arr = np.array(self.samples, dtype=float)
+        arr.sort()
         if arr.size == 0:
             raise ValueError("empty sample")
         object.__setattr__(self, "samples", arr)
@@ -398,32 +403,62 @@ def bjw_cdf_1d(t: float) -> float:
     return 1.0 + (u * math.log(u) / (1.0 + u) - math.log1p(u)) / math.log(2)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre nodes and weights on [0, 1], read-only since
+    every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = (x + 1) / 2, w / 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def bjw_oracle_cdf_1d(t: float) -> float:
     """Mass of {1/(1+xy) <= t} under the normalized transversal density,
-    by adaptive quadrature."""
+    by tensor Gauss-Legendre quadrature.
+
+    With u = 1/t - 1, the region {xy >= u} of the unit square is mapped
+    from [0, 1]^2 by x = u^(1-a), y = u/x + (1 - u/x) b, which turns the
+    density into the smooth (-ln u)(x - u)/(1 + u + (x - u) b)^2.  The
+    node count doubles from 20 until two successive rules agree within
+    1e-13 (40 nodes for t <= 0.999, 80 up to t = 1 - 1e-15); more than
+    640 nodes raise RuntimeError.
+    """
     if t <= 0.5:
         return 0.0
     if t >= 1.0:
         return 1.0
     u = 1.0 / t - 1.0
-    val, _ = integrate.dblquad(
-        lambda y, x: (1.0 + x * y) ** -2,
-        u,
-        1.0,
-        lambda x: u / x,
-        1.0,
-        epsabs=1e-10,
-        epsrel=1e-10,
-    )
-    return val / math.log(2)
+
+    def rule(n: int) -> float:
+        nodes, weights = _gauss_legendre(n)
+        xu = u ** (1.0 - nodes) - u
+        f = xu[:, None] / (1.0 + u + xu[:, None] * nodes) ** 2
+        return -math.log(u) * float(weights @ f @ weights)
+
+    n = 20
+    coarse = rule(n)
+    while n < 640:
+        n *= 2
+        fine = rule(n)
+        if abs(fine - coarse) <= 1e-13:
+            return fine / math.log(2)
+        coarse = fine
+    raise RuntimeError("oracle CDF quadrature did not settle at t = %r" % t)
 
 
 def ks_distance(ecdf: EmpiricalCDF, oracle: Callable[[float], float]) -> float:
-    """Two-sided Kolmogorov-Smirnov distance over the sample points."""
+    """Two-sided Kolmogorov-Smirnov distance over the sample points.
+
+    The oracle values and the steps i/n are formed in blocks of
+    _KS_BLOCK points, so no temporary grows with the sample."""
     xs = ecdf.samples
     n = xs.size
     if n == 0:
         raise ValueError("empty sample")
-    F = np.fromiter((oracle(float(x)) for x in xs), dtype=float, count=n)
-    steps = np.arange(1, n + 1) / n
-    return float(max(np.max(steps - F), np.max(F - (steps - 1 / n))))
+    dist = -math.inf
+    for i in range(0, n, _KS_BLOCK):
+        F = np.fromiter((oracle(float(x)) for x in xs[i : i + _KS_BLOCK]), dtype=float)
+        steps = np.arange(i + 1, i + F.size + 1) / n
+        dist = max(dist, np.max(steps - F), np.max(F - (steps - 1 / n)))
+    return float(dist)

@@ -2,6 +2,7 @@
 cylinder enumeration against the brute-force oracle."""
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,10 @@ import pytest
 
 from diolab.core import (
     BudgetExceededError,
+    _cylinder_points,
+    _gauss_pair,
     _kernel_columns,
+    _kernel_minkowski_sq,
     Cylinder,
     LatticeBasis,
     SingularBasisError,
@@ -18,6 +22,7 @@ from diolab.core import (
     a_safe,
     canonical_sign,
     ceil_frac,
+    chain_step,
     enumerate_in_cylinder,
     exact_sqrt,
     floor_frac,
@@ -33,7 +38,7 @@ from diolab.core import (
     shortest_mixed_vectors,
 )
 
-from diolab.dynamics import apply_flow
+from diolab.dynamics import apply_flow, chart_lattice_1d, sample_surface_point_1d
 
 from conftest import (
     brute_cylinder,
@@ -417,3 +422,150 @@ def test_shortest_mixed_respects_scale():
     vecs = shortest_mixed_vectors(basis)
     assert len(vecs) == 4
     assert all(v.mixed_sq == Fraction(1, 4) for v in vecs)
+
+
+# ---------------------------------------------------------------------------
+# the m = 2 plane search: Lagrange-Gauss reduction and the half-plane walk
+
+
+def _lll_fp_points(cols, d, rp, rm):
+    """The cylinder search by the m >= 3 route, run on any m: LLL and
+    fp_enumerate on the columns with one block scaled by 2^|k|, so that
+    the ball of the scaled radii holds the cylinder, and the cylinder
+    filter on the unscaled columns.  k is chosen here, by its own rule."""
+    m = len(cols)
+    k = (rm.bit_length() - rp.bit_length()) // 2
+    rows = range(d) if k > 0 else range(d, m)
+    work = [[t << abs(k) if i in rows else t for i, t in enumerate(col)] for col in cols]
+    ball = (rp << 2 * k) + rm if k > 0 else rp + (rm << -2 * k)
+    red, u = lll_columns(work)
+    found = {}
+
+    def visit(yred):
+        y = [sum(u[j][i] * yred[j] for j in range(m)) for i in range(m)]
+        x = [sum(cols[j][i] * y[j] for j in range(m)) for i in range(m)]
+        w = sum(t * t for t in x[:d])
+        h = sum(t * t for t in x[d:])
+        if w <= rp and h <= rm:
+            found[canonical_sign(y, d)] = (w, h)
+
+    fp_enumerate(red, ball, visit)
+    return found
+
+
+def _box_points(cols, rp, rm):
+    """The cylinder search by a scan of the exact coefficient box of the
+    ball |cols . y|^2 <= rp + rm (d = 1)."""
+    found = {}
+    box = ellipsoid_box(cols, rp + rm)
+    for y in itertools.product(*(range(-b, b + 1) for b in box)):
+        x = [sum(cols[j][i] * y[j] for j in range(2)) for i in range(2)]
+        if any(y) and x[0] ** 2 <= rp and x[1] ** 2 <= rm:
+            found[canonical_sign(y, 1)] = (x[0] ** 2, x[1] ** 2)
+    return found
+
+
+def _plane_matches(cols, u, rp, rm):
+    got, u2 = _cylinder_points(cols, u, 1, rp, rm, 10**7)
+    assert got == _lll_fp_points(cols, 1, rp, rm)
+    assert abs(u2[0][0] * u2[1][1] - u2[0][1] * u2[1][0]) == 1
+    return got, u2
+
+
+def test_plane_search_matches_box_scan_and_lll_route():
+    rng = random.Random(808)
+    hits = zero_hits = 0
+    for _ in range(900):
+        cols = [[rng.randrange(-9, 10) for _ in range(2)] for _ in range(2)]
+        if cols[0][0] * cols[1][1] == cols[0][1] * cols[1][0]:
+            continue
+        rp, rm = rng.randrange(0, 60), rng.randrange(0, 60)
+        if rng.randrange(3) == 0:
+            rp, rm = (0, rm) if rng.getrandbits(1) else (rp, 0)
+        got, _ = _plane_matches(cols, None, rp, rm)
+        assert got == _box_points(cols, rp, rm)
+        hits += bool(got)
+        zero_hits += bool(got) and 0 in (rp, rm)
+    assert hits >= 300 and zero_hits >= 40
+
+
+def test_plane_search_on_skewed_chains():
+    # the cylinders of 512-bit 1x1 chains, forward and backward, from the
+    # previous step's transform and from scratch
+    steps = 0
+    for seed in range(4):
+        theta = ((Fraction(random.Random(seed).getrandbits(512), 1 << 512),),)
+        cols, _, _ = _kernel_columns(LatticeBasis.from_theta(theta))
+        mink = _kernel_minkowski_sq(cols, 1)
+        y, u = (nearest_int(theta[0][0]), 1), None
+        for _ in range(40):
+            x = [sum(cols[j][i] * y[j] for j in range(2)) for i in range(2)]
+            wy, hy = x[0] ** 2, x[1] ** 2
+            ahead = mink.numerator // (mink.denominator * wy)
+            behind = mink.numerator // (mink.denominator * hy)
+            _plane_matches(cols, u, wy - 1, ahead)
+            _plane_matches(cols, None, wy - 1, ahead)
+            _plane_matches(cols, u, behind, hy - 1)
+            _, members, u = chain_step(cols, u, y, 1, mink)
+            y = members[0]
+            steps += 1
+    assert steps == 160
+
+
+def test_plane_search_on_flowed_lattices():
+    # flowed chart lattices carry a tolerance; the search is exact on
+    # their kernel columns, and enumerate_in_cylinder matches the scan
+    rng = random.Random(77)
+    checked = 0
+    for _ in range(12):
+        basis = chart_lattice_1d(sample_surface_point_1d(rng, 48))
+        basis = apply_flow(basis, Fraction(rng.randrange(-40, 41), 100))
+        assert PrecisionPolicy().tol_for(basis) > 0
+        cols, (unit_w, unit_h), _ = _kernel_columns(basis)
+        for _ in range(4):
+            cyl = random_cylinder(rng)
+            rp = floor_frac(cyl.r_plus_sq * unit_w)
+            rm = floor_frac(cyl.r_minus_sq * unit_h)
+            _plane_matches(cols, None, rp, rm)
+            checked += _brute_checked(basis, cyl) is not None
+    assert checked >= 40
+
+
+def test_gauss_pair_invariants():
+    rng = random.Random(11)
+    for _ in range(400):
+        bits = rng.choice((2, 8, 64, 512))
+        a = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(2)]
+        b = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(2)]
+        if rng.getrandbits(1):  # skew: b close to a multiple of a
+            f = rng.randrange(1, 1 << bits)
+            b = [f * s + t % 3 for s, t in zip(a, b)]
+        if a[0] * b[1] == a[1] * b[0]:
+            with pytest.raises(SingularBasisError):
+                _gauss_pair(a, b)
+            continue
+        b1, b2, (na, g, nb), u = _gauss_pair(a, b)
+        assert (na, g, nb) == (
+            sum(t * t for t in b1),
+            sum(s * t for s, t in zip(b1, b2)),
+            sum(t * t for t in b2),
+        )
+        assert na <= nb and 2 * abs(g) <= na
+        assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
+        for v, uj in zip((b1, b2), u):
+            assert list(v) == [uj[0] * s + uj[1] * t for s, t in zip(a, b)]
+
+
+def test_plane_search_errors():
+    for a, b in (((2, 4), (3, 6)), ((0, 0), (1, 2)), ((5, 0), (0, 0))):
+        with pytest.raises(SingularBasisError):
+            _gauss_pair(a, b)
+    with pytest.raises(SingularBasisError):
+        _cylinder_points([[1, 1], [2, 2]], None, 1, 4, 4, 10**7)
+    with pytest.raises(BudgetExceededError):
+        _cylinder_points([[1, 0], [0, 1]], None, 1, 10**6, 10**6, 100)
+    # the unit square of Z^2 in the disk of radius^2 2: two rows of the
+    # half-plane and four candidates are six nodes
+    assert len(_cylinder_points([[1, 0], [0, 1]], None, 1, 1, 1, 6)[0]) == 4
+    with pytest.raises(BudgetExceededError):
+        _cylinder_points([[1, 0], [0, 1]], None, 1, 1, 1, 5)

@@ -15,7 +15,6 @@ from diolab.core import (
     NonGenericLatticeError,
     _kernel_columns,
     _kernel_minkowski_sq,
-    _minkowski_sq,
     a_safe,
     kth_root_upper,
     ln_frac,
@@ -50,6 +49,11 @@ def fib(n):
         a, b = b, a + b
         seq.append(b)
     return seq
+
+
+def physical_minkowski_sq(basis):
+    """C_{d,c}^2 det^2 in physical units, from the Fraction determinant."""
+    return minkowski_bound_sq_range(basis.d, basis.c)[1] * basis.det_sq()
 
 
 def theta_basis(bits, seed, d=1, c=1):
@@ -185,7 +189,7 @@ def test_kernel_units_and_minkowski_bound():
     for basis in bases:
         cols, (unit_w, unit_h), _ = _kernel_columns(basis)
         d, c = basis.d, basis.c
-        assert _kernel_minkowski_sq(cols, d) == _minkowski_sq(basis) * unit_w**d * unit_h**c
+        assert _kernel_minkowski_sq(cols, d) == physical_minkowski_sq(basis) * unit_w**d * unit_h**c
         for block in (slice(0, d), slice(d, basis.m)):
             assert math.gcd(*(t for col in cols for t in col[block])) == 1
         for y in ((1,) + (0,) * (basis.m - 1), (1, -2) + (1,) * (basis.m - 2)):
@@ -205,7 +209,7 @@ def brute_chain_class(basis, x, forward, policy=DEFAULT_POLICY):
     tol = policy.tol_for(basis)
     k = basis.d if forward else basis.c
     x_n, x_o = (x.width_sq, x.height_sq) if forward else (x.height_sq, x.width_sq)
-    r_o = kth_root_upper(_minkowski_sq(basis) / x_n**k, basis.m - k)
+    r_o = kth_root_upper(physical_minkowski_sq(basis) / x_n**k, basis.m - k)
     cyl = Cylinder(x_n, r_o) if forward else Cylinder(r_o, x_n)
     box = safe_box(basis, cyl)
     if box > (12 if basis.m == 2 else 5):
@@ -400,9 +404,8 @@ def brute_critical_ball(basis, policy=DEFAULT_POLICY):
     """lambda_1^2 and the wide, tall and corner vectors of the critical
     ball, from a brute scan of the Minkowski ball widened by 1 + 4 tol."""
     tol = policy.tol_for(basis)
-    _, c_sq_hi = minkowski_bound_sq_range(basis.d, basis.c)
     slack = 1 + 4 * tol
-    r_sq = kth_root_upper(c_sq_hi * basis.det_sq(), basis.m, guard_bits=4) * slack
+    r_sq = kth_root_upper(physical_minkowski_sq(basis), basis.m, guard_bits=4) * slack
     cyl = Cylinder(r_sq, r_sq)
     box = safe_box(basis, cyl)
     assert box <= 4

@@ -2,12 +2,17 @@
 estimator, the product-distribution pool, and the d=2 chart Monte Carlo."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import diolab
+from diolab import estimators
 from diolab.core import SearchLimitError
 from diolab.estimators import (
     LEVY_2_1,
@@ -69,6 +74,47 @@ def test_bjw_quadrature_pins_closed_form_on_grid():
     assert diff <= 1e-12
 
 
+def test_bjw_quadrature_matches_adaptive_quadrature():
+    # a third, adaptive route: scipy's dblquad on the unmapped region
+    from scipy import integrate
+
+    for t in (0.55, 0.7, 0.85, 0.95, 0.99):
+        u = 1.0 / t - 1.0
+        val, _ = integrate.dblquad(
+            lambda y, x: (1.0 + x * y) ** -2, u, 1.0, lambda x: u / x, 1.0,
+            epsabs=1e-10, epsrel=1e-10,
+        )
+        assert abs(val / math.log(2) - bjw_oracle_cdf_1d(t)) <= 1e-12
+
+
+def test_bjw_quadrature_near_the_ends():
+    # near t = 1 the mapped integrand needs 80 nodes; the rule doubles
+    for t in (0.5 + 1e-12, 0.9999, 1 - 1e-9, 1 - 1e-15):
+        assert abs(bjw_oracle_cdf_1d(t) - bjw_cdf_1d(t)) <= 1e-12
+
+
+def test_bjw_quadrature_raises_when_rules_disagree(monkeypatch):
+    # a rule whose weights sum to 1 + 1/n never settles
+    monkeypatch.setattr(
+        estimators,
+        "_gauss_legendre",
+        lambda n: (np.full(n, 0.5), np.full(n, (1 + 1 / n) / n)),
+    )
+    with pytest.raises(RuntimeError):
+        bjw_oracle_cdf_1d(0.75)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diolab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, diolab, diolab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_empirical_cdf():
     ecdf = EmpiricalCDF(np.array([3.0, 1.0, 2.0, 2.0]))
     assert list(ecdf.samples) == [1.0, 2.0, 2.0, 3.0]
@@ -78,6 +124,20 @@ def test_empirical_cdf():
     assert ecdf(10.0) == 1.0
     with pytest.raises(ValueError):
         EmpiricalCDF(np.array([]))
+
+
+def test_ks_distance_blocks_match_one_pass():
+    # blocks of the sample give the bits of the one-pass formula; the
+    # caller's array is copied, not sorted in place
+    raw = 0.5 + 0.5 * np.random.default_rng(3).random(2 * estimators._KS_BLOCK + 17)
+    before = raw.copy()
+    ecdf = EmpiricalCDF(raw)
+    assert np.array_equal(raw, before)
+    n = raw.size
+    F = np.array([bjw_cdf_1d(float(x)) for x in ecdf.samples])
+    steps = np.arange(1, n + 1) / n
+    want = float(max(np.max(steps - F), np.max(F - (steps - 1 / n))))
+    assert ks_distance(ecdf, bjw_cdf_1d) == want
 
 
 def test_ks_distance_self_is_one_over_n():

@@ -1,15 +1,27 @@
 """Property tests on small-denominator targets, where ties are common and
 chains terminate: the chain engine agrees with the exhaustive scan, and
 the minimal-vector chain of the target's lattice carries the records;
-in 1x1 the chain engine recovers the continued-fraction denominators."""
+in 1x1 the chain engine recovers the continued-fraction denominators.
+Targets at the extremes of ``bits`` and degenerate 2x2 bases close the
+file."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from diolab.bestapprox import cf_best_denominators, chain_engine, direct_scan
-from diolab.core import LatticeBasis, NonGenericLatticeError
+from diolab.bestapprox import cf_best_denominators, chain_engine, direct_scan, sample_theta
+from diolab.core import (
+    Cylinder,
+    LatticeBasis,
+    NonGenericLatticeError,
+    SingularBasisError,
+    enumerate_in_cylinder,
+)
 from diolab.dynamics import minimal_vectors
+
+from conftest import brute_cylinder, safe_box
 
 SHAPES = ((1, 1), (2, 1), (1, 2))
 # height caps past every terminal record of a target with denominators <= 16
@@ -63,3 +75,51 @@ def test_chain_equals_continued_fraction_1x1(x):
         assert records_or_tie(direct_scan, ((x,),), q) == "tie"
     else:
         assert [r.Q[0] for r in chain] == cf_best_denominators(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    st.sampled_from(SHAPES),
+    st.sampled_from((1, 2, 3, 2048)),
+    st.integers(0, 2**32 - 1),
+)
+def test_chain_at_extreme_bits(shape, bits, seed):
+    # one random bit per entry (every target a resonance) up to 2048;
+    # 1x1 against the continued fraction, the others against the scan
+    d, c = shape
+    theta = sample_theta(d, c, bits, random.Random(seed))
+    if shape == (1, 1):
+        x = theta[0][0]
+        chain = records_or_tie(chain_engine, theta, depth=48)
+        if chain == "tie":
+            assert records_or_tie(direct_scan, theta, x.denominator) == "tie"
+        else:
+            assert [r.Q[0] for r in chain] == cf_best_denominators(x)[:48]
+    else:
+        q_max = Q_MAX[c]
+        chain = records_or_tie(chain_engine, theta, q_max=q_max)
+        assert chain == records_or_tie(direct_scan, theta, q_max)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    st.fractions(min_value=0, max_value=12, max_denominator=4),
+    st.fractions(min_value=0, max_value=12, max_denominator=4),
+)
+def test_degenerate_plane_bases(entries, r_plus_sq, r_minus_sq):
+    # dependent columns, a zero column or a zero block raise; every
+    # other basis matches the brute scan
+    a, b, e, f = entries
+    basis_cols = ((a, b), (e, f))
+    cyl = Cylinder(r_plus_sq, r_minus_sq)
+    if a * f == b * e:
+        with pytest.raises(SingularBasisError):
+            enumerate_in_cylinder(LatticeBasis(1, 1, basis_cols), cyl)
+        return
+    basis = LatticeBasis(1, 1, basis_cols)
+    got = enumerate_in_cylinder(basis, cyl)
+    want = brute_cylinder(basis, cyl, safe_box(basis, cyl))
+    assert [(v.y, v.width_sq, v.height_sq) for v in got] == [
+        (v.y, v.width_sq, v.height_sq) for v in want
+    ]
