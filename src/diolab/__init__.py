@@ -8,13 +8,11 @@ badly-approximable classes.
 """
 
 from .core import (
-    DEFAULT_POLICY,
     BudgetExceededError,
     Cylinder,
     LatticeBasis,
     LatticeVector,
     NonGenericLatticeError,
-    PrecisionPolicy,
     SearchLimitError,
     SingularBasisError,
     a_safe,

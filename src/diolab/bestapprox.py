@@ -23,10 +23,8 @@ from .core import (
     LatticeBasis,
     NonGenericLatticeError,
     _int_columns,
-    _kernel_columns,
-    _kernel_minkowski_sq,
     _matvec_int,
-    chain_step,
+    chain_walker,
     minkowski_leq,
     nearest_int,
 )
@@ -230,20 +228,26 @@ def chain_engine(
 ) -> list[BestApproxRecord]:
     """Best approximation records by chaining cylinder enumerations.
 
-    Each step is core.chain_step on the integer columns of the target's
-    lattice: the successor minimizes (height_sq, width_sq) among vectors
-    narrower than r_n, inside the cylinder cut off by the Minkowski
-    inequality, with LLL warm-started from the previous step.  An exact
+    Each step is a core.chain_walker step on the target's lattice: the
+    successor minimizes (height_sq, width_sq) among vectors narrower
+    than r_n, inside the cylinder cut off by the Minkowski inequality,
+    with the reduction warm-started from the previous step.  An exact
     tie on that key between two height vectors raises
     NonGenericLatticeError; two nearest points of one height vector
-    resolve to the lexicographically smaller.
+    resolve to the lexicographically smaller.  Like direct_scan, no
+    record has height above ``q_max``; ``depth`` must be positive.
     """
     if depth is None and q_max is None:
         raise ValueError("need depth or q_max")
+    if depth is not None and depth < 1:
+        raise ValueError("depth must be positive")
+    if q_max is not None and q_max < 1:
+        return []
     c = len(theta)
     d = len(theta[0])
+    basis = LatticeBasis.from_theta(theta)
     # integer columns of (den * (P - theta Q), Q), units (den^2, 1)
-    acols, (unit_w, _), _ = _kernel_columns(LatticeBasis.from_theta(theta))
+    acols, (unit_w, _), _ = basis.kernel
 
     records: list[BestApproxRecord] = []
 
@@ -279,14 +283,12 @@ def chain_engine(
     if wsq == 0:
         return records
 
-    mink_sq = _kernel_minkowski_sq(acols, d)
-    cap = None if q_max is None else q_max * q_max
-    u = None
+    step = chain_walker(
+        basis, cap=None if q_max is None else q_max * q_max, budget=budget
+    )
     y = first[1]
     while depth is None or len(records) < depth:
-        key, members, u = chain_step(
-            acols, u, y, d, mink_sq, cap=cap, budget=budget
-        )
+        key, members = step(y)
         if not members:
             break  # only reachable with a q_max cap
         h, w = key

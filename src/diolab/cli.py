@@ -65,6 +65,11 @@ class UsageError(Exception):
     pass
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs to rerun exactly."""
@@ -117,10 +122,11 @@ def _parse_theta(spec: str, d: int, c: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def cmd_bestapprox(args: argparse.Namespace) -> int:
-    if args.theta is None and args.seed is None:
-        raise UsageError("provide --theta or --seed")
-    if args.qmax is None and args.count is None:
-        raise UsageError("provide --qmax or --count")
+    _require(args.theta is not None or args.seed is not None, "provide --theta or --seed")
+    _require(args.qmax is not None or args.count is not None, "provide --qmax or --count")
+    _require(args.d >= 1 and args.c >= 1, "--d and --c must be positive")
+    _require(args.count is None or args.count >= 1, "--count must be positive")
+    _require(args.qmax is None or args.qmax >= 0, "--qmax must be nonnegative")
     seed = args.seed
     if args.theta is not None:
         theta = _parse_theta(args.theta, args.d, args.c)
@@ -169,6 +175,9 @@ def cmd_bestapprox(args: argparse.Namespace) -> int:
 
 
 def cmd_levy(args: argparse.Namespace) -> int:
+    _require(args.d >= 1 and args.c >= 1, "--d and --c must be positive")
+    _require(args.trials >= 2, "--trials must be at least 2")
+    _require(args.depth >= 4, "--depth must be at least 4")
     seed = _resolve_seed(args.seed)
     config = RunConfig(
         "levy",
@@ -228,6 +237,10 @@ def cmd_levy(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
+    _require(args.d >= 1 and args.c >= 1, "--d and --c must be positive")
+    _require(args.trials >= 1, "--trials must be positive")
+    _require(args.discard >= 0, "--discard must be nonnegative")
+    _require(args.depth > args.discard + 1, "--depth must exceed --discard + 1")
     seed = _resolve_seed(args.seed)
     config = RunConfig(
         "dist",
@@ -296,6 +309,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
         print("exact 2 ln 2 = %s" % exact)
         print("quadrature   = %.15f" % quad)
         return EXIT_OK
+    _require(args.samples >= 1, "--samples must be positive")
     seed = _resolve_seed(args.seed)
     config = RunConfig(
         "surface", d=2, seed=seed, budget=args.budget,
@@ -321,6 +335,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 
 def cmd_returnmap(args: argparse.Namespace) -> int:
+    _require(args.bits >= 1, "--bits must be positive")
     seed = _resolve_seed(args.seed)
     config = RunConfig(
         "returnmap", d=1, c=1, bits=args.bits, seed=seed, budget=args.budget,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
@@ -25,8 +26,9 @@ __all__ = [
     "NonGenericLatticeError",
     "SingularBasisError",
     "SearchLimitError",
-    "PrecisionPolicy",
-    "DEFAULT_POLICY",
+    "FLOW_BITS",
+    "GUARD_BITS",
+    "sq_close",
     "Cylinder",
     "LatticeBasis",
     "LatticeVector",
@@ -43,7 +45,7 @@ __all__ = [
     "canonical_sign",
     "lll_columns",
     "fp_enumerate",
-    "chain_step",
+    "chain_walker",
     "enumerate_in_cylinder",
     "shortest_mixed_vectors",
 ]
@@ -175,13 +177,15 @@ def _pi_bounds(prec: int) -> tuple[Fraction, Fraction]:
 
 PI_LO, PI_HI = _pi_bounds(200)
 
-# unit-ball volumes V_k = coeff * pi**pi_pow
-_BALL_VOLUMES: dict[int, tuple[Fraction, int]] = {
-    1: (Fraction(2), 0),
-    2: (Fraction(1), 1),
-    3: (Fraction(4, 3), 1),
-    4: (Fraction(1, 2), 2),
-}
+
+@cache
+def _ball_volume(k: int) -> tuple[Fraction, int]:
+    """Unit-ball volume V_k = coeff * pi**pi_pow as (coeff, pi_pow), from
+    V_0 = 1, V_1 = 2 and V_k = (2 pi / k) V_{k-2}."""
+    coeff, pi_pow = Fraction(1 + k % 2), 0
+    for j in range(2 + k % 2, k + 1, 2):
+        coeff, pi_pow = coeff * Fraction(2, j), pi_pow + 1
+    return coeff, pi_pow
 
 
 def minkowski_bound_sq_range(
@@ -189,8 +193,8 @@ def minkowski_bound_sq_range(
 ) -> tuple[Fraction, Fraction]:
     """Certified rational bounds (lo, hi) on the square of the Minkowski
     constant; lo == hi exactly when the constant is rational."""
-    cd, pd = _BALL_VOLUMES[d]
-    cc, pc = _BALL_VOLUMES[c]
+    cd, pd = _ball_volume(d)
+    cc, pc = _ball_volume(c)
     rat = Fraction(2 ** (d + c)) / (cd * cc)
     p = pd + pc
     if p == 0:
@@ -229,37 +233,19 @@ def a_safe(d: int, c: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# precision policy
+# tolerance of approximate lattices
+
+# Flow factors are computed as FLOW_BITS-bit floats and frozen to exact
+# rationals; squared norms of such data count as equal up to the
+# relative tolerance 2**-(bits - GUARD_BITS) (LatticeBasis.tol).
+FLOW_BITS = 128
+GUARD_BITS = 16
 
 
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Working precision for approximate lattices.
-
-    Flow factors are computed as ``bits``-bit floats and then frozen to
-    exact rationals; squared-norm equality on such data is decided up to
-    the relative tolerance 2**-(bits - guard_bits).
-    """
-
-    bits: int = 128
-    guard_bits: int = 16
-
-    @property
-    def rel_tol_sq(self) -> Fraction:
-        return Fraction(1, 1 << (self.bits - self.guard_bits))
-
-    def tol_for(self, basis: "LatticeBasis") -> Fraction:
-        if basis.precision_bits is None:
-            return Fraction(0)
-        bits = min(basis.precision_bits, self.bits)
-        return Fraction(1, 1 << (bits - self.guard_bits))
-
-    def sq_close(self, a: Fraction, b: Fraction, tol: Optional[Fraction] = None) -> bool:
-        t = self.rel_tol_sq if tol is None else tol
-        return abs(a - b) <= t * max(abs(a), abs(b), Fraction(1))
-
-
-DEFAULT_POLICY = PrecisionPolicy()
+def sq_close(a: Fraction, b: Fraction, tol: Fraction) -> bool:
+    """Equality of squared norms up to the relative tolerance ``tol``,
+    with 1 as the floor of the scale; exact equality when tol = 0."""
+    return abs(a - b) <= tol * max(abs(a), abs(b), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +283,6 @@ class LatticeVector:
     def mixed_sq(self) -> Fraction:
         return max(self.width_sq, self.height_sq)
 
-    def __neg__(self) -> "LatticeVector":
-        return LatticeVector(
-            tuple(-t for t in self.y),
-            tuple(-t for t in self.raw),
-            self.scale_sq,
-            self.d,
-            self.c,
-            self.width_sq,
-            self.height_sq,
-        )
-
 
 def canonical_sign(y: Sequence[int], d: int) -> tuple[int, ...]:
     """Flip the sign of y so its first nonzero entry, scanning the minus
@@ -328,7 +303,9 @@ class LatticeBasis:
     before division by sqrt(scale_sq); keeping the scale factored out lets
     chart lattices with irrational normalization stay exact.
     ``precision_bits`` is None for exact data and otherwise records the
-    float precision the entries were frozen from.
+    float precision the entries were frozen from; it sets ``tol``.
+    ``kernel`` and ``kernel_minkowski_sq`` are the basis in the integer
+    units of the lattice kernel, each computed once on first use.
     """
 
     d: int
@@ -419,6 +396,57 @@ class LatticeBasis:
         """Squared covolume of the physical lattice."""
         dr = self.det_raw()
         return dr * dr / self.scale_sq ** self.m
+
+    @cached_property
+    def tol(self) -> Fraction:
+        """Relative tolerance of sq_close on this basis's squared norms:
+        0 for exact data, else 2**-(min(precision_bits, FLOW_BITS) -
+        GUARD_BITS)."""
+        if self.precision_bits is None:
+            return Fraction(0)
+        return Fraction(1, 1 << (min(self.precision_bits, FLOW_BITS) - GUARD_BITS))
+
+    @cached_property
+    def kernel(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        """The basis in the integer units of the lattice kernel.
+
+        Each block, rows [:d] (width) and rows [d:] (height), is cleared
+        of its own denominators, L_b the least common one, and then
+        divided by its content g_b, the gcd of all its entries, so that
+        the integer block is s_b = L_b / g_b times the raw one.  A
+        physical squared norm of block b is the integer one divided by
+        the block's unit s_b^2 * scale_sq; this is the one place that
+        convention is computed.  Returns (integer columns, (unit_w,
+        unit_h), (s_w, s_h)).
+        """
+        d, m = self.d, self.m
+        blocks = []
+        scales = []
+        for rows in (slice(0, d), slice(d, m)):
+            ints, den = _int_columns([col[rows] for col in self.columns])
+            g = math.gcd(*(t for col in ints for t in col))
+            if g == 0:
+                raise SingularBasisError("degenerate basis")
+            blocks.append([tuple(t // g for t in col) for col in ints])
+            scales.append(Fraction(den, g))
+        cols = tuple(w + h for w, h in zip(*blocks))
+        units = (scales[0] ** 2 * self.scale_sq, scales[1] ** 2 * self.scale_sq)
+        return cols, units, (scales[0], scales[1])
+
+    @cached_property
+    def kernel_minkowski_sq(self) -> Fraction:
+        """C_{d,c}^2 det^2 in the integer units of ``kernel``: c_sq_hi
+        times the Gram determinant of its columns.  Divided by unit_w^d
+        unit_h^c it is the certified upper bound on the product
+        width^(2d) height^(2c) of the chain neighbours, and on
+        lambda_1^(2m) for the mixed norm, in physical units, with no
+        Fraction elimination.  Raises SingularBasisError on dependent
+        columns."""
+        dd, _ = _int_gso(self.kernel[0])
+        _, c_sq_hi = minkowski_bound_sq_range(self.d, self.c)
+        return c_sq_hi * dd[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +683,7 @@ def _cylinder_points(
     rm: int,
     budget: int,
 ) -> tuple[dict[tuple[int, ...], tuple[int, int]], list[list[int]]]:
-    """The cylinder search under chain_step and enumerate_in_cylinder:
+    """The cylinder search under chain_walker and enumerate_in_cylinder:
     every nonzero y with |cols . y|^2 <= rp on rows [:d] and <= rm on
     rows [d:] (closed integer squared radii).
 
@@ -700,81 +728,80 @@ def _cylinder_points(
     return found, u
 
 
-def chain_step(
-    cols: Sequence[Sequence[int]],
-    u: Optional[Sequence[Sequence[int]]],
-    y: Sequence[int],
-    d: int,
-    mink_sq: Fraction,
+def chain_walker(
+    basis: LatticeBasis,
     *,
-    forward: bool = True,
-    tol: Fraction = Fraction(0),
-    units: tuple[Fraction, Fraction] = (Fraction(1), Fraction(1)),
     cap: Optional[int] = None,
-    budget: int = 10**7,
-) -> tuple[Optional[tuple[int, int]], list[tuple[int, ...]], list[list[int]]]:
-    """One step along the minimal-vector chain of the lattice spanned by
-    the integer columns ``cols``, from the vector with coordinates ``y``.
+    budget: int,
+) -> Callable[..., tuple[Optional[tuple[int, int]], list[tuple[int, ...]]]]:
+    """Steps along the minimal-vector chain of ``basis``.
 
-    Rows [:d] are the width block and rows [d:] the height block.  The
-    successor (``forward``) is the class of minimal (height^2, width^2)
-    among vectors strictly narrower and strictly taller than y; the
-    predecessor is the same step with the blocks swapped.  The cylinder
-    searched is cut off by Minkowski's bound width^(2d) height^(2c) <=
-    ``mink_sq`` (C_{d,c}^2 det^2 in the units of ``cols``), or by
-    ``cap`` on the other block when that is lower; it goes through
-    _cylinder_points, which rebalances it and starts the reduction from
-    the basis ``cols . u`` of the previous step (``u`` None: from
-    ``cols``).
+    ``step(y, forward=True)`` steps from the vector with coordinates
+    ``y``.  The successor (``forward``) is the class of minimal
+    (height^2, width^2) among vectors strictly narrower and strictly
+    taller than y; the predecessor is the same step with the blocks
+    swapped.  The cylinder searched is cut off by Minkowski's bound
+    width^(2d) height^(2c) <= C_{d,c}^2 det^2 (basis.kernel_minkowski_sq),
+    or by ``cap`` on the other block when that is lower; it goes
+    through _cylinder_points on the columns of basis.kernel, which
+    rebalances it and starts the reduction from the transform the
+    previous step left (from scratch on the first step).
 
-    Returns (key, members, u): the minimal (other^2, narrow^2) in integer
-    units, the sorted sign-canonical coordinates achieving it, and the
-    transform for the next step; (None, [], u) when y has zero narrow
-    norm or the cylinder holds no candidate.  ``units`` = (unit_w,
-    unit_h) are the integer values of a squared norm of 1 in the width
-    and the height block (see _kernel_columns).  Two norms of one block
-    count as equal when |a - b| <= tol * max(a, b, unit) with that
-    block's unit, the physical rule of PrecisionPolicy.sq_close: a
+    Returns (key, members): the minimal (other^2, narrow^2) in the
+    integer units of basis.kernel and the sorted sign-canonical
+    coordinates achieving it; (None, []) when y has zero narrow norm or
+    the cylinder holds no candidate.  Two norms of one block count as
+    equal when sq_close holds with basis.tol in that block's unit: a
     decrease must clear that margin, and a second key within it of the
     minimal one raises NonGenericLatticeError.
     """
-    m = len(cols)
-    k = d if forward else m - d  # size of the narrowing block
-    unit_n, unit_o = units if forward else units[::-1]
-    x = _matvec_int(cols, y)
-    x_n = sum(t * t for t in (x[:d] if forward else x[d:]))
-    x_o = sum(t * t for t in (x[d:] if forward else x[:d]))
-    if x_n == 0:
-        return None, [], u
-    # other^2 is an integer, so the exact floor of the root is the bound
-    bound = _iroot(mink_sq.numerator // (mink_sq.denominator * x_n**k), m - k)
-    if cap is not None:
-        bound = min(bound, cap)
+    cols, units, _ = basis.kernel
+    mink_sq = basis.kernel_minkowski_sq
+    tol = basis.tol
+    d, m = basis.d, basis.m
+    u: Optional[list[list[int]]] = None
 
     def close(a: int, b: int, unit: Fraction) -> bool:
         return abs(a - b) <= tol * max(a, b, unit)
 
-    radii = (x_n - 1, bound) if forward else (bound, x_n - 1)
-    points, u = _cylinder_points(cols, u, d, *radii, budget)
-    found: dict[tuple[int, ...], tuple[int, int]] = {}
-    for yv, (w, h) in points.items():
-        n, o = (w, h) if forward else (h, w)
-        if o > x_o and not (tol and close(n, x_n, unit_n)):
-            found[yv] = (o, n)
-    if not found:
-        return None, [], u
-    best = min(found.values())
-    if tol:
-        for key in found.values():
-            if (
-                key != best
-                and close(key[0], best[0], unit_o)
-                and close(key[1], best[1], unit_n)
-            ):
-                raise NonGenericLatticeError(
-                    "two chain candidates tie within tolerance"
-                )
-    return best, sorted(yv for yv, key in found.items() if key == best), u
+    def step(
+        y: Sequence[int], forward: bool = True
+    ) -> tuple[Optional[tuple[int, int]], list[tuple[int, ...]]]:
+        nonlocal u
+        k = d if forward else m - d  # size of the narrowing block
+        unit_n, unit_o = units if forward else units[::-1]
+        x = _matvec_int(cols, y)
+        x_n = sum(t * t for t in (x[:d] if forward else x[d:]))
+        x_o = sum(t * t for t in (x[d:] if forward else x[:d]))
+        if x_n == 0:
+            return None, []
+        # other^2 is an integer, so the exact floor of the root is the bound
+        bound = _iroot(mink_sq.numerator // (mink_sq.denominator * x_n**k), m - k)
+        if cap is not None:
+            bound = min(bound, cap)
+        radii = (x_n - 1, bound) if forward else (bound, x_n - 1)
+        points, u = _cylinder_points(cols, u, d, *radii, budget)
+        found: dict[tuple[int, ...], tuple[int, int]] = {}
+        for yv, (w, h) in points.items():
+            n, o = (w, h) if forward else (h, w)
+            if o > x_o and not (tol and close(n, x_n, unit_n)):
+                found[yv] = (o, n)
+        if not found:
+            return None, []
+        best = min(found.values())
+        if tol:
+            for key in found.values():
+                if (
+                    key != best
+                    and close(key[0], best[0], unit_o)
+                    and close(key[1], best[1], unit_n)
+                ):
+                    raise NonGenericLatticeError(
+                        "two chain candidates tie within tolerance"
+                    )
+        return best, sorted(yv for yv, key in found.items() if key == best)
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -794,44 +821,19 @@ def _int_columns(
     return cols, den
 
 
-def _kernel_columns(
-    basis: LatticeBasis,
-) -> tuple[list[list[int]], tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    """The basis in the integer units of the lattice kernel.
-
-    Each block, rows [:d] (width) and rows [d:] (height), is cleared of
-    its own denominators, L_b the least common one, and then divided by
-    its content g_b, the gcd of all its entries, so that the integer
-    block is s_b = L_b / g_b times the raw one.  A physical squared norm
-    of block b is the integer one divided by the block's unit
-    s_b^2 * scale_sq; this is the one place that convention is computed.
-    Returns (integer columns, (unit_w, unit_h), (s_w, s_h)).
-    """
-    d, m = basis.d, basis.m
-    blocks = []
-    scales = []
-    for rows in (slice(0, d), slice(d, m)):
-        ints, den = _int_columns([col[rows] for col in basis.columns])
-        g = math.gcd(*(t for col in ints for t in col))
-        if g == 0:
-            raise SingularBasisError("degenerate basis")
-        blocks.append([[t // g for t in col] for col in ints])
-        scales.append(Fraction(den, g))
-    cols = [w + h for w, h in zip(*blocks)]
-    units = (scales[0] ** 2 * basis.scale_sq, scales[1] ** 2 * basis.scale_sq)
-    return cols, units, (scales[0], scales[1])
-
-
-def _kernel_minkowski_sq(cols: Sequence[Sequence[int]], d: int) -> Fraction:
-    """C_{d,c}^2 det^2 in the integer units of _kernel_columns, for its
-    columns ``cols``: c_sq_hi times their Gram determinant.  Divided by
-    unit_w^d unit_h^c it is the certified upper bound on the product
-    width^(2d) height^(2c) of the chain neighbours, and on lambda_1^(2m)
-    for the mixed norm, in physical units, with no Fraction elimination.
-    Raises SingularBasisError on dependent columns."""
-    dd, _ = _int_gso(cols)
-    _, c_sq_hi = minkowski_bound_sq_range(d, len(cols) - d)
-    return c_sq_hi * dd[-1]
+def _kernel_vector(
+    basis: LatticeBasis, y: Sequence[int], w: int, h: int
+) -> LatticeVector:
+    """The LatticeVector of coordinates ``y`` whose squared width and
+    height are ``w`` and ``h`` in the integer units of basis.kernel: the
+    same vector as basis.vector(y), without its Fraction sums."""
+    cols, (unit_w, unit_h), (s_w, s_h) = basis.kernel
+    d = basis.d
+    raw = tuple(
+        Fraction(t * s.denominator, s.numerator)
+        for t, s in zip(_matvec_int(cols, y), [s_w] * d + [s_h] * basis.c)
+    )
+    return LatticeVector(tuple(y), raw, basis.scale_sq, d, basis.c, w / unit_w, h / unit_h)
 
 
 def enumerate_in_cylinder(
@@ -843,36 +845,18 @@ def enumerate_in_cylinder(
     """All sign-canonical nonzero lattice vectors in the closed cylinder.
 
     Output is sorted by (height_sq, width_sq, y).  Each radius is
-    floored into the integer units of its block (_kernel_columns), which
+    floored into the integer units of its block (basis.kernel), which
     is exact since the squared norms there are integers, and the points
-    come from _cylinder_points, the search chain_step also uses, with
+    come from _cylinder_points, the search chain_walker also uses, with
     the reduction from scratch.
     """
-    return _kernel_cylinder(basis, _kernel_columns(basis), cyl, budget)
-
-
-def _kernel_cylinder(
-    basis: LatticeBasis,
-    kernel: tuple[list[list[int]], tuple[Fraction, Fraction], tuple[Fraction, Fraction]],
-    cyl: Cylinder,
-    budget: int,
-) -> list[LatticeVector]:
-    """enumerate_in_cylinder on ``kernel`` = _kernel_columns(basis)."""
-    cols, (unit_w, unit_h), (s_w, s_h) = kernel
+    cols, (unit_w, unit_h), _ = basis.kernel
     rp = floor_frac(cyl.r_plus_sq * unit_w)
     rm = floor_frac(cyl.r_minus_sq * unit_h)
     if rp < 0 or rm < 0:
         return []
     found, _ = _cylinder_points(cols, None, basis.d, rp, rm, budget)
-    d = basis.d
-    out = []
-    for y, (w, h) in found.items():
-        x = _matvec_int(cols, y)
-        raw = tuple(
-            Fraction(t * s.denominator, s.numerator)
-            for t, s in zip(x, [s_w] * d + [s_h] * basis.c)
-        )
-        out.append(LatticeVector(y, raw, basis.scale_sq, d, basis.c, w / unit_w, h / unit_h))
+    out = [_kernel_vector(basis, y, w, h) for y, (w, h) in found.items()]
     out.sort(key=lambda v: (v.height_sq, v.width_sq, v.y))
     return out
 
@@ -882,27 +866,25 @@ def _critical_ball(
 ) -> tuple[Fraction, list[LatticeVector]]:
     """lambda_1^2 of the mixed norm and the vectors on the closed critical
     ball: mixed^2 <= lambda_1^2 (1 + 4 tol) and within tol of lambda_1^2
-    (PrecisionPolicy.sq_close), so exactly lambda_1^2 when tol = 0.
+    (sq_close), so exactly lambda_1^2 when tol = 0.
 
-    One enumeration of the mixed ball of the certified Minkowski radius,
-    lambda_1^(2m) <= C^2 det^2 (_kernel_minkowski_sq on the columns the
-    enumeration runs on), widened by 1 + 4 tol; it always holds a
-    nonzero vector, and an empty result raises SearchLimitError.
+    One enumerate_in_cylinder of the mixed ball of the certified
+    Minkowski radius, lambda_1^(2m) <= C^2 det^2
+    (basis.kernel_minkowski_sq), widened by 1 + 4 tol; it always holds
+    a nonzero vector, and an empty result raises SearchLimitError.
     """
-    kernel = _kernel_columns(basis)
-    cols, (unit_w, unit_h), _ = kernel
-    mink_sq = _kernel_minkowski_sq(cols, basis.d) / (unit_w**basis.d * unit_h**basis.c)
+    _, (unit_w, unit_h), _ = basis.kernel
+    mink_sq = basis.kernel_minkowski_sq / (unit_w**basis.d * unit_h**basis.c)
     slack = 1 + 4 * tol
     r_sq = kth_root_upper(mink_sq, basis.m, guard_bits=4) * slack
-    found = _kernel_cylinder(basis, kernel, Cylinder(r_sq, r_sq), budget)
+    found = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
     if not found:
         raise SearchLimitError("the Minkowski ball holds no lattice vector")
     lam_sq = min(v.mixed_sq for v in found)
     on = [
         v
         for v in found
-        if v.mixed_sq <= lam_sq * slack
-        and DEFAULT_POLICY.sq_close(v.mixed_sq, lam_sq, tol)
+        if v.mixed_sq <= lam_sq * slack and sq_close(v.mixed_sq, lam_sq, tol)
     ]
     return lam_sq, on
 

@@ -24,23 +24,22 @@ from typing import Optional
 import mpmath
 
 from .core import (
-    DEFAULT_POLICY,
+    FLOW_BITS,
     Cylinder,
     LatticeBasis,
     LatticeVector,
     NonGenericLatticeError,
-    PrecisionPolicy,
     SearchLimitError,
     _critical_ball,
-    _kernel_columns,
-    _kernel_minkowski_sq,
-    chain_step,
+    _kernel_vector,
+    chain_walker,
     enumerate_in_cylinder,
     exact_sqrt,
     frac_from_mpf,
     ln_frac,
     mpf_from_frac,
     shortest_mixed_vectors,
+    sq_close,
 )
 
 __all__ = [
@@ -67,21 +66,19 @@ __all__ = [
 ]
 
 
-def apply_flow(
-    basis: LatticeBasis, t, *, policy: PrecisionPolicy = DEFAULT_POLICY
-) -> LatticeBasis:
+def apply_flow(basis: LatticeBasis, t) -> LatticeBasis:
     """Image of the basis under g_t.
 
-    The two scale factors are evaluated as policy.bits-bit floats and
+    The two scale factors are evaluated as FLOW_BITS-bit floats and
     frozen to exact rationals; the result is tagged with that precision
-    so later equality tests pick the matching tolerance.
+    so later equality tests pick the matching tolerance (basis.tol).
     """
     if t == 0:
         return basis
     d, c = basis.d, basis.c
-    with mpmath.mp.workprec(policy.bits):
+    with mpmath.mp.workprec(FLOW_BITS):
         if isinstance(t, Fraction):
-            tt = mpf_from_frac(t, policy.bits)
+            tt = mpf_from_frac(t, FLOW_BITS)
         else:
             tt = mpmath.mpf(t)
         fp = frac_from_mpf(mpmath.exp(c * tt))
@@ -90,25 +87,20 @@ def apply_flow(
         tuple((fp if i < d else fm) * x for i, x in enumerate(col))
         for col in basis.columns
     )
-    bits = policy.bits
+    bits = FLOW_BITS
     if basis.precision_bits is not None:
         bits = min(bits, basis.precision_bits)
     return LatticeBasis(d, c, cols, basis.scale_sq, bits)
 
 
-def apply_flow_log(
-    basis: LatticeBasis,
-    ratio_sq: Fraction,
-    *,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-) -> LatticeBasis:
+def apply_flow_log(basis: LatticeBasis, ratio_sq: Fraction) -> LatticeBasis:
     """Flow by t = ln(ratio_sq)/(2(d+c)), keeping the time at full
     working precision.  Flow times produced by visiting_times or
     first_return are exactly of this form."""
     m = basis.d + basis.c
-    with mpmath.mp.workprec(policy.bits):
-        t = ln_frac(ratio_sq, policy.bits) / (2 * m)
-    return apply_flow(basis, t, policy=policy)
+    with mpmath.mp.workprec(FLOW_BITS):
+        t = ln_frac(ratio_sq, FLOW_BITS) / (2 * m)
+    return apply_flow(basis, t)
 
 
 # ---------------------------------------------------------------------------
@@ -140,31 +132,26 @@ class MinimalVectorChain:
         raise KeyError(n)
 
 
-def _chain_stepper(basis: LatticeBasis, policy: PrecisionPolicy, budget: int):
-    """Chain steps on ``basis`` through core.chain_step, sharing one
-    warm-start transform.  ``step(x)`` returns the successor class of
-    the vector x and ``step(x, forward=False)`` its predecessor class,
-    each sorted by reversed coordinates so that the first member is the
-    class representative; None when x is vertical (resp. horizontal)."""
-    cols, units, _ = _kernel_columns(basis)
-    mink_sq = _kernel_minkowski_sq(cols, basis.d)
-    tol = policy.tol_for(basis)
-    u = None
+def _chain_stepper(basis: LatticeBasis, budget: int):
+    """Chain steps on ``basis`` through core.chain_walker.  ``step(x)``
+    returns the successor class of the vector x and ``step(x,
+    forward=False)`` its predecessor class, each sorted by reversed
+    coordinates so that the first member is the class representative;
+    None when x is vertical (resp. horizontal)."""
+    walk = chain_walker(basis, budget=budget)
 
     def step(x: LatticeVector, forward: bool = True) -> Optional[list[LatticeVector]]:
-        nonlocal u
         if (x.width_sq if forward else x.height_sq) == 0:
             return None
-        _, members, u = chain_step(
-            cols, u, x.y, basis.d, mink_sq,
-            forward=forward, tol=tol, units=units, budget=budget,
-        )
+        key, members = walk(x.y, forward)
         if not members:
             raise SearchLimitError(
                 "the Minkowski cylinder holds no chain neighbour"
             )
+        o, n = key
+        w, h = (n, o) if forward else (o, n)
         members.sort(key=lambda y: y[::-1])
-        return [basis.vector(y) for y in members]
+        return [_kernel_vector(basis, y, w, h) for y in members]
 
     return step
 
@@ -183,19 +170,17 @@ def _anchor(basis: LatticeBasis, budget: int) -> list[LatticeVector]:
     return sorted(cls, key=lambda v: v.y[::-1])
 
 
-def _certify(
-    basis: LatticeBasis, x: LatticeVector, policy: PrecisionPolicy, budget: int
-) -> int:
+def _certify(basis: LatticeBasis, x: LatticeVector, budget: int) -> int:
     """Check that every lattice point of C(x) is cylinder-equal to x;
     returns the number of sign-canonical points found."""
-    tol = policy.tol_for(basis)
+    tol = basis.tol
     cands = enumerate_in_cylinder(
         basis, Cylinder(x.width_sq, x.height_sq), budget=budget
     )
     for v in cands:
         if not (
-            policy.sq_close(v.width_sq, x.width_sq, tol)
-            and policy.sq_close(v.height_sq, x.height_sq, tol)
+            sq_close(v.width_sq, x.width_sq, tol)
+            and sq_close(v.height_sq, x.height_sq, tol)
         ):
             raise NonGenericLatticeError(
                 "chain entry is not minimal: cylinder contains a "
@@ -211,7 +196,6 @@ def minimal_vectors(
     back: int = 0,
     certify: bool = True,
     budget: int = 10**7,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
 ) -> MinimalVectorChain:
     """``count`` consecutive chain entries from index 0 on, plus ``back``
     entries below 0 when the chain extends that far.
@@ -223,8 +207,8 @@ def minimal_vectors(
     """
     if count < 1:
         raise ValueError("count must be positive")
-    step = _chain_stepper(basis, policy, budget)
-    tol = policy.tol_for(basis)
+    step = _chain_stepper(basis, budget)
+    tol = basis.tol
     chain: deque[list[LatticeVector]] = deque([_anchor(basis, budget)])
     backward_finite = forward_finite = False
 
@@ -253,7 +237,7 @@ def minimal_vectors(
     def cond(i: int) -> bool:
         h = chain[i + 1][0].height_sq
         w = chain[i][0].width_sq
-        return h > w or policy.sq_close(h, w, tol)
+        return h > w or sq_close(h, w, tol)
 
     # walk backward to before the numbering transition
     for _ in range(10000):
@@ -295,7 +279,7 @@ def minimal_vectors(
         if -back <= n < count:
             rep = members[0]
             if certify:
-                size = _certify(basis, rep, policy, budget)
+                size = _certify(basis, rep, budget)
             else:
                 size = len(members)
             entries.append(ChainEntry(n, rep, size, certify))
@@ -362,10 +346,7 @@ class SurfaceMembership:
 
 
 def surface_membership_S(
-    basis: LatticeBasis,
-    *,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-    budget: int = 10**7,
+    basis: LatticeBasis, *, budget: int = 10**7
 ) -> SurfaceMembership:
     """Membership on the two-short-vector transversal.
 
@@ -374,15 +355,15 @@ def surface_membership_S(
     (height = lambda_1, 0 < width < lambda_1), all inequalities strict
     beyond the basis tolerance.
     """
-    tol = policy.tol_for(basis)
+    tol = basis.tol
     lam_sq, on = _critical_ball(basis, tol, budget)
 
     # the mixed norm of each vector on the ball is close to lambda_1, so
     # its width or its height is
     wide, tall, corner = [], [], []
     for v in on:
-        at_w = policy.sq_close(v.width_sq, lam_sq, tol)
-        at_h = policy.sq_close(v.height_sq, lam_sq, tol)
+        at_w = sq_close(v.width_sq, lam_sq, tol)
+        at_h = sq_close(v.height_sq, lam_sq, tol)
         if at_w and at_h:
             corner.append(v)
         elif at_w:
@@ -409,20 +390,17 @@ def surface_membership_S(
 
 
 def surface_membership_Sprime(
-    basis: LatticeBasis,
-    *,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-    budget: int = 10**7,
+    basis: LatticeBasis, *, budget: int = 10**7
 ) -> SurfaceMembership:
     """True iff the critical ball is the cylinder of a single corner pair
     with width = height = lambda_1."""
-    tol = policy.tol_for(basis)
+    tol = basis.tol
     lam_sq, on = _critical_ball(basis, tol, budget)
-
-    def close(a, b):
-        return policy.sq_close(a, b, tol)
-
-    corner = [v for v in on if close(v.width_sq, lam_sq) and close(v.height_sq, lam_sq)]
+    corner = [
+        v
+        for v in on
+        if sq_close(v.width_sq, lam_sq, tol) and sq_close(v.height_sq, lam_sq, tol)
+    ]
     if len(on) == 1 and len(corner) == 1:
         return SurfaceMembership(True, "", lam_sq, corner=corner[0])
     return SurfaceMembership(
@@ -446,12 +424,23 @@ class FirstReturn:
     membership: SurfaceMembership
 
 
-def first_return(
-    basis: LatticeBasis,
-    *,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-    budget: int = 10**7,
-) -> FirstReturn:
+def _return_step(
+    basis: LatticeBasis, budget: int
+) -> tuple[SurfaceMembership, LatticeVector, Fraction]:
+    """Membership of ``basis`` on S, the chain successor X_2 of its tall
+    short vector X_1, and the exact ratio height(X_2)^2 / width(X_1)^2
+    = e^{2(d+c) tau} of the return time tau."""
+    mem = surface_membership_S(basis, budget=budget)
+    if not mem.member:
+        raise ValueError(f"lattice is not on the transversal: {mem.reason}")
+    cls = _chain_stepper(basis, budget)(mem.tall)
+    if cls is None:
+        raise NonGenericLatticeError("tall short vector is vertical")
+    x2 = cls[0]
+    return mem, x2, x2.height_sq / mem.tall.width_sq
+
+
+def first_return(basis: LatticeBasis, *, budget: int = 10**7) -> FirstReturn:
     """Flow time to the next visit of S and the flowed basis.
 
     tau = ln(height(X_2)/width(X_1))/(d+c) where X_1 is the tall short
@@ -459,18 +448,11 @@ def first_return(
     exact.  rho_star = ln(width(v_0)/width(v_1)) is the part of the
     return-time identity readable before the flow.
     """
-    mem = surface_membership_S(basis, policy=policy, budget=budget)
-    if not mem.member:
-        raise ValueError(f"lattice is not on the transversal: {mem.reason}")
-    cls = _chain_stepper(basis, policy, budget)(mem.tall)
-    if cls is None:
-        raise NonGenericLatticeError("tall short vector is vertical")
-    x2 = cls[0]
-    ratio_sq = x2.height_sq / mem.tall.width_sq
+    mem, x2, ratio_sq = _return_step(basis, budget)
     m = basis.d + basis.c
     tau = float(ln_frac(ratio_sq, 53)) / (2 * m)
     rho_star = float(ln_frac(mem.wide.width_sq / mem.tall.width_sq, 53) / 2)
-    basis_after = apply_flow_log(basis, ratio_sq, policy=policy)
+    basis_after = apply_flow_log(basis, ratio_sq)
     return FirstReturn(tau, ratio_sq, basis_after, x2, rho_star, mem)
 
 
@@ -523,10 +505,7 @@ def _sqrt_frac(x: Fraction, bits: int) -> Fraction:
 
 
 def surface_coordinates_1d(
-    basis: LatticeBasis,
-    *,
-    policy: PrecisionPolicy = DEFAULT_POLICY,
-    budget: int = 10**7,
+    basis: LatticeBasis, *, budget: int = 10**7
 ) -> SurfacePoint1D:
     """Chart coordinates of a d=c=1 lattice on the transversal.
 
@@ -535,12 +514,12 @@ def surface_coordinates_1d(
     """
     if (basis.d, basis.c) != (1, 1):
         raise ValueError("chart coordinates exist only for d = c = 1")
-    mem = surface_membership_S(basis, policy=policy, budget=budget)
+    mem = surface_membership_S(basis, budget=budget)
     if not mem.member:
         raise ValueError(f"lattice is not on the transversal: {mem.reason}")
     x_sq = mem.tall.width_sq / mem.wide.width_sq
     y_sq = mem.wide.height_sq / mem.tall.height_sq
-    bits = policy.bits if basis.precision_bits is None else basis.precision_bits
+    bits = FLOW_BITS if basis.precision_bits is None else basis.precision_bits
     x = _sqrt_frac(x_sq, bits)
     y = _sqrt_frac(y_sq, bits)
     eps = 1 if mem.wide.raw[0] * mem.wide.raw[1] > 0 else -1
@@ -567,14 +546,7 @@ def surface_first_return_1d(
     """Dynamical route to the next chart point: build the chart lattice,
     find the chain successor by enumeration, and re-extract coordinates
     from exact norm ratios.  Agrees with return_map_explicit_1d."""
-    basis = chart_lattice_1d(p)
-    mem = surface_membership_S(basis, budget=budget)
-    if not mem.member:
-        raise ValueError(f"chart point left the transversal: {mem.reason}")
-    cls = _chain_stepper(basis, DEFAULT_POLICY, budget)(mem.tall)
-    if cls is None:
-        raise NonGenericLatticeError("chart successor is vertical")
-    x2 = cls[0]
+    mem, x2, ratio_sq = _return_step(chart_lattice_1d(p), budget)
     x_sq = x2.width_sq / mem.tall.width_sq
     y_sq = mem.tall.height_sq / x2.height_sq
     x_next = exact_sqrt(x_sq)
@@ -582,7 +554,6 @@ def surface_first_return_1d(
     if x_next is None or y_next is None:
         raise NonGenericLatticeError("chart ratios are not rational squares")
     eps_next = 1 if mem.tall.raw[0] * mem.tall.raw[1] > 0 else -1
-    ratio_sq = x2.height_sq / mem.tall.width_sq
     return SurfacePoint1D(x_next, y_next, eps_next), ratio_sq
 
 

@@ -136,6 +136,26 @@ def test_chain_matches_scan_2x1():
     assert total >= 40
 
 
+def test_chain_matches_scan_5x1():
+    # the Minkowski constant of d = 5 comes from the ball-volume recurrence
+    rng = random.Random(55)
+    total = 0
+    for _ in range(4):
+        theta = sample_theta(5, 1, 64, rng)
+        recs = chain_engine(theta, q_max=60)
+        assert recs == direct_scan(theta, 60)
+        total += len(recs)
+    assert total >= 8
+
+
+def test_chain_depth_must_be_positive():
+    theta = sample_theta(1, 1, 64, random.Random(9))
+    assert len(chain_engine(theta, depth=1)) == 1
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth"):
+            chain_engine(theta, depth=depth)
+
+
 def test_chain_matches_scan_1x2():
     rng = random.Random(202)
     total = 0

@@ -71,14 +71,41 @@ def test_bestapprox_rerun_is_byte_identical(tmp_path):
     assert len(rows) == 12
 
 
-def test_bestapprox_usage_errors(tmp_path, capsys):
-    assert run(tmp_path, "bestapprox", "--qmax", "10") == 2
-    assert "error:" in capsys.readouterr().err
-    assert run(tmp_path, "bestapprox", "--theta", "1/3") == 2
-    assert run(tmp_path, "bestapprox", "--theta", "1/0", "--qmax", "9") == 2
-    assert run(
-        tmp_path, "bestapprox", "--d", "2", "--theta", "1/3", "--qmax", "9"
-    ) == 2
+# bad arguments of each command: every one exits 2 with an error line
+# and writes nothing
+USAGE_ERRORS = {
+    "bestapprox": [
+        ["--qmax", "10"],
+        ["--theta", "1/3"],
+        ["--theta", "1/0", "--qmax", "9"],
+        ["--d", "2", "--theta", "1/3", "--qmax", "9"],
+        ["--seed", "1", "--count", "0"],
+        ["--seed", "1", "--count", "-2"],
+        ["--seed", "1", "--qmax", "-3"],
+        ["--d", "0", "--seed", "1", "--count", "3"],
+        ["--c", "0", "--seed", "1", "--count", "3"],
+    ],
+    "levy": [
+        ["--seed", "1", "--depth", "3"],
+        ["--seed", "1", "--trials", "1"],
+        ["--seed", "1", "--d", "0"],
+    ],
+    "dist": [
+        ["--seed", "1", "--depth", "5"],
+        ["--seed", "1", "--depth", "11", "--discard", "10"],
+        ["--seed", "1", "--trials", "0"],
+        ["--seed", "1", "--c", "0"],
+    ],
+    "surface": [["--d", "2", "--samples", "0", "--seed", "1"]],
+    "returnmap": [["--bits", "0", "--seed", "1"]],
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE_ERRORS))
+def test_usage_errors(tmp_path, capsys, command):
+    for argv in USAGE_ERRORS[command]:
+        assert run(tmp_path, command, *argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -12,17 +12,15 @@ import pytest
 from diolab.core import (
     BudgetExceededError,
     _cylinder_points,
+    _ball_volume,
     _gauss_pair,
-    _kernel_columns,
-    _kernel_minkowski_sq,
     Cylinder,
     LatticeBasis,
     SingularBasisError,
-    PrecisionPolicy,
     a_safe,
     canonical_sign,
     ceil_frac,
-    chain_step,
+    chain_walker,
     enumerate_in_cylinder,
     exact_sqrt,
     floor_frac,
@@ -36,6 +34,7 @@ from diolab.core import (
     mpf_from_frac,
     nearest_int,
     shortest_mixed_vectors,
+    sq_close,
 )
 
 from diolab.dynamics import apply_flow, chart_lattice_1d, sample_surface_point_1d
@@ -104,6 +103,27 @@ def test_minkowski_constants():
     assert exact_lo == exact_hi == 1
 
 
+def test_ball_volumes_from_the_recurrence():
+    # V_k = coeff * pi^pi_pow: 2, pi, 4 pi/3, pi^2/2, 8 pi^2/15, pi^3/6
+    assert [_ball_volume(k) for k in range(1, 7)] == [
+        (Fraction(2), 0),
+        (Fraction(1), 1),
+        (Fraction(4, 3), 1),
+        (Fraction(1, 2), 2),
+        (Fraction(8, 15), 2),
+        (Fraction(1, 6), 3),
+    ]
+    for k in range(1, 7):
+        coeff, pi_pow = _ball_volume(k)
+        assert float(coeff) * math.pi**pi_pow == pytest.approx(
+            math.pi ** (k / 2) / math.gamma(k / 2 + 1), rel=1e-14
+        )
+    # C_{5,1}^2 = (2^6 / (V_5 V_1))^2 = (60 / pi^2)^2
+    lo, hi = minkowski_bound_sq_range(5, 1)
+    assert lo < hi and float(hi - lo) < 1e-50
+    assert float(lo) == pytest.approx(3600 / math.pi**4, rel=1e-14)
+
+
 def test_minkowski_leq_exact_boundary():
     # C_{1,1} = 1 exactly: equality is allowed, above is not
     assert minkowski_leq(Fraction(1), 1, 1)
@@ -125,13 +145,19 @@ def test_canonical_sign_scans_minus_block_first():
     assert canonical_sign((0, 0), 1) == (0, 0)
 
 
-def test_precision_policy_tolerances():
-    pol = PrecisionPolicy(bits=128)
-    assert pol.rel_tol_sq == Fraction(1, 1 << 112)
-    exact = LatticeBasis.identity(1, 1)
-    assert pol.tol_for(exact) == 0
-    assert pol.sq_close(Fraction(1), Fraction(1) + Fraction(1, 1 << 120))
-    assert not pol.sq_close(Fraction(1), Fraction(1) + Fraction(1, 1 << 100))
+def test_basis_tol_and_sq_close():
+    cols = LatticeBasis.identity(1, 1).columns
+    assert LatticeBasis(1, 1, cols).tol == 0
+    tol = LatticeBasis(1, 1, cols, precision_bits=128).tol
+    assert tol == Fraction(1, 1 << 112)
+    # the flow precision caps the tolerance of finer data
+    assert LatticeBasis(1, 1, cols, precision_bits=400).tol == tol
+    assert LatticeBasis(1, 1, cols, precision_bits=40).tol == Fraction(1, 1 << 24)
+    assert sq_close(Fraction(1), Fraction(1) + Fraction(1, 1 << 120), tol)
+    assert not sq_close(Fraction(1), Fraction(1) + Fraction(1, 1 << 100), tol)
+    # the scale floor of 1 and exact equality at tol = 0
+    assert sq_close(Fraction(1, 1 << 200), Fraction(0), tol)
+    assert not sq_close(Fraction(1), Fraction(1) + Fraction(1, 1 << 400), Fraction(0))
 
 
 def test_from_theta_unimodular():
@@ -393,7 +419,7 @@ def test_enumerate_matches_brute_force():
         if got is not None:
             checked += 1
             hits += bool(got)
-            _, (unit_w, unit_h), _ = _kernel_columns(basis)
+            _, (unit_w, unit_h), _ = basis.kernel
             two_units += unit_w != unit_h
     assert hits >= 150 and two_units >= 150
 
@@ -495,18 +521,21 @@ def test_plane_search_on_skewed_chains():
     steps = 0
     for seed in range(4):
         theta = ((Fraction(random.Random(seed).getrandbits(512), 1 << 512),),)
-        cols, _, _ = _kernel_columns(LatticeBasis.from_theta(theta))
-        mink = _kernel_minkowski_sq(cols, 1)
+        basis = LatticeBasis.from_theta(theta)
+        cols, mink = basis.kernel[0], basis.kernel_minkowski_sq
+        step = chain_walker(basis, budget=10**7)
         y, u = (nearest_int(theta[0][0]), 1), None
         for _ in range(40):
             x = [sum(cols[j][i] * y[j] for j in range(2)) for i in range(2)]
             wy, hy = x[0] ** 2, x[1] ** 2
             ahead = mink.numerator // (mink.denominator * wy)
             behind = mink.numerator // (mink.denominator * hy)
-            _plane_matches(cols, u, wy - 1, ahead)
-            _plane_matches(cols, None, wy - 1, ahead)
             _plane_matches(cols, u, behind, hy - 1)
-            _, members, u = chain_step(cols, u, y, 1, mink)
+            _plane_matches(cols, None, wy - 1, ahead)
+            # the walker's own search, whose transform it keeps
+            got, u = _plane_matches(cols, u, wy - 1, ahead)
+            key, members = step(y)
+            assert set(members) <= set(got) and got[members[0]] == key[::-1]
             y = members[0]
             steps += 1
     assert steps == 160
@@ -520,8 +549,8 @@ def test_plane_search_on_flowed_lattices():
     for _ in range(12):
         basis = chart_lattice_1d(sample_surface_point_1d(rng, 48))
         basis = apply_flow(basis, Fraction(rng.randrange(-40, 41), 100))
-        assert PrecisionPolicy().tol_for(basis) > 0
-        cols, (unit_w, unit_h), _ = _kernel_columns(basis)
+        assert basis.tol > 0
+        cols, (unit_w, unit_h), _ = basis.kernel
         for _ in range(4):
             cyl = random_cylinder(rng)
             rp = floor_frac(cyl.r_plus_sq * unit_w)

@@ -8,17 +8,16 @@ from fractions import Fraction
 import pytest
 
 from diolab.bestapprox import chain_engine, direct_scan, sample_theta
+import diolab.core as core
 from diolab.core import (
-    DEFAULT_POLICY,
     Cylinder,
     LatticeBasis,
     NonGenericLatticeError,
-    _kernel_columns,
-    _kernel_minkowski_sq,
     a_safe,
     kth_root_upper,
     ln_frac,
     minkowski_bound_sq_range,
+    sq_close,
 )
 from diolab.dynamics import (
     SurfacePoint1D,
@@ -164,7 +163,7 @@ def test_predecessor_inverts_successor():
     bases.append(apply_flow(theta_basis(64, 33)[1], 0.7))
     pairs = 0
     for basis in bases:
-        step = _chain_stepper(basis, DEFAULT_POLICY, 10**7)
+        step = _chain_stepper(basis, 10**7)
         for entry in minimal_vectors(basis, 10, certify=False).entries[:-1]:
             back = step(step(entry.vector)[0], forward=False)
             assert back[0].y == entry.vector.y
@@ -187,9 +186,9 @@ def test_kernel_units_and_minkowski_bound():
     bases += [first_return(b).basis_after for b in bases[3:]]
     bases += [apply_flow(b, 0.3) for b in bases[:7]]
     for basis in bases:
-        cols, (unit_w, unit_h), _ = _kernel_columns(basis)
+        cols, (unit_w, unit_h), _ = basis.kernel
         d, c = basis.d, basis.c
-        assert _kernel_minkowski_sq(cols, d) == physical_minkowski_sq(basis) * unit_w**d * unit_h**c
+        assert basis.kernel_minkowski_sq == physical_minkowski_sq(basis) * unit_w**d * unit_h**c
         for block in (slice(0, d), slice(d, basis.m)):
             assert math.gcd(*(t for col in cols for t in col[block])) == 1
         for y in ((1,) + (0,) * (basis.m - 1), (1, -2) + (1,) * (basis.m - 2)):
@@ -200,13 +199,13 @@ def test_kernel_units_and_minkowski_bound():
     assert sum(b.precision_bits is not None for b in bases) >= 10
 
 
-def brute_chain_class(basis, x, forward, policy=DEFAULT_POLICY):
+def brute_chain_class(basis, x, forward):
     """The chain neighbour class of x from a brute scan of its Minkowski
-    cylinder in physical Fractions, with chain_step's rules stated in
+    cylinder in physical Fractions, with chain_walker's rules stated in
     physical units: strictly narrower, strictly taller, a narrow norm
     within tolerance of x's is no decrease, minimal (other^2, narrow^2);
     None when the scan box is too large."""
-    tol = policy.tol_for(basis)
+    tol = basis.tol
     k = basis.d if forward else basis.c
     x_n, x_o = (x.width_sq, x.height_sq) if forward else (x.height_sq, x.width_sq)
     r_o = kth_root_upper(physical_minkowski_sq(basis) / x_n**k, basis.m - k)
@@ -217,12 +216,12 @@ def brute_chain_class(basis, x, forward, policy=DEFAULT_POLICY):
     found = {}
     for v in brute_cylinder(basis, cyl, box):
         n, o = (v.width_sq, v.height_sq) if forward else (v.height_sq, v.width_sq)
-        if n < x_n and o > x_o and not policy.sq_close(n, x_n, tol):
+        if n < x_n and o > x_o and not sq_close(n, x_n, tol):
             found[v] = (o, n)
     best = min(found.values())
     for key in found.values():
         assert key == best or not (
-            policy.sq_close(key[0], best[0], tol) and policy.sq_close(key[1], best[1], tol)
+            sq_close(key[0], best[0], tol) and sq_close(key[1], best[1], tol)
         )
     return sorted((v for v, key in found.items() if key == best), key=lambda v: v.y[::-1])
 
@@ -241,9 +240,9 @@ def test_stepper_with_tolerance_matches_brute_force():
         scale_sq = basis.scale_sq * Fraction(rng.choice((1, 4, 9)), rng.choice((1, 2)))
         basis = LatticeBasis(d, c, basis.columns, scale_sq)
         basis = apply_flow(basis, Fraction(rng.choice((-1, 1)) * rng.randrange(10, 40), 100))
-        _, (unit_w, unit_h), _ = _kernel_columns(basis)
-        assert DEFAULT_POLICY.tol_for(basis) > 0 and unit_w != unit_h
-        step = _chain_stepper(basis, DEFAULT_POLICY, 10**7)
+        _, (unit_w, unit_h), _ = basis.kernel
+        assert basis.tol > 0 and unit_w != unit_h
+        step = _chain_stepper(basis, 10**7)
         for entry in minimal_vectors(basis, 5, back=4, certify=False).entries:
             x = entry.vector
             for forward in (True, False):
@@ -252,11 +251,9 @@ def test_stepper_with_tolerance_matches_brute_force():
                 want = brute_chain_class(basis, x, forward)
                 if want is None:
                     continue
-                got = step(x, forward)
-                assert [v.y for v in got] == [v.y for v in want]
-                assert [(v.width_sq, v.height_sq) for v in got] == [
-                    (v.width_sq, v.height_sq) for v in want
-                ]
+                # whole vectors, raw coordinates included, against the
+                # Fraction reference basis.vector
+                assert step(x, forward) == want
                 checked[d, c] += 1
     assert min(checked.values()) >= 10 and sum(checked.values()) >= 70
 
@@ -276,17 +273,17 @@ def test_near_tie_within_tolerance_raises(forward, short):
         pair = [col[::-1] for col in pair]
     exact = LatticeBasis(1, 1, pair)
     basis = LatticeBasis(1, 1, pair, precision_bits=40)
-    tol = DEFAULT_POLICY.tol_for(basis)
+    tol = basis.tol
     x = basis.vector((1, -1))
     a, b = basis.vector((1, 0)), basis.vector((0, 1))
     n_a, n_b = (a.width_sq, b.width_sq) if forward else (a.height_sq, b.height_sq)
     assert n_a != n_b and abs(n_a - n_b) <= tol * max(n_a, n_b, 1)
     assert (abs(n_a - n_b) > tol * max(n_a, n_b)) == short
-    unit_n, unit_o = _kernel_columns(basis)[1][:: 1 if forward else -1]
+    unit_n, unit_o = basis.kernel[1][:: 1 if forward else -1]
     assert unit_n >= unit_o * (1 << 48)
     with pytest.raises(NonGenericLatticeError, match="tie within tolerance"):
-        _chain_stepper(basis, DEFAULT_POLICY, 10**7)(x, forward)
-    got = _chain_stepper(exact, DEFAULT_POLICY, 10**7)(exact.vector((1, -1)), forward)
+        _chain_stepper(basis, 10**7)(x, forward)
+    got = _chain_stepper(exact, 10**7)(exact.vector((1, -1)), forward)
     assert [v.y for v in got] == [(1, 0)]
 
 
@@ -400,10 +397,10 @@ def test_sprime_frozen_corner_lattice():
     assert not surface_membership_S(basis).member
 
 
-def brute_critical_ball(basis, policy=DEFAULT_POLICY):
+def brute_critical_ball(basis):
     """lambda_1^2 and the wide, tall and corner vectors of the critical
     ball, from a brute scan of the Minkowski ball widened by 1 + 4 tol."""
-    tol = policy.tol_for(basis)
+    tol = basis.tol
     slack = 1 + 4 * tol
     r_sq = kth_root_upper(physical_minkowski_sq(basis), basis.m, guard_bits=4) * slack
     cyl = Cylinder(r_sq, r_sq)
@@ -413,7 +410,7 @@ def brute_critical_ball(basis, policy=DEFAULT_POLICY):
     lam_sq = min(v.mixed_sq for v in found)
 
     def close(a, b):
-        return policy.sq_close(a, b, tol)
+        return sq_close(a, b, tol)
 
     on = [v for v in found if v.mixed_sq <= lam_sq * slack and close(v.mixed_sq, lam_sq)]
     wide = [v.y for v in on if close(v.width_sq, lam_sq) and not close(v.height_sq, lam_sq)]
@@ -440,7 +437,7 @@ def test_membership_matches_brute_force():
         lattices.append(basis)
     flowed = members = 0
     for basis in lattices:
-        flowed += DEFAULT_POLICY.tol_for(basis) > 0
+        flowed += basis.tol > 0
         lam_sq, n_on, wide, tall, corner = brute_critical_ball(basis)
         mem = surface_membership_S(basis)
         assert mem.lam1_sq == lam_sq
@@ -515,6 +512,26 @@ def test_explicit_map_boundary_raises():
 def test_first_return_needs_transversal():
     with pytest.raises(ValueError):
         first_return(LatticeBasis.identity(1, 1))
+
+
+def test_first_return_clears_each_basis_once(monkeypatch):
+    # membership, the chain step and the vectors they build share the
+    # basis's cached kernel view: one denominator clearing per block
+    calls = []
+    int_columns = core._int_columns
+
+    def counted(columns):
+        calls.append(len(columns))
+        return int_columns(columns)
+
+    monkeypatch.setattr(core, "_int_columns", counted)
+    basis = chart_lattice_1d(sample_surface_point_1d(random.Random(3), 48))
+    for _ in range(3):
+        fr = first_return(basis)
+        assert len(calls) == 2
+        calls.clear()
+        basis = fr.basis_after
+        assert basis.tol > 0
 
 
 def test_sample_surface_point_deterministic():

@@ -50,6 +50,7 @@ def test_chain_equals_scan_or_both_raise(theta):
     q_max = Q_MAX[len(theta)]
     chain = records_or_tie(chain_engine, theta, q_max=q_max)
     assert chain == records_or_tie(direct_scan, theta, q_max)
+    assert chain_engine(theta, q_max=0) == direct_scan(theta, 0) == []
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
