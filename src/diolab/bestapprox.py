@@ -18,6 +18,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import (
     BudgetExceededError,
     LatticeBasis,
@@ -87,25 +89,121 @@ def sample_theta(d: int, c: int, bits: int, rng: random.Random) -> Theta:
 # exhaustive engine
 
 
-def _shell_heights(c: int, q_max: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Sign-canonical nonzero height vectors with norm <= q_max, sorted by
-    (squared norm, lexicographic)."""
+# heights per chunk: the first chunk is checked exactly and sets the
+# first bound, and each later chunk doubles up to the cap
+_CHUNK_MIN = 64
+_CHUNK_MAX = 1 << 15
+
+
+def _isqrt_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(x)) of a nonnegative int64 array, exact
+    below 2^52."""
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s -= (s * s > x).astype(np.int64)
+    s += ((s + 1) * (s + 1) <= x).astype(np.int64)
+    return s
+
+
+def _runs(tags: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """Concatenated integer runs starts[k] .. starts[k] + counts[k] - 1,
+    each paired with its tags[k]."""
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    steps = np.arange(int(counts.sum()), dtype=np.int64) - offsets
+    return np.repeat(tags, counts), np.repeat(starts, counts) + steps
+
+
+def _annulus(n0: int, n1: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Sign-canonical heights (q1, q2) with n0 < q1^2 + q2^2 <= n1, in
+    shell order: by squared norm, then q1, then q2."""
+    q1 = np.arange(isqrt(n1) + 1, dtype=np.int64)
+    hi = _isqrt_array(n1 - q1 * q1)
+    inner = n0 - q1 * q1
+    # |q2| > lo, where lo = -1 if the inner circle misses the column
+    lo = np.where(inner >= 0, _isqrt_array(np.maximum(inner, 0)), -1)
+    # per column the run q2 < 0 (only for q1 > 0), then the run q2 >= 0
+    # (q2 >= 1 on q1 = 0), so the heights come out in (q1, q2) order
+    pos = np.maximum(lo + 1, (q1 == 0).astype(np.int64))
+    neg = np.maximum(lo + 1, 1)
+    neg_count = np.where(q1 > 0, np.maximum(hi - neg + 1, 0), 0)
+    h1, h2 = _runs(
+        np.repeat(q1, 2),
+        np.stack((-hi, pos), axis=1).ravel(),
+        np.stack((neg_count, np.maximum(hi - pos + 1, 0)), axis=1).ravel(),
+    )
+    norms = h1 * h1 + h2 * h2
+    # a stable sort by norm; the key n * (norm - n0) + rank is unique
+    n = len(norms)
+    order = np.argsort((norms - n0) * n + np.arange(n, dtype=np.int64))
+    return [h1[order], h2[order]], norms[order]
+
+
+def _shell_chunks(c: int, q_max: int):
+    """Nonzero sign-canonical heights with norm <= q_max in shell order,
+    as chunks of whole shells that grow from _CHUNK_MIN to about
+    _CHUNK_MAX heights: (height columns, shell keys), the key q for
+    c = 1 and the squared norm for c = 2."""
+    size = _CHUNK_MIN
     if c == 1:
-        return [(q * q, (q,)) for q in range(1, q_max + 1)]
-    if c == 2:
-        out = []
-        qm_sq = q_max * q_max
-        for q1 in range(0, q_max + 1):
-            rem = qm_sq - q1 * q1
-            if rem < 0:
-                break
-            top = isqrt(rem)
-            lo = 1 if q1 == 0 else -top
-            for q2 in range(lo, top + 1):
-                out.append((q1 * q1 + q2 * q2, (q1, q2)))
-        out.sort()
-        return out
-    raise NotImplementedError("direct scan supports c in {1, 2}")
+        lo = 1
+        while lo <= q_max:
+            q = np.arange(lo, min(lo + size, q_max + 1), dtype=np.int64)
+            yield [q], q
+            lo += size
+            size = min(2 * size, _CHUNK_MAX)
+        return
+    n0, n_max = 0, q_max * q_max
+    while n0 < n_max:
+        # an annulus of area pi * (n1 - n0) / 2 holds about that many heights
+        n1 = min(n0 + max(2 * size // 3, 1), n_max)
+        qcols, norms = _annulus(n0, n1)
+        if len(norms):
+            yield qcols, norms
+        n0 = n1
+        size = min(2 * size, _CHUNK_MAX)
+
+
+def _frac64(tnum: Sequence[Sequence[int]], den: int) -> list[list[int]]:
+    """a_ji = floor((theta_ji mod 1) * 2^64) from the integer columns."""
+    return [[((t % den) << 64) // den for t in col] for col in tnum]
+
+
+def _bound64(best: int, den: int) -> int:
+    """ceil(sqrt(best * 2^128 / den^2)): the largest distance, in units
+    of 2^-64, that a coordinate of a height with dist_sq_scaled <= best
+    can have."""
+    num, den_sq = best << 128, den * den
+    k = isqrt(num // den_sq)
+    return k + 1 if k * k * den_sq < num else k
+
+
+def _survivors(
+    qcols: Sequence[np.ndarray], frac64: Sequence[Sequence[int]], den: int, best: int
+) -> np.ndarray:
+    """Indices of the heights that can have dist_sq_scaled <= best.
+
+    s_i = sum_j q_j a_ji mod 2^64 is exact in uint64 (a negative q_j
+    wraps to q_j mod 2^64), and it lies within E = sum_j |q_j| of the
+    true q.theta_i * 2^64, since each a_ji is short of theta_ji * 2^64
+    by less than 1.  So u_i = min(s_i, -s_i) differs from the distance
+    of q.theta_i to Z, in units of 2^-64, by less than E, and every
+    height with
+    dist_sq_scaled <= best has max_i u_i <= _bound64(best, den) + E
+    (E carries a spare +1).
+    """
+    bound = _bound64(best, den)
+    n = len(qcols[0])
+    if bound >= 1 << 63:  # no u_i exceeds 2^63
+        return np.arange(n)
+    qu = [q.astype(np.uint64) for q in qcols]
+    zero = np.uint64(0)
+    worst = np.zeros(n, dtype=np.uint64)
+    for i in range(len(frac64[0])):
+        s = qu[0] * np.uint64(frac64[0][i])
+        for q, col in zip(qu[1:], frac64[1:]):
+            s += q * np.uint64(col[i])
+        np.maximum(worst, np.minimum(s, zero - s), out=worst)
+    slack = sum(np.abs(q) for q in qcols) + 1
+    return np.flatnonzero(worst <= slack.astype(np.uint64) + np.uint64(bound))
 
 
 def direct_scan(
@@ -118,11 +216,29 @@ def direct_scan(
     emitted only when it strictly beats every smaller shell, and a tie
     between two achievers of a shell minimum raises
     NonGenericLatticeError (the sequence is not well defined there).
+    For c = 1 every shell is one height, so a tie is never a record.
+
+    The heights come in chunks of whole shells that grow from 64 to
+    about 2^15 heights (for c = 2 an annulus of norms, sorted by
+    (norm^2, q1, q2)).  The first chunk is checked exactly.  In every
+    later chunk an integer prefilter drops the heights that cannot
+    reach the running minimum best: with a_ji = floor((theta_ji mod 1)
+    * 2^64), the uint64 sums s_i = sum_j q_j a_ji mod 2^64 give each
+    coordinate's distance to Z in units of 2^-64 within E = sum_j |q_j|
+    (+1), so a height survives only if max_i min(s_i, -s_i) - E <=
+    ceil(sqrt(best * 2^128 / den^2)) (_survivors).  The survivors get
+    the exact integer distance, shell by shell.  The budget counts d*c
+    ops per height in shell order and raises where the plain loop over
+    every height would, also inside a shell that the scan would have
+    ended at.
     """
     c = len(theta)
     d = len(theta[0])
+    if c not in (1, 2):
+        raise NotImplementedError("direct scan supports c in {1, 2}")
     tnum, den = _int_columns(theta)
     den_sq = den * den
+    frac64 = _frac64(tnum, den)
 
     def dist_sq_scaled(qvec: tuple[int, ...]) -> int:
         s = 0
@@ -140,78 +256,52 @@ def direct_scan(
 
     records: list[BestApproxRecord] = []
     best: Optional[int] = None
-    ops = 0
-
-    if c == 1:
-        t = [tnum[0][i] % den for i in range(d)]
-        s = [0] * d
-        n = 0
-        for q in range(1, q_max + 1):
-            ops += d
-            if ops > budget:
-                raise BudgetExceededError("direct scan exceeded budget")
-            w = 0
-            for i in range(d):
-                s[i] = (s[i] + t[i]) % den
-                u = min(s[i], den - s[i])
-                w += u * u
-            if best is None or w < best:
-                best = w
+    room = max(budget // (d * c), 0)  # heights the budget pays for
+    for qcols, keys in _shell_chunks(c, q_max):
+        over = len(keys) > room
+        if over:
+            # keep the shells that end before the first unpaid height
+            keep = int(np.searchsorted(keys, keys[room]))
+            qcols, keys = [q[:keep] for q in qcols], keys[:keep]
+        room -= len(keys)
+        idx = np.arange(len(keys)) if best is None else _survivors(qcols, frac64, den, best)
+        hs = list(zip(*(q[idx].tolist() for q in qcols)))
+        ks = keys[idx].tolist()
+        k = 0
+        while k < len(hs):
+            key = ks[k]
+            shell_best: Optional[int] = None
+            achievers: list[tuple[int, ...]] = []
+            while k < len(hs) and ks[k] == key:
+                w = dist_sq_scaled(hs[k])
+                if shell_best is None or w < shell_best:
+                    shell_best = w
+                    achievers = [hs[k]]
+                elif w == shell_best:
+                    achievers.append(hs[k])
+                k += 1
+            if best is None or shell_best < best:
+                qvec = achievers[0]
+                norm_sq = sum(t * t for t in qvec)
+                if len(achievers) > 1:
+                    raise NonGenericLatticeError(
+                        f"two heights of norm^2 {norm_sq} tie at the shell minimum"
+                    )
+                best = shell_best
                 records.append(
                     BestApproxRecord(
-                        n,
-                        (q,),
-                        nearest_point((q,)),
-                        Fraction(q * q),
-                        Fraction(w, den_sq),
-                        terminal=(w == 0),
+                        len(records),
+                        qvec,
+                        nearest_point(qvec),
+                        Fraction(norm_sq),
+                        Fraction(shell_best, den_sq),
+                        terminal=(shell_best == 0),
                     )
                 )
-                n += 1
-                if w == 0:
-                    break
-        return records
-
-    shells = _shell_heights(c, q_max)
-    n = 0
-    i = 0
-    while i < len(shells):
-        norm_sq = shells[i][0]
-        j = i
-        shell_best: Optional[int] = None
-        achievers: list[tuple[int, ...]] = []
-        while j < len(shells) and shells[j][0] == norm_sq:
-            ops += d * c
-            if ops > budget:
-                raise BudgetExceededError("direct scan exceeded budget")
-            w = dist_sq_scaled(shells[j][1])
-            if shell_best is None or w < shell_best:
-                shell_best = w
-                achievers = [shells[j][1]]
-            elif w == shell_best:
-                achievers.append(shells[j][1])
-            j += 1
-        i = j
-        if best is None or shell_best < best:
-            if len(achievers) > 1:
-                raise NonGenericLatticeError(
-                    f"two heights of norm^2 {norm_sq} tie at the shell minimum"
-                )
-            qvec = achievers[0]
-            best = shell_best
-            records.append(
-                BestApproxRecord(
-                    n,
-                    qvec,
-                    nearest_point(qvec),
-                    Fraction(norm_sq),
-                    Fraction(shell_best, den_sq),
-                    terminal=(shell_best == 0),
-                )
-            )
-            n += 1
-            if shell_best == 0:
-                break
+                if shell_best == 0:
+                    return records
+        if over:
+            raise BudgetExceededError("direct scan exceeded budget")
     return records
 
 

@@ -429,7 +429,9 @@ def _return_step(
 ) -> tuple[SurfaceMembership, LatticeVector, Fraction]:
     """Membership of ``basis`` on S, the chain successor X_2 of its tall
     short vector X_1, and the exact ratio height(X_2)^2 / width(X_1)^2
-    = e^{2(d+c) tau} of the return time tau."""
+    = e^{2(d+c) tau} of the return time tau.  The chain ends where X_1
+    or X_2 is vertical; the flowed lattice would then be off S, so that
+    raises NonGenericLatticeError."""
     mem = surface_membership_S(basis, budget=budget)
     if not mem.member:
         raise ValueError(f"lattice is not on the transversal: {mem.reason}")
@@ -437,6 +439,8 @@ def _return_step(
     if cls is None:
         raise NonGenericLatticeError("tall short vector is vertical")
     x2 = cls[0]
+    if x2.width_sq == 0:
+        raise NonGenericLatticeError("successor of the tall short vector is vertical")
     return mem, x2, x2.height_sq / mem.tall.width_sq
 
 
@@ -487,6 +491,11 @@ def chart_lattice_1d(p: SurfacePoint1D) -> LatticeBasis:
 
 
 def sample_surface_point_1d(rng: random.Random, bits: int = 53) -> SurfacePoint1D:
+    """Chart point with x, y uniform on the nonzero multiples of 2^-bits
+    in (0, 1) and a fair sign."""
+    if bits < 1:
+        raise ValueError("bits must be positive")
+
     def draw() -> Fraction:
         while True:
             v = rng.getrandbits(bits)

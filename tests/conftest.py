@@ -4,19 +4,30 @@ The brute-force cylinder scan is the ground truth the lattice kernel is
 measured against: it knows nothing about LLL, bounds, or pruning, it
 just walks an integer coefficient box and keeps what lands inside.  The
 exact integer scan plays the same part for the d=2, c=1 record
-sequence: it uses no lattice, LLL or chain code.  The Fraction
-Gram-Schmidt process is the oracle the integral LLL data are checked
-against.
+sequence: it uses no lattice, LLL or chain code, and the reference scan
+(one exact distance per height, no prefilter) is the oracle for
+bestapprox.direct_scan.  The Fraction Gram-Schmidt process is the
+oracle the integral LLL data are checked against.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
-from diolab.core import Cylinder, LatticeBasis, canonical_sign
+from diolab.bestapprox import BestApproxRecord
+from diolab.core import (
+    BudgetExceededError,
+    Cylinder,
+    LatticeBasis,
+    NonGenericLatticeError,
+    _int_columns,
+    canonical_sign,
+    nearest_int,
+)
 
 
 def brute_cylinder(basis, cyl, box):
@@ -83,6 +94,135 @@ def exact_scan_2x1(theta, bits, q_max):
     is_record[1:] = w[1:] < prior[:-1]
     idx = np.flatnonzero(is_record)
     return q[idx], w[idx]
+
+
+def reference_shells(c, q_max):
+    """Sign-canonical nonzero height vectors with norm <= q_max, sorted by
+    (squared norm, lexicographic)."""
+    if c == 1:
+        return [(q * q, (q,)) for q in range(1, q_max + 1)]
+    if c == 2:
+        out = []
+        qm_sq = q_max * q_max
+        for q1 in range(0, q_max + 1):
+            rem = qm_sq - q1 * q1
+            if rem < 0:
+                break
+            top = isqrt(rem)
+            lo = 1 if q1 == 0 else -top
+            for q2 in range(lo, top + 1):
+                out.append((q1 * q1 + q2 * q2, (q1, q2)))
+        out.sort()
+        return out
+    raise NotImplementedError("direct scan supports c in {1, 2}")
+
+
+def reference_scan(theta, q_max, *, budget=10**9):
+    """Best approximations with height norm at most q_max, by exhausting
+    every height shell in increasing order: the plain loop that
+    bestapprox.direct_scan ran before its integer prefilter, kept as
+    the oracle for it (an exact distance for every height, the budget
+    counted height by height).
+
+    Within a shell the minimum distance is found first; a record is
+    emitted only when it strictly beats every smaller shell, and a tie
+    between two achievers of a shell minimum raises
+    NonGenericLatticeError (the sequence is not well defined there).
+    """
+    c = len(theta)
+    d = len(theta[0])
+    tnum, den = _int_columns(theta)
+    den_sq = den * den
+
+    def dist_sq_scaled(qvec):
+        s = 0
+        for i in range(d):
+            u = sum(qvec[j] * tnum[j][i] for j in range(c)) % den
+            u = min(u, den - u)
+            s += u * u
+        return s
+
+    def nearest_point(qvec):
+        return tuple(
+            nearest_int(Fraction(sum(qvec[j] * tnum[j][i] for j in range(c)), den))
+            for i in range(d)
+        )
+
+    records = []
+    best = None
+    ops = 0
+
+    if c == 1:
+        t = [tnum[0][i] % den for i in range(d)]
+        s = [0] * d
+        n = 0
+        for q in range(1, q_max + 1):
+            ops += d
+            if ops > budget:
+                raise BudgetExceededError("direct scan exceeded budget")
+            w = 0
+            for i in range(d):
+                s[i] = (s[i] + t[i]) % den
+                u = min(s[i], den - s[i])
+                w += u * u
+            if best is None or w < best:
+                best = w
+                records.append(
+                    BestApproxRecord(
+                        n,
+                        (q,),
+                        nearest_point((q,)),
+                        Fraction(q * q),
+                        Fraction(w, den_sq),
+                        terminal=(w == 0),
+                    )
+                )
+                n += 1
+                if w == 0:
+                    break
+        return records
+
+    shells = reference_shells(c, q_max)
+    n = 0
+    i = 0
+    while i < len(shells):
+        norm_sq = shells[i][0]
+        j = i
+        shell_best = None
+        achievers = []
+        while j < len(shells) and shells[j][0] == norm_sq:
+            ops += d * c
+            if ops > budget:
+                raise BudgetExceededError("direct scan exceeded budget")
+            w = dist_sq_scaled(shells[j][1])
+            if shell_best is None or w < shell_best:
+                shell_best = w
+                achievers = [shells[j][1]]
+            elif w == shell_best:
+                achievers.append(shells[j][1])
+            j += 1
+        i = j
+        if best is None or shell_best < best:
+            if len(achievers) > 1:
+                raise NonGenericLatticeError(
+                    f"two heights of norm^2 {norm_sq} tie at the shell minimum"
+                )
+            qvec = achievers[0]
+            best = shell_best
+            records.append(
+                BestApproxRecord(
+                    n,
+                    qvec,
+                    nearest_point(qvec),
+                    Fraction(norm_sq),
+                    Fraction(shell_best, den_sq),
+                    terminal=(shell_best == 0),
+                )
+            )
+            n += 1
+            if shell_best == 0:
+                break
+    return records
 
 
 def random_unimodular_basis(rng, d, c, ops=5):

@@ -4,8 +4,10 @@ fraction oracle, and scan-vs-chain equivalence on random targets."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import diolab.bestapprox as bestapprox
 from diolab.bestapprox import (
     beta_sequence,
     cf_best_denominators,
@@ -16,8 +18,8 @@ from diolab.bestapprox import (
     sample_theta,
     theta_from_strings,
 )
-from conftest import exact_scan_2x1
-from diolab.core import BudgetExceededError, NonGenericLatticeError
+from conftest import exact_scan_2x1, reference_shells
+from diolab.core import BudgetExceededError, NonGenericLatticeError, _int_columns
 
 
 def fib(n):
@@ -83,6 +85,54 @@ def test_direct_scan_budget():
     theta = ((Fraction(123456789, 1 << 40),),)
     with pytest.raises(BudgetExceededError):
         direct_scan(theta, 10**6, budget=100)
+
+
+def test_direct_scan_budget_builds_one_chunk(monkeypatch):
+    # the disk of norm 10^6 holds about 1.6e12 heights; a budget of 50
+    # heights raises inside the first annulus without building the rest
+    theta = ((Fraction(123456789, 1 << 40),), (Fraction(987654321, 1 << 40),))
+    built = []
+    annulus = bestapprox._annulus
+
+    def counted(n0, n1):
+        built.append((n0, n1))
+        return annulus(n0, n1)
+
+    monkeypatch.setattr(bestapprox, "_annulus", counted)
+    with pytest.raises(BudgetExceededError):
+        direct_scan(theta, 10**6, budget=100)
+    assert len(built) == 1
+
+
+def test_prefilter_keeps_every_height_within_the_bound():
+    # non-dyadic denominators truncate every a_ji, and |q_j| runs up to
+    # q_max; each height whose exact squared distance is at most the
+    # bound survives, and some survive only by the margin E = sum |q_j|
+    rng = random.Random(23)
+    by_margin = 0
+    for d, c, q_max in ((1, 1, 3000), (3, 1, 1500), (1, 2, 36), (2, 2, 24)):
+        for den in (3**41, 7**29, (1 << 89) - 1):
+            entries = [Fraction(rng.randrange(-den, 2 * den), den) for _ in range(d * c)]
+            entries[0] = Fraction(-1, den)  # a = 2^64 - 1 after the truncation
+            theta = tuple(tuple(entries[j * d : (j + 1) * d]) for j in range(c))
+            tnum, den_ = _int_columns(theta)
+            frac64 = bestapprox._frac64(tnum, den_)
+            heights = [h for _, h in reference_shells(c, q_max)]
+            qcols = [np.array([h[j] for h in heights], dtype=np.int64) for j in range(c)]
+            w = []
+            u = []
+            for h in heights:
+                dist = [sum(h[j] * tnum[j][i] for j in range(c)) % den_ for i in range(d)]
+                w.append(sum(min(x, den_ - x) ** 2 for x in dist))
+                s = [sum(h[j] * frac64[j][i] for j in range(c)) % (1 << 64) for i in range(d)]
+                u.append(max(min(x, (1 << 64) - x) for x in s))
+            for bound in sorted(w)[:: len(w) // 40]:
+                kept = set(bestapprox._survivors(qcols, frac64, den_, bound).tolist())
+                near = [k for k, wk in enumerate(w) if wk <= bound]
+                assert kept.issuperset(near)
+                b64 = bestapprox._bound64(bound, den_)
+                by_margin += sum(u[k] > b64 for k in near)
+    assert by_margin > 0
 
 
 def test_cf_convergents():

@@ -504,9 +504,23 @@ def test_explicit_matches_dynamic():
 
 
 def test_explicit_map_boundary_raises():
+    # 1/x is an integer: the successor X_2 is vertical on both routes
     p = SurfacePoint1D(Fraction(1, 2), Fraction(1, 3), 1)
     with pytest.raises(NonGenericLatticeError):
         return_map_explicit_1d(p)
+    with pytest.raises(NonGenericLatticeError, match="successor"):
+        surface_first_return_1d(p)
+
+
+def test_first_return_raises_where_the_chain_ends():
+    # a 48-bit chart point has a finite chain: return 29's successor X_2
+    # is vertical, so its flowed lattice would be off S and return 30
+    # would fail membership with a ValueError
+    basis = chart_lattice_1d(sample_surface_point_1d(random.Random(1), 48))
+    for _ in range(29):
+        basis = first_return(basis).basis_after
+    with pytest.raises(NonGenericLatticeError, match="successor .* vertical"):
+        first_return(basis)
 
 
 def test_first_return_needs_transversal():
@@ -538,6 +552,13 @@ def test_sample_surface_point_deterministic():
     a = sample_surface_point_1d(random.Random(8), bits=30)
     b = sample_surface_point_1d(random.Random(8), bits=30)
     assert a == b
+
+
+@pytest.mark.parametrize("bits", [0, -1])
+def test_sample_surface_point_needs_bits(bits):
+    # getrandbits(0) is always 0, so the draw would never return
+    with pytest.raises(ValueError, match="bits must be positive"):
+        sample_surface_point_1d(random.Random(8), bits=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 chains terminate: the chain engine agrees with the exhaustive scan, and
 the minimal-vector chain of the target's lattice carries the records;
 in 1x1 the chain engine recovers the continued-fraction denominators.
-Targets at the extremes of ``bits`` and degenerate 2x2 bases close the
-file."""
+The prefiltered scan agrees with the plain reference scan, budget
+included.  Targets at the extremes of ``bits`` and degenerate 2x2 bases
+close the file."""
 
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from diolab.bestapprox import cf_best_denominators, chain_engine, direct_scan, sample_theta
 from diolab.core import (
+    BudgetExceededError,
     Cylinder,
     LatticeBasis,
     NonGenericLatticeError,
@@ -21,7 +23,7 @@ from diolab.core import (
 )
 from diolab.dynamics import minimal_vectors
 
-from conftest import brute_cylinder, safe_box
+from conftest import brute_cylinder, reference_scan, reference_shells, safe_box
 
 SHAPES = ((1, 1), (2, 1), (1, 2))
 # height caps past every terminal record of a target with denominators <= 16
@@ -76,6 +78,64 @@ def test_chain_equals_continued_fraction_1x1(x):
         assert records_or_tie(direct_scan, ((x,),), q) == "tie"
     else:
         assert [r.Q[0] for r in chain] == cf_best_denominators(x)
+
+
+SCAN_SHAPES = ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2))
+# height caps that let some scans reach their terminal record and cut
+# others short
+SCAN_Q_MAX = {1: 300, 2: 16}
+
+
+@st.composite
+def scan_case(draw):
+    # dyadic denominators (ties) and 3^k, 7^k; entries in [-2, 2]
+    d, c = draw(st.sampled_from(SCAN_SHAPES))
+    den = draw(
+        st.one_of(
+            st.integers(1, 12).map(lambda b: 1 << b),
+            st.integers(1, 6).map(lambda k: 3**k),
+            st.integers(1, 4).map(lambda k: 7**k),
+        )
+    )
+    entry = st.integers(-2 * den, 2 * den).map(lambda num: Fraction(num, den))
+    theta = tuple(tuple(draw(entry) for _ in range(d)) for _ in range(c))
+    return theta, draw(st.integers(1, SCAN_Q_MAX[c]))
+
+
+def scan_outcome(scan, theta, q_max, **kwargs):
+    try:
+        return records_or_tie(scan, theta, q_max, **kwargs)
+    except BudgetExceededError:
+        return "budget"
+
+
+def scan_length(theta, q_max):
+    """The number k of heights the reference scan visits: the least k
+    whose budget d*c*k it completes within."""
+    dc = len(theta[0]) * len(theta)
+    lo, hi = 0, len(reference_shells(len(theta), q_max))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if scan_outcome(reference_scan, theta, q_max, budget=dc * mid) == "budget":
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(scan_case(), st.integers(0, 10**6))
+def test_direct_scan_equals_reference_scan(case, cut):
+    # records, ties and budget errors agree, at the budgets around the
+    # scan's last height k and at one budget inside the scan
+    theta, q_max = case
+    dc = len(theta[0]) * len(theta)
+    assert scan_outcome(direct_scan, theta, q_max) == scan_outcome(reference_scan, theta, q_max)
+    k = scan_length(theta, q_max)
+    for budget in (dc * k - 1, dc * k, dc * k + 1, cut % (dc * k + 1)):
+        assert scan_outcome(direct_scan, theta, q_max, budget=budget) == scan_outcome(
+            reference_scan, theta, q_max, budget=budget
+        )
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)
