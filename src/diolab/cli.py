@@ -81,13 +81,12 @@ class RunConfig:
     depth: Optional[int] = None
     bits: Optional[int] = None
     seed: Optional[int] = None
-    precision_bits: Optional[int] = None
     budget: int = 10**7
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {"command": self.command, "budget": self.budget}
-        for name in ("d", "c", "trials", "depth", "bits", "seed", "precision_bits"):
+        for name in ("d", "c", "trials", "depth", "bits", "seed"):
             value = getattr(self, name)
             if value is not None:
                 out[name] = value
@@ -324,7 +323,6 @@ def cmd_surface(args: argparse.Namespace) -> int:
         "samples": est.samples,
         "accepted": est.accepted,
         "nongeneric": est.nongeneric,
-        "implied_mu_L3": est.implied_mu_L3,
     }
     jpath = os.path.join(out, "surface_%s.json" % config.tag())
     write_json(jpath, summary)

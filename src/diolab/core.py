@@ -28,6 +28,7 @@ __all__ = [
     "SearchLimitError",
     "FLOW_BITS",
     "GUARD_BITS",
+    "LLL_DELTA",
     "sq_close",
     "Cylinder",
     "LatticeBasis",
@@ -268,14 +269,11 @@ class LatticeVector:
     """Lattice point with exact physical squared norms.
 
     ``y`` are integer coordinates in the originating basis; ``raw`` are
-    ambient coordinates before division by sqrt(scale_sq).
+    ambient coordinates before division by sqrt(scale_sq) of the basis.
     """
 
     y: tuple[int, ...]
     raw: tuple[Fraction, ...]
-    scale_sq: Fraction
-    d: int
-    c: int
     width_sq: Fraction
     height_sq: Fraction
 
@@ -365,7 +363,7 @@ class LatticeBasis:
                     raw[i] += yj * col[i]
         wsq = sum((t * t for t in raw[: self.d]), Fraction(0)) / self.scale_sq
         hsq = sum((t * t for t in raw[self.d :]), Fraction(0)) / self.scale_sq
-        return LatticeVector(tuple(y), tuple(raw), self.scale_sq, self.d, self.c, wsq, hsq)
+        return LatticeVector(tuple(y), tuple(raw), wsq, hsq)
 
     def det_raw(self) -> Fraction:
         """Determinant of the raw column matrix."""
@@ -477,21 +475,25 @@ def _int_gso(
     return dd, lam
 
 
+# Lovasz parameter of lll_columns
+LLL_DELTA = Fraction(99, 100)
+
+
 def lll_columns(
-    cols: Sequence[Sequence[int]], delta: Fraction = Fraction(99, 100)
+    cols: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[list[int]]]:
     """LLL-reduce integer columns; returns (reduced columns, transform U)
     with reduced = original . U and U unimodular (columns convention).
     Integral LLL on dd, lam of _int_gso.  Size reduction is stale-mu: a
     pass takes every r_j = round-half-up(lam_kj / dd[j+1]) from the row
     before it, so only |mu_{k,k-1}| <= 1/2 is guaranteed.  Lovasz with
-    delta = p/q: q (dd[k+1] dd[k-1] + lam_{k,k-1}^2) >= p dd[k]^2."""
+    LLL_DELTA = p/q: q (dd[k+1] dd[k-1] + lam_{k,k-1}^2) >= p dd[k]^2."""
     m = len(cols)
     b = [list(col) for col in cols]
     u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
     if m == 1:
         return b, u
-    p, q = delta.numerator, delta.denominator
+    p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
     dd, lam = _int_gso(b)
     k = 1
     rounds = 0
@@ -749,27 +751,25 @@ def chain_walker(
 
     Returns (key, members): the minimal (other^2, narrow^2) in the
     integer units of basis.kernel and the sorted sign-canonical
-    coordinates achieving it; (None, []) when y has zero narrow norm or
-    the cylinder holds no candidate.  Two norms of one block count as
-    equal when sq_close holds with basis.tol in that block's unit: a
-    decrease must clear that margin, and a second key within it of the
-    minimal one raises NonGenericLatticeError.
+    coordinates achieving it, an exact tie being one class; (None, [])
+    when y has zero narrow norm or the cylinder holds no candidate.
+
+    Every decision compares norms of one block, as integers of
+    basis.kernel, so it is exact on every basis: a flowed basis scales
+    each block by one frozen factor, which the kernel clears with the
+    block's denominators, and apply_flow(b, t).kernel[0] == b.kernel[0].
+    A flowed lattice's chain is therefore its parent's chain.
     """
-    cols, units, _ = basis.kernel
+    cols, _, _ = basis.kernel
     mink_sq = basis.kernel_minkowski_sq
-    tol = basis.tol
     d, m = basis.d, basis.m
     u: Optional[list[list[int]]] = None
-
-    def close(a: int, b: int, unit: Fraction) -> bool:
-        return abs(a - b) <= tol * max(a, b, unit)
 
     def step(
         y: Sequence[int], forward: bool = True
     ) -> tuple[Optional[tuple[int, int]], list[tuple[int, ...]]]:
         nonlocal u
         k = d if forward else m - d  # size of the narrowing block
-        unit_n, unit_o = units if forward else units[::-1]
         x = _matvec_int(cols, y)
         x_n = sum(t * t for t in (x[:d] if forward else x[d:]))
         x_o = sum(t * t for t in (x[d:] if forward else x[:d]))
@@ -784,21 +784,11 @@ def chain_walker(
         found: dict[tuple[int, ...], tuple[int, int]] = {}
         for yv, (w, h) in points.items():
             n, o = (w, h) if forward else (h, w)
-            if o > x_o and not (tol and close(n, x_n, unit_n)):
+            if o > x_o:
                 found[yv] = (o, n)
         if not found:
             return None, []
         best = min(found.values())
-        if tol:
-            for key in found.values():
-                if (
-                    key != best
-                    and close(key[0], best[0], unit_o)
-                    and close(key[1], best[1], unit_n)
-                ):
-                    raise NonGenericLatticeError(
-                        "two chain candidates tie within tolerance"
-                    )
         return best, sorted(yv for yv, key in found.items() if key == best)
 
     return step
@@ -833,7 +823,7 @@ def _kernel_vector(
         Fraction(t * s.denominator, s.numerator)
         for t, s in zip(_matvec_int(cols, y), [s_w] * d + [s_h] * basis.c)
     )
-    return LatticeVector(tuple(y), raw, basis.scale_sq, d, basis.c, w / unit_w, h / unit_h)
+    return LatticeVector(tuple(y), raw, w / unit_w, h / unit_h)
 
 
 def enumerate_in_cylinder(

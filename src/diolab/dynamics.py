@@ -172,16 +172,14 @@ def _anchor(basis: LatticeBasis, budget: int) -> list[LatticeVector]:
 
 def _certify(basis: LatticeBasis, x: LatticeVector, budget: int) -> int:
     """Check that every lattice point of C(x) is cylinder-equal to x;
-    returns the number of sign-canonical points found."""
-    tol = basis.tol
+    returns the number of sign-canonical points found.  Widths are
+    compared with widths and heights with heights, so the test is exact
+    on every basis, flowed ones included (see core.chain_walker)."""
     cands = enumerate_in_cylinder(
         basis, Cylinder(x.width_sq, x.height_sq), budget=budget
     )
     for v in cands:
-        if not (
-            sq_close(v.width_sq, x.width_sq, tol)
-            and sq_close(v.height_sq, x.height_sq, tol)
-        ):
+        if (v.width_sq, v.height_sq) != (x.width_sq, x.height_sq):
             raise NonGenericLatticeError(
                 "chain entry is not minimal: cylinder contains a "
                 "strictly smaller vector"
@@ -201,9 +199,10 @@ def minimal_vectors(
     entries below 0 when the chain extends that far.
 
     A chain entry is certified by enumerating its cylinder and checking
-    cylinder-equality of everything found.  Lattices whose chain order is
-    ambiguous (exact or within-tolerance ties on the successor key) raise
-    NonGenericLatticeError.
+    cylinder-equality of everything found; a cylinder holding a strictly
+    smaller vector raises NonGenericLatticeError.  The steps and the
+    certificate are exact; only the origin test, which compares a height
+    with a width, uses basis.tol.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -345,19 +344,23 @@ class SurfaceMembership:
     corner: Optional[LatticeVector] = None
 
 
-def surface_membership_S(
-    basis: LatticeBasis, *, budget: int = 10**7
-) -> SurfaceMembership:
-    """Membership on the two-short-vector transversal.
-
-    True iff the closed critical ball contains exactly one wide pair
-    (width = lambda_1, 0 < height < lambda_1) and one tall pair
-    (height = lambda_1, 0 < width < lambda_1), all inequalities strict
-    beyond the basis tolerance.
-    """
+def _critical_classes(
+    basis: LatticeBasis, budget: int
+) -> tuple[
+    Fraction,
+    list[LatticeVector],
+    list[LatticeVector],
+    list[LatticeVector],
+    list[LatticeVector],
+]:
+    """lambda_1^2, the vectors on the closed critical ball, and those
+    among them that are wide (width at lambda_1), tall (height at
+    lambda_1) or corner (both).  lambda_1 may be a width or a height,
+    so each test compares the two blocks and holds within basis.tol
+    (sq_close); with _critical_ball and minimal_vectors' origin test
+    these are the only decisions that use a tolerance."""
     tol = basis.tol
     lam_sq, on = _critical_ball(basis, tol, budget)
-
     # the mixed norm of each vector on the ball is close to lambda_1, so
     # its width or its height is
     wide, tall, corner = [], [], []
@@ -370,6 +373,20 @@ def surface_membership_S(
             wide.append(v)
         else:
             tall.append(v)
+    return lam_sq, on, wide, tall, corner
+
+
+def surface_membership_S(
+    basis: LatticeBasis, *, budget: int = 10**7
+) -> SurfaceMembership:
+    """Membership on the two-short-vector transversal.
+
+    True iff the closed critical ball contains exactly one wide pair
+    (width = lambda_1, 0 < height < lambda_1) and one tall pair
+    (height = lambda_1, 0 < width < lambda_1), all inequalities strict
+    beyond the basis tolerance.
+    """
+    lam_sq, on, wide, tall, corner = _critical_classes(basis, budget)
     if corner:
         return SurfaceMembership(
             False, "corner vector on the critical ball", lam_sq, corner=corner[0]
@@ -394,13 +411,7 @@ def surface_membership_Sprime(
 ) -> SurfaceMembership:
     """True iff the critical ball is the cylinder of a single corner pair
     with width = height = lambda_1."""
-    tol = basis.tol
-    lam_sq, on = _critical_ball(basis, tol, budget)
-    corner = [
-        v
-        for v in on
-        if sq_close(v.width_sq, lam_sq, tol) and sq_close(v.height_sq, lam_sq, tol)
-    ]
+    lam_sq, on, _, _, corner = _critical_classes(basis, budget)
     if len(on) == 1 and len(corner) == 1:
         return SurfaceMembership(True, "", lam_sq, corner=corner[0])
     return SurfaceMembership(

@@ -222,7 +222,6 @@ class SurfaceMeasureEstimate:
     samples: int
     accepted: int
     nongeneric: int
-    implied_mu_L3: float
 
 
 # proposal box: n31 in [0,1), (n12,n22) in the unit disk, n13,n23 in [-2,2],
@@ -330,7 +329,6 @@ def surface_mc_2d(
         samples,
         accepted,
         nongeneric,
-        LEVY_2_1 * muS_hat / 2,
     )
 
 

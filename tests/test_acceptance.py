@@ -395,9 +395,11 @@ def test_criterion_9_inductive_construction():
     witnessed = reports[-1].vacuous == ()
     sink = final.a * 4 <= early.a
     floor = final.b * 2 >= early.b
+    # the wall time stays off the verdict line, which repeats byte for byte
+    print("criterion 9 wall time: %.2fs (< 600s)" % elapsed)
     report(
         "criterion 9 (construction)",
         elapsed < 600 and witnessed and sink and floor,
-        "%.2fs, n=%d, a ratio %.2f (>=4), b ratio %.3f (>=0.5)"
-        % (elapsed, state.n, float(early.a / final.a), float(final.b / early.b)),
+        "n=%d, a ratio %.2f (>=4), b ratio %.3f (>=0.5)"
+        % (state.n, float(early.a / final.a), float(final.b / early.b)),
     )

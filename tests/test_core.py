@@ -15,6 +15,7 @@ from diolab.core import (
     _ball_volume,
     _gauss_pair,
     Cylinder,
+    LLL_DELTA,
     LatticeBasis,
     SingularBasisError,
     a_safe,
@@ -231,7 +232,7 @@ LLL_DIGEST = "f192b4c08e46249449a37129405e95718e09d50065958275d58a145d149bc17c"
 
 
 def test_lll_columns_against_fraction_oracle():
-    delta = Fraction(99, 100)
+    delta = LLL_DELTA
     outputs = []
     stale = 0
     for cols in lll_test_bases():

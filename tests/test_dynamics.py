@@ -201,11 +201,10 @@ def test_kernel_units_and_minkowski_bound():
 
 def brute_chain_class(basis, x, forward):
     """The chain neighbour class of x from a brute scan of its Minkowski
-    cylinder in physical Fractions, with chain_walker's rules stated in
-    physical units: strictly narrower, strictly taller, a narrow norm
-    within tolerance of x's is no decrease, minimal (other^2, narrow^2);
-    None when the scan box is too large."""
-    tol = basis.tol
+    cylinder in physical Fractions, with chain_walker's exact rules
+    stated in physical units: strictly narrower, strictly taller, every
+    vector of minimal (other^2, narrow^2); None when the scan box is too
+    large."""
     k = basis.d if forward else basis.c
     x_n, x_o = (x.width_sq, x.height_sq) if forward else (x.height_sq, x.width_sq)
     r_o = kth_root_upper(physical_minkowski_sq(basis) / x_n**k, basis.m - k)
@@ -216,19 +215,15 @@ def brute_chain_class(basis, x, forward):
     found = {}
     for v in brute_cylinder(basis, cyl, box):
         n, o = (v.width_sq, v.height_sq) if forward else (v.height_sq, v.width_sq)
-        if n < x_n and o > x_o and not sq_close(n, x_n, tol):
+        if n < x_n and o > x_o:
             found[v] = (o, n)
     best = min(found.values())
-    for key in found.values():
-        assert key == best or not (
-            sq_close(key[0], best[0], tol) and sq_close(key[1], best[1], tol)
-        )
     return sorted((v for v, key in found.items() if key == best), key=lambda v: v.y[::-1])
 
 
-def test_stepper_with_tolerance_matches_brute_force():
+def test_stepper_on_flowed_lattices_matches_exact_brute_force():
     # flowed chart and theta lattices (tol > 0), scale_sq != 1, whose
-    # blocks have different units
+    # blocks have different units: the walker decides exactly on them
     rng = random.Random(42)
     checked = {(1, 1): 0, (2, 1): 0, (1, 2): 0}
     for i in range(18):
@@ -260,12 +255,12 @@ def test_stepper_with_tolerance_matches_brute_force():
 
 @pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("short", [False, True])
-def test_near_tie_within_tolerance_raises(forward, short):
+def test_near_tie_is_decided_exactly(forward, short):
     # two candidates of the same other norm whose narrow norms differ by
-    # about tol/2: a tie within tolerance.  With short narrow norms (< 1)
-    # only the unit floor of sq_close makes them close, and the narrow
-    # block's unit is over 2^48 times the other's, so a comparison in the
-    # other block's unit would not.
+    # about tol/2, a tie within the tolerance of a 40-bit basis (with
+    # short narrow norms, < 1, only by the unit floor of sq_close); the
+    # walker compares them as integers of one block, so the tagged basis
+    # steps to the same class as the exact one
     w = Fraction(1, 2) if short else Fraction(3)
     eps = Fraction(1, 1 << 25) if short else w / (1 << 26)
     pair = [(w, Fraction(1)), (-(w + eps), Fraction(1))]
@@ -274,17 +269,47 @@ def test_near_tie_within_tolerance_raises(forward, short):
     exact = LatticeBasis(1, 1, pair)
     basis = LatticeBasis(1, 1, pair, precision_bits=40)
     tol = basis.tol
-    x = basis.vector((1, -1))
     a, b = basis.vector((1, 0)), basis.vector((0, 1))
     n_a, n_b = (a.width_sq, b.width_sq) if forward else (a.height_sq, b.height_sq)
     assert n_a != n_b and abs(n_a - n_b) <= tol * max(n_a, n_b, 1)
     assert (abs(n_a - n_b) > tol * max(n_a, n_b)) == short
-    unit_n, unit_o = basis.kernel[1][:: 1 if forward else -1]
-    assert unit_n >= unit_o * (1 << 48)
-    with pytest.raises(NonGenericLatticeError, match="tie within tolerance"):
-        _chain_stepper(basis, 10**7)(x, forward)
-    got = _chain_stepper(exact, 10**7)(exact.vector((1, -1)), forward)
-    assert [v.y for v in got] == [(1, 0)]
+    got = _chain_stepper(basis, 10**7)(basis.vector((1, -1)), forward)
+    want = _chain_stepper(exact, 10**7)(exact.vector((1, -1)), forward)
+    assert [v.y for v in got] == [v.y for v in want] == [(1, 0)]
+
+
+def test_flow_keeps_kernel_columns():
+    # each block of a flowed basis is its parent's times one frozen
+    # factor, which the kernel clears: the integer columns, and so every
+    # chain step, stay those of the unflowed basis
+    rng = random.Random(12)
+    for i, (d, c) in enumerate(((1, 1), (2, 1), (1, 2))):
+        _, basis = theta_basis(64, 90 + i, d, c)
+        cols = basis.kernel[0]
+        step = _chain_stepper(basis, 10**7)
+        flowed = basis
+        for k in range(4):
+            # float and Fraction times alike
+            t = rng.uniform(-3, 3)
+            flowed = apply_flow(flowed, Fraction(t) if k % 2 else t)
+            assert flowed.precision_bits == 128
+            assert flowed.kernel[0] == cols
+        flowed_step = _chain_stepper(flowed, 10**7)
+        checked = 0
+        for entry in minimal_vectors(basis, 6, back=3, certify=False).entries:
+            for forward in (True, False):
+                want = step(entry.vector, forward)
+                if want is None:
+                    continue
+                got = flowed_step(flowed.vector(entry.vector.y), forward)
+                assert [v.y for v in got] == [v.y for v in want]
+                checked += 1
+        assert checked >= 10
+    basis = chart_lattice_1d(sample_surface_point_1d(random.Random(5), 48))
+    cols = basis.kernel[0]
+    for _ in range(10):
+        basis = first_return(basis).basis_after
+        assert basis.kernel[0] == cols
 
 
 def test_tie_policies_share_the_kernel():
