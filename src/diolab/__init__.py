@@ -26,9 +26,7 @@ from .bestapprox import (
     beta_sequence,
     chain_engine,
     direct_scan,
-    minkowski_ok,
     sample_theta,
-    theta_from_strings,
 )
 from .dynamics import (
     ChainEntry,

@@ -27,7 +27,6 @@ from .core import (
     _int_columns,
     _matvec_int,
     chain_walker,
-    minkowski_leq,
     nearest_int,
 )
 
@@ -36,9 +35,7 @@ __all__ = [
     "direct_scan",
     "chain_engine",
     "beta_sequence",
-    "minkowski_ok",
     "sample_theta",
-    "theta_from_strings",
     "cf_convergents",
     "cf_best_denominators",
 ]
@@ -65,16 +62,6 @@ class BestApproxRecord:
     @property
     def r(self) -> float:
         return math.sqrt(float(self.r_sq))
-
-
-def theta_from_strings(columns: Sequence[str]) -> Theta:
-    """Columns like "1/2,1/3"; entries are exact Fractions."""
-    out = []
-    for col in columns:
-        out.append(tuple(Fraction(part.strip()) for part in col.split(",")))
-    if len({len(col) for col in out}) != 1:
-        raise ValueError("ragged theta columns")
-    return tuple(out)
 
 
 def sample_theta(d: int, c: int, bits: int, rng: random.Random) -> Theta:
@@ -407,11 +394,6 @@ def beta_sequence(records: Sequence[BestApproxRecord], d: int, c: int) -> list[F
             raise ValueError("records must be consecutive")
         out.append(b.q_sq**c * a.r_sq**d)
     return out
-
-
-def minkowski_ok(beta_sq: Sequence[Fraction], d: int, c: int) -> bool:
-    """Exact check that every product respects the Minkowski constant."""
-    return all(minkowski_leq(b, d, c) for b in beta_sq)
 
 
 def cf_convergents(x: Fraction, limit: int = 10**6) -> list[tuple[int, int]]:

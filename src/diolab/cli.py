@@ -126,6 +126,7 @@ def cmd_bestapprox(args: argparse.Namespace) -> int:
     _require(args.d >= 1 and args.c >= 1, "--d and --c must be positive")
     _require(args.count is None or args.count >= 1, "--count must be positive")
     _require(args.qmax is None or args.qmax >= 0, "--qmax must be nonnegative")
+    _require(args.bits >= 1, "--bits must be positive")
     seed = args.seed
     if args.theta is not None:
         theta = _parse_theta(args.theta, args.d, args.c)
@@ -177,6 +178,7 @@ def cmd_levy(args: argparse.Namespace) -> int:
     _require(args.d >= 1 and args.c >= 1, "--d and --c must be positive")
     _require(args.trials >= 2, "--trials must be at least 2")
     _require(args.depth >= 4, "--depth must be at least 4")
+    _require(args.bits >= 1, "--bits must be positive")
     seed = _resolve_seed(args.seed)
     config = RunConfig(
         "levy",
@@ -240,6 +242,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     _require(args.trials >= 1, "--trials must be positive")
     _require(args.discard >= 0, "--discard must be nonnegative")
     _require(args.depth > args.discard + 1, "--depth must exceed --discard + 1")
+    _require(args.bits >= 1, "--bits must be positive")
     seed = _resolve_seed(args.seed)
     config = RunConfig(
         "dist",
@@ -334,6 +337,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 def cmd_returnmap(args: argparse.Namespace) -> int:
     _require(args.bits >= 1, "--bits must be positive")
+    _require(args.n >= 1, "--n must be positive")
     seed = _resolve_seed(args.seed)
     config = RunConfig(
         "returnmap", d=1, c=1, bits=args.bits, seed=seed, budget=args.budget,
@@ -390,6 +394,7 @@ def cmd_returnmap(args: argparse.Namespace) -> int:
 
 
 def cmd_badk(args: argparse.Namespace) -> int:
+    _require(args.steps >= 0, "--steps must be nonnegative")
     config = RunConfig(
         "badk", d=2, c=1, budget=args.budget,
         extras={"steps": args.steps, "x_search_bound": args.x_search_bound},

@@ -42,7 +42,6 @@ __all__ = [
     "frac_from_mpf",
     "mpf_from_frac",
     "ln_frac",
-    "float_from_frac",
     "canonical_sign",
     "lll_columns",
     "fp_enumerate",
@@ -161,13 +160,6 @@ def ln_frac(x: Fraction, prec: int = 53) -> "mpmath.mpf":
         )
 
 
-def float_from_frac(x: Fraction) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x.numerator > 0 else -math.inf
-
-
 def _pi_bounds(prec: int) -> tuple[Fraction, Fraction]:
     with mpmath.mp.workprec(prec):
         p = +mpmath.mp.pi
@@ -237,8 +229,8 @@ def a_safe(d: int, c: int) -> int:
 # tolerance of approximate lattices
 
 # Flow factors are computed as FLOW_BITS-bit floats and frozen to exact
-# rationals; squared norms of such data count as equal up to the
-# relative tolerance 2**-(bits - GUARD_BITS) (LatticeBasis.tol).
+# rationals; squared norms of a flowed basis count as equal up to the
+# relative tolerance 2**-(FLOW_BITS - GUARD_BITS) (LatticeBasis.tol).
 FLOW_BITS = 128
 GUARD_BITS = 16
 
@@ -269,7 +261,8 @@ class LatticeVector:
     """Lattice point with exact physical squared norms.
 
     ``y`` are integer coordinates in the originating basis; ``raw`` are
-    ambient coordinates before division by sqrt(scale_sq) of the basis.
+    ambient coordinates, each block times its flow factor, before
+    division by sqrt(scale_sq) of the basis.
     """
 
     y: tuple[int, ...]
@@ -300,30 +293,44 @@ class LatticeBasis:
     ``columns[j]`` lists the ambient coordinates of the j-th basis vector
     before division by sqrt(scale_sq); keeping the scale factored out lets
     chart lattices with irrational normalization stay exact.
-    ``precision_bits`` is None for exact data and otherwise records the
-    float precision the entries were frozen from; it sets ``tol``.
-    ``kernel`` and ``kernel_minkowski_sq`` are the basis in the integer
-    units of the lattice kernel, each computed once on first use.
+    ``flow`` is None for an unflowed basis and otherwise the frozen
+    factors (e^{ct}, e^{-dt}) of every flow applied to it, multiplied
+    together: the lattice is that of ``columns`` with the width block
+    times the first and the height block times the second.  A flowed
+    basis keeps its parent's columns and scale_sq; its frozen factors
+    set ``tol``.  ``kernel`` and ``kernel_minkowski_sq`` are the basis
+    in the integer units of the lattice kernel, each computed once on
+    first use.
     """
 
     d: int
     c: int
     columns: tuple[tuple[Fraction, ...], ...]
     scale_sq: Fraction = Fraction(1)
-    precision_bits: Optional[int] = None
+    flow: Optional[tuple[Fraction, Fraction]] = None
 
     def __post_init__(self) -> None:
         m = self.d + self.c
         if len(self.columns) != m or any(len(col) != m for col in self.columns):
             raise ValueError("need d+c columns of length d+c")
-        object.__setattr__(
-            self,
-            "columns",
-            tuple(tuple(Fraction(t) for t in col) for col in self.columns),
-        )
+        # columns that are already Fractions stay the same object, so a
+        # flowed basis shares its parent's
+        if type(self.columns) is not tuple or any(
+            type(col) is not tuple or any(type(t) is not Fraction for t in col)
+            for col in self.columns
+        ):
+            object.__setattr__(
+                self,
+                "columns",
+                tuple(tuple(Fraction(t) for t in col) for col in self.columns),
+            )
         object.__setattr__(self, "scale_sq", Fraction(self.scale_sq))
         if self.scale_sq <= 0:
             raise ValueError("scale_sq must be positive")
+        if self.flow is not None:
+            object.__setattr__(self, "flow", tuple(Fraction(f) for f in self.flow))
+            if len(self.flow) != 2 or min(self.flow) <= 0:
+                raise ValueError("flow needs two positive factors")
 
     @property
     def m(self) -> int:
@@ -361,12 +368,15 @@ class LatticeBasis:
                 col = self.columns[j]
                 for i in range(m):
                     raw[i] += yj * col[i]
+        if self.flow is not None:
+            fp, fm = self.flow
+            raw = [t * (fp if i < self.d else fm) for i, t in enumerate(raw)]
         wsq = sum((t * t for t in raw[: self.d]), Fraction(0)) / self.scale_sq
         hsq = sum((t * t for t in raw[self.d :]), Fraction(0)) / self.scale_sq
         return LatticeVector(tuple(y), tuple(raw), wsq, hsq)
 
     def det_raw(self) -> Fraction:
-        """Determinant of the raw column matrix."""
+        """Determinant of the raw column matrix, flow factors included."""
         m = self.m
         a = [[self.columns[j][i] for j in range(m)] for i in range(m)]
         det = Fraction(1)
@@ -388,6 +398,9 @@ class LatticeBasis:
                     f = a[r][k] / inv
                     for s in range(k, m):
                         a[r][s] -= f * a[k][s]
+        if self.flow is not None:
+            fp, fm = self.flow
+            det *= fp**self.d * fm**self.c
         return det
 
     def det_sq(self) -> Fraction:
@@ -395,14 +408,14 @@ class LatticeBasis:
         dr = self.det_raw()
         return dr * dr / self.scale_sq ** self.m
 
-    @cached_property
+    @property
     def tol(self) -> Fraction:
         """Relative tolerance of sq_close on this basis's squared norms:
-        0 for exact data, else 2**-(min(precision_bits, FLOW_BITS) -
-        GUARD_BITS)."""
-        if self.precision_bits is None:
+        0 for exact data, 2**-(FLOW_BITS - GUARD_BITS) once a frozen
+        flow factor enters."""
+        if self.flow is None:
             return Fraction(0)
-        return Fraction(1, 1 << (min(self.precision_bits, FLOW_BITS) - GUARD_BITS))
+        return Fraction(1, 1 << (FLOW_BITS - GUARD_BITS))
 
     @cached_property
     def kernel(
@@ -410,10 +423,12 @@ class LatticeBasis:
     ) -> tuple[tuple[tuple[int, ...], ...], tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
         """The basis in the integer units of the lattice kernel.
 
-        Each block, rows [:d] (width) and rows [d:] (height), is cleared
-        of its own denominators, L_b the least common one, and then
-        divided by its content g_b, the gcd of all its entries, so that
-        the integer block is s_b = L_b / g_b times the raw one.  A
+        Each block of ``columns``, rows [:d] (width) and rows [d:]
+        (height), is cleared of its own denominators, L_b the least
+        common one, and then divided by its content g_b, the gcd of all
+        its entries, so that the integer block is s_b = L_b / (g_b f_b)
+        times the raw one, f_b the block's flow factor (1 unflowed).  A
+        flow thus changes only s_b, never the integer columns.  A
         physical squared norm of block b is the integer one divided by
         the block's unit s_b^2 * scale_sq; this is the one place that
         convention is computed.  Returns (integer columns, (unit_w,
@@ -422,13 +437,13 @@ class LatticeBasis:
         d, m = self.d, self.m
         blocks = []
         scales = []
-        for rows in (slice(0, d), slice(d, m)):
+        for f, rows in zip(self.flow or (1, 1), (slice(0, d), slice(d, m))):
             ints, den = _int_columns([col[rows] for col in self.columns])
             g = math.gcd(*(t for col in ints for t in col))
             if g == 0:
                 raise SingularBasisError("degenerate basis")
             blocks.append([tuple(t // g for t in col) for col in ints])
-            scales.append(Fraction(den, g))
+            scales.append(Fraction(den, g) / f)
         cols = tuple(w + h for w, h in zip(*blocks))
         units = (scales[0] ** 2 * self.scale_sq, scales[1] ** 2 * self.scale_sq)
         return cols, units, (scales[0], scales[1])

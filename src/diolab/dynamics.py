@@ -69,9 +69,12 @@ __all__ = [
 def apply_flow(basis: LatticeBasis, t) -> LatticeBasis:
     """Image of the basis under g_t.
 
-    The two scale factors are evaluated as FLOW_BITS-bit floats and
-    frozen to exact rationals; the result is tagged with that precision
-    so later equality tests pick the matching tolerance (basis.tol).
+    The two scale factors e^{ct} and e^{-dt} are evaluated as
+    FLOW_BITS-bit floats and frozen to exact rationals.  The image keeps
+    the basis's columns and scale_sq and stores the factors, multiplied
+    into those of earlier flows (basis.flow), so no column is rebuilt
+    and the kernel columns stay the parent's; a stored flow also sets
+    the tolerance of decisions across the two blocks (basis.tol).
     """
     if t == 0:
         return basis
@@ -83,14 +86,9 @@ def apply_flow(basis: LatticeBasis, t) -> LatticeBasis:
             tt = mpmath.mpf(t)
         fp = frac_from_mpf(mpmath.exp(c * tt))
         fm = frac_from_mpf(mpmath.exp(-d * tt))
-    cols = tuple(
-        tuple((fp if i < d else fm) * x for i, x in enumerate(col))
-        for col in basis.columns
-    )
-    bits = FLOW_BITS
-    if basis.precision_bits is not None:
-        bits = min(bits, basis.precision_bits)
-    return LatticeBasis(d, c, cols, basis.scale_sq, bits)
+    if basis.flow is not None:
+        fp, fm = fp * basis.flow[0], fm * basis.flow[1]
+    return LatticeBasis(d, c, basis.columns, basis.scale_sq, (fp, fm))
 
 
 def apply_flow_log(basis: LatticeBasis, ratio_sq: Fraction) -> LatticeBasis:
@@ -539,9 +537,8 @@ def surface_coordinates_1d(
         raise ValueError(f"lattice is not on the transversal: {mem.reason}")
     x_sq = mem.tall.width_sq / mem.wide.width_sq
     y_sq = mem.wide.height_sq / mem.tall.height_sq
-    bits = FLOW_BITS if basis.precision_bits is None else basis.precision_bits
-    x = _sqrt_frac(x_sq, bits)
-    y = _sqrt_frac(y_sq, bits)
+    x = _sqrt_frac(x_sq, FLOW_BITS)
+    y = _sqrt_frac(y_sq, FLOW_BITS)
     eps = 1 if mem.wide.raw[0] * mem.wide.raw[1] > 0 else -1
     return SurfacePoint1D(x, y, eps)
 

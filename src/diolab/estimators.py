@@ -196,12 +196,12 @@ def surface_density_1d(x: float, y: float) -> float:
 
 
 def surface_measure_1d() -> float:
-    """Total transversal mass, integrating both sign sheets by adaptive
-    quadrature; the exact value is 2 ln 2."""
+    """Total transversal mass, integrating surface_density_1d over both
+    sign sheets by adaptive quadrature; the exact value is 2 ln 2."""
     from scipy import integrate  # scipy loads only for this check
 
     val, _ = integrate.dblquad(
-        lambda y, x: 2.0 / (1.0 + x * y) ** 2, 0.0, 1.0, 0.0, 1.0,
+        lambda y, x: 2.0 * surface_density_1d(x, y), 0.0, 1.0, 0.0, 1.0,
         epsabs=1e-10, epsrel=1e-10,
     )
     return val

@@ -22,7 +22,6 @@ import mpmath
 __all__ = [
     "DIGITS",
     "frac_str",
-    "parse_frac",
     "dec_str",
     "dec_sqrt_str",
     "write_csv",
@@ -39,10 +38,6 @@ OUTDIR_ENV = "DIOLAB_OUTDIR"
 def frac_str(x: Union[Fraction, int]) -> str:
     """"num/den" (or bare integer) for an exact value."""
     return str(Fraction(x))
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def dec_str(x: Union[Fraction, int, float], digits: int = DIGITS) -> str:

@@ -16,16 +16,20 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import mpmath
 import numpy as np
 
 from diolab.bestapprox import BestApproxRecord
 from diolab.core import (
+    FLOW_BITS,
     BudgetExceededError,
     Cylinder,
     LatticeBasis,
     NonGenericLatticeError,
     _int_columns,
     canonical_sign,
+    frac_from_mpf,
+    mpf_from_frac,
     nearest_int,
 )
 
@@ -241,6 +245,22 @@ def random_unimodular_basis(rng, d, c, ops=5):
     return LatticeBasis(d, c, tuple(tuple(col) for col in cols))
 
 
+def flow_by_columns(basis, t):
+    """g_t by rebuilding the columns: every entry of the width (height)
+    block times e^{ct} (e^{-dt}), frozen from FLOW_BITS-bit floats as
+    dynamics.apply_flow freezes them, in a new basis with no stored flow.
+    The reference for apply_flow's stored factors."""
+    d, c = basis.d, basis.c
+    with mpmath.mp.workprec(FLOW_BITS):
+        tt = mpf_from_frac(t, FLOW_BITS) if isinstance(t, Fraction) else mpmath.mpf(t)
+        fp = frac_from_mpf(mpmath.exp(c * tt))
+        fm = frac_from_mpf(mpmath.exp(-d * tt))
+    cols = tuple(
+        tuple((fp if i < d else fm) * x for i, x in enumerate(col)) for col in basis.columns
+    )
+    return LatticeBasis(d, c, cols, basis.scale_sq)
+
+
 def random_cylinder(rng):
     rp = Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
     rm = Fraction(rng.randrange(1, 9), rng.randrange(1, 5))
@@ -290,8 +310,15 @@ def brute_ellipsoid(cols, bound):
 
 def safe_box(basis, cyl):
     """Coefficient bound guaranteeing the brute scan sees the whole
-    cylinder: |y_i| <= row_sum(B^-1) * cylinder radius."""
-    inv = _inverse(basis.columns)
+    cylinder: |y_i| <= row_sum(B^-1) * cylinder radius, B the column
+    matrix with each block times its flow factor, so that B^-1 is the
+    inverse of the unflowed columns with each column of a block divided
+    by the block's factor."""
+    fp, fm = basis.flow or (1, 1)
+    inv = [
+        [t / (fp if k < basis.d else fm) for k, t in enumerate(row)]
+        for row in _inverse(basis.columns)
+    ]
     r_max = max(cyl.r_plus_sq, cyl.r_minus_sq)
     # ambient coordinates inside the cylinder are bounded by sqrt(r_max)
     bound = 0

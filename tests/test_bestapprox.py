@@ -14,12 +14,15 @@ from diolab.bestapprox import (
     cf_convergents,
     chain_engine,
     direct_scan,
-    minkowski_ok,
     sample_theta,
-    theta_from_strings,
 )
 from conftest import exact_scan_2x1, reference_shells
-from diolab.core import BudgetExceededError, NonGenericLatticeError, _int_columns
+from diolab.core import (
+    BudgetExceededError,
+    NonGenericLatticeError,
+    _int_columns,
+    minkowski_leq,
+)
 
 
 def fib(n):
@@ -31,15 +34,6 @@ def fib(n):
     return seq
 
 
-def test_theta_from_strings():
-    theta = theta_from_strings(["1/2,1/3"])
-    assert theta == ((Fraction(1, 2), Fraction(1, 3)),)
-    theta = theta_from_strings(["1/3", "2/7"])
-    assert theta == ((Fraction(1, 3),), (Fraction(2, 7),))
-    with pytest.raises(ValueError):
-        theta_from_strings(["1/2,1/3", "1/5"])
-
-
 def test_sample_theta_deterministic():
     a = sample_theta(2, 1, 64, random.Random(9))
     b = sample_theta(2, 1, 64, random.Random(9))
@@ -49,7 +43,7 @@ def test_sample_theta_deterministic():
 
 
 def test_direct_scan_frozen_2x1():
-    theta = theta_from_strings(["1/2,1/3"])
+    theta = ((Fraction(1, 2), Fraction(1, 3)),)
     recs = direct_scan(theta, 50)
     assert [r.Q for r in recs] == [(1,), (2,), (6,)]
     assert [r.P for r in recs] == [(0, 0), (1, 1), (3, 2)]
@@ -231,18 +225,13 @@ def test_records_shrink_and_grow():
 
 
 def test_beta_sequence_and_minkowski():
-    theta = theta_from_strings(["1/2,1/3"])
+    theta = ((Fraction(1, 2), Fraction(1, 3)),)
     recs = direct_scan(theta, 50)
     beta = beta_sequence(recs, 2, 1)
     assert beta == [Fraction(169, 324), Fraction(4, 9)]
-    assert minkowski_ok(beta, 2, 1)
+    assert all(minkowski_leq(b, 2, 1) for b in beta)
     with pytest.raises(ValueError):
         beta_sequence(recs[::2], 2, 1)
-
-
-def test_minkowski_ok_boundary():
-    assert minkowski_ok([Fraction(1)], 1, 1)
-    assert not minkowski_ok([Fraction(1) + Fraction(1, 10**20)], 1, 1)
 
 
 def test_minkowski_holds_along_random_chains():
@@ -251,11 +240,11 @@ def test_minkowski_holds_along_random_chains():
         theta = sample_theta(1, 1, 192, rng)
         recs = chain_engine(theta, depth=60)
         beta = beta_sequence(recs, 1, 1)
-        assert minkowski_ok(beta, 1, 1)
+        assert all(minkowski_leq(b, 1, 1) for b in beta)
 
 
 def test_tied_unit_heights_raise():
-    theta = theta_from_strings(["1/3", "1/3"])
+    theta = ((Fraction(1, 3),), (Fraction(1, 3),))
     with pytest.raises(NonGenericLatticeError):
         chain_engine(theta, depth=5)
     with pytest.raises(NonGenericLatticeError):

@@ -84,20 +84,28 @@ USAGE_ERRORS = {
         ["--seed", "1", "--qmax", "-3"],
         ["--d", "0", "--seed", "1", "--count", "3"],
         ["--c", "0", "--seed", "1", "--count", "3"],
+        ["--seed", "1", "--count", "3", "--bits", "0"],
     ],
     "levy": [
         ["--seed", "1", "--depth", "3"],
         ["--seed", "1", "--trials", "1"],
         ["--seed", "1", "--d", "0"],
+        ["--seed", "1", "--trials", "2", "--depth", "4", "--bits", "0"],
     ],
     "dist": [
         ["--seed", "1", "--depth", "5"],
         ["--seed", "1", "--depth", "11", "--discard", "10"],
         ["--seed", "1", "--trials", "0"],
         ["--seed", "1", "--c", "0"],
+        ["--seed", "1", "--trials", "1", "--depth", "4", "--discard", "0", "--bits", "0"],
     ],
     "surface": [["--d", "2", "--samples", "0", "--seed", "1"]],
-    "returnmap": [["--bits", "0", "--seed", "1"]],
+    "returnmap": [
+        ["--bits", "0", "--seed", "1"],
+        ["--n", "0", "--seed", "1"],
+        ["--n", "-1", "--seed", "1"],
+    ],
+    "badk": [["--steps", "-1"]],
 }
 
 

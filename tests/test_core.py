@@ -27,7 +27,6 @@ from diolab.core import (
     floor_frac,
     fp_enumerate,
     frac_from_mpf,
-    float_from_frac,
     ln_frac,
     lll_columns,
     minkowski_bound_sq_range,
@@ -88,13 +87,6 @@ def test_ln_frac_huge_arguments():
     assert abs(float(ln_frac(tiny, 80)) + 100000 * math.log(2)) < 1e-9
 
 
-def test_float_from_frac_extreme_exponents():
-    assert float_from_frac(Fraction(1, 1 << 3000)) == 0.0
-    assert float_from_frac(Fraction(1 << 3000)) == math.inf
-    assert float_from_frac(Fraction(-(1 << 3000))) == -math.inf
-    assert float_from_frac(Fraction(3, 4)) == 0.75
-
-
 def test_minkowski_constants():
     lo, hi = minkowski_bound_sq_range(2, 1, 300)
     assert lo < hi
@@ -147,13 +139,14 @@ def test_canonical_sign_scans_minus_block_first():
 
 
 def test_basis_tol_and_sq_close():
-    cols = LatticeBasis.identity(1, 1).columns
-    assert LatticeBasis(1, 1, cols).tol == 0
-    tol = LatticeBasis(1, 1, cols, precision_bits=128).tol
+    basis = LatticeBasis.identity(1, 1)
+    assert basis.tol == 0
+    tol = apply_flow(basis, 0.5).tol
     assert tol == Fraction(1, 1 << 112)
-    # the flow precision caps the tolerance of finer data
-    assert LatticeBasis(1, 1, cols, precision_bits=400).tol == tol
-    assert LatticeBasis(1, 1, cols, precision_bits=40).tol == Fraction(1, 1 << 24)
+    # one fixed tolerance for every flowed basis, however many flows it
+    # carries and whatever its factors
+    assert apply_flow(apply_flow(basis, 0.5), Fraction(-1, 4)).tol == tol
+    assert LatticeBasis(1, 1, basis.columns, flow=(1, 1)).tol == tol
     assert sq_close(Fraction(1), Fraction(1) + Fraction(1, 1 << 120), tol)
     assert not sq_close(Fraction(1), Fraction(1) + Fraction(1, 1 << 100), tol)
     # the scale floor of 1 and exact equality at tol = 0
@@ -380,7 +373,7 @@ def _two_unit_basis(rng):
         tuple(t * f if i in rows else t for i, t in enumerate(col)) for col in basis.columns
     )
     scale_sq = rng.choice((Fraction(1), Fraction(4), Fraction(9, 4), Fraction(2, 3)))
-    return LatticeBasis(d, c, cols, scale_sq, basis.precision_bits)
+    return LatticeBasis(d, c, cols, scale_sq, basis.flow)
 
 
 def test_enumerate_matches_brute_force():

@@ -1,6 +1,7 @@
 """Diagonal flow, minimal-vector chains, transversal membership, and the
 two first-return routes."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -38,7 +39,7 @@ from diolab.dynamics import (
     visiting_times,
 )
 
-from conftest import brute_cylinder, safe_box
+from conftest import brute_cylinder, flow_by_columns, safe_box
 
 
 def fib(n):
@@ -73,7 +74,7 @@ def test_apply_flow_zero_is_identity():
 def test_apply_flow_preserves_covolume():
     _, basis = theta_basis(64, 5)
     flowed = apply_flow(basis, 0.37)
-    assert flowed.precision_bits == 128
+    assert flowed.tol == Fraction(1, 1 << 112)
     assert abs(flowed.det_sq() - 1) < Fraction(1, 1 << 110)
 
 
@@ -196,7 +197,7 @@ def test_kernel_units_and_minkowski_bound():
             x = [sum(cols[j][i] * y[j] for j in range(basis.m)) for i in range(basis.m)]
             assert v.width_sq == sum(t * t for t in x[:d]) / unit_w
             assert v.height_sq == sum(t * t for t in x[d:]) / unit_h
-    assert sum(b.precision_bits is not None for b in bases) >= 10
+    assert sum(b.flow is not None for b in bases) >= 10
 
 
 def brute_chain_class(basis, x, forward):
@@ -257,18 +258,20 @@ def test_stepper_on_flowed_lattices_matches_exact_brute_force():
 @pytest.mark.parametrize("short", [False, True])
 def test_near_tie_is_decided_exactly(forward, short):
     # two candidates of the same other norm whose narrow norms differ by
-    # about tol/2, a tie within the tolerance of a 40-bit basis (with
-    # short narrow norms, < 1, only by the unit floor of sq_close); the
-    # walker compares them as integers of one block, so the tagged basis
-    # steps to the same class as the exact one
+    # about tol/2, a tie within the fixed tolerance of a flowed basis
+    # (with short narrow norms, < 1, only by the unit floor of
+    # sq_close); the walker compares them as integers of one block, so
+    # the basis carrying a flow, here of unit factors, steps to the same
+    # class as the exact one
     w = Fraction(1, 2) if short else Fraction(3)
-    eps = Fraction(1, 1 << 25) if short else w / (1 << 26)
+    eps = Fraction(1, 1 << 113) if short else w / (1 << 114)
     pair = [(w, Fraction(1)), (-(w + eps), Fraction(1))]
     if not forward:
         pair = [col[::-1] for col in pair]
     exact = LatticeBasis(1, 1, pair)
-    basis = LatticeBasis(1, 1, pair, precision_bits=40)
+    basis = LatticeBasis(1, 1, pair, flow=(1, 1))
     tol = basis.tol
+    assert tol == Fraction(1, 1 << 112)
     a, b = basis.vector((1, 0)), basis.vector((0, 1))
     n_a, n_b = (a.width_sq, b.width_sq) if forward else (a.height_sq, b.height_sq)
     assert n_a != n_b and abs(n_a - n_b) <= tol * max(n_a, n_b, 1)
@@ -292,7 +295,7 @@ def test_flow_keeps_kernel_columns():
             # float and Fraction times alike
             t = rng.uniform(-3, 3)
             flowed = apply_flow(flowed, Fraction(t) if k % 2 else t)
-            assert flowed.precision_bits == 128
+            assert flowed.columns is basis.columns
             assert flowed.kernel[0] == cols
         flowed_step = _chain_stepper(flowed, 10**7)
         checked = 0
@@ -306,10 +309,40 @@ def test_flow_keeps_kernel_columns():
                 checked += 1
         assert checked >= 10
     basis = chart_lattice_1d(sample_surface_point_1d(random.Random(5), 48))
-    cols = basis.kernel[0]
+    columns, cols = basis.columns, basis.kernel[0]
     for _ in range(10):
         basis = first_return(basis).basis_after
+        assert basis.columns is columns
         assert basis.kernel[0] == cols
+
+
+def test_flow_factors_match_scaled_columns():
+    # a flowed basis keeps its parent's columns and stores the product
+    # of its frozen factors; after each of four chained flows its
+    # vectors (raw coordinates included), determinant and kernel view
+    # are the same Fractions as on a basis whose columns were scaled
+    # explicitly, flow by flow
+    rng = random.Random(13)
+    bases = [theta_basis(64, 70 + i, d, c)[1] for i, (d, c) in enumerate(((1, 1), (2, 1), (1, 2)))]
+    bases.append(chart_lattice_1d(sample_surface_point_1d(rng, 48)))
+    bases.append(chart_lattice_2d(SurfacePoint2D(
+        Fraction(-5, 16), Fraction(5, 8), Fraction(-7, 8), Fraction(-1, 2),
+        Fraction(1, 8), Fraction(61, 16),
+    )))
+    for basis in bases:
+        ys = [y for y in itertools.product(range(-2, 3), repeat=basis.m) if any(y)]
+        flowed = ref = basis
+        for k in range(4):
+            t = rng.uniform(-3, 3)
+            t = Fraction(t) if k % 2 else t
+            flowed, ref = apply_flow(flowed, t), flow_by_columns(ref, t)
+            assert flowed.columns is basis.columns and flowed.scale_sq == basis.scale_sq
+            assert flowed.tol == Fraction(1, 1 << 112) and ref.flow is None
+            assert flowed.det_raw() == ref.det_raw()
+            assert flowed.det_sq() == ref.det_sq()
+            assert flowed.kernel == ref.kernel
+            assert flowed.kernel_minkowski_sq == ref.kernel_minkowski_sq
+            assert [flowed.vector(y) for y in ys] == [ref.vector(y) for y in ys]
 
 
 def test_tie_policies_share_the_kernel():

@@ -10,7 +10,6 @@ from diolab.serialize import (
     dec_str,
     frac_str,
     output_dir,
-    parse_frac,
     read_csv,
     read_json,
     write_csv,
@@ -21,7 +20,7 @@ from diolab.serialize import (
 def test_frac_str_round_trip():
     vals = [Fraction(0), Fraction(-7, 3), Fraction(10**40, 3**30), Fraction(5)]
     for v in vals:
-        assert parse_frac(frac_str(v)) == v
+        assert Fraction(frac_str(v)) == v
     assert frac_str(Fraction(1, 2)) == "1/2"
     assert frac_str(4) == "4"
 
