@@ -20,20 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .bestapprox import chain_engine, direct_scan
 from .core import (
     BudgetExceededError,
-    Cylinder,
     LatticeBasis,
     SearchLimitError,
+    _cylinder_search,
     _gauss_pair,
     ceil_frac,
-    enumerate_in_cylinder,
     floor_frac,
     fp_enumerate,
-    nearest_int,
 )
 
 __all__ = [
@@ -54,23 +52,29 @@ Pair = tuple[Fraction, Fraction]
 
 def sqrt_affine_leq(a: Fraction, b: Fraction, u: Fraction) -> bool:
     """Exact test of sqrt(a) + sqrt(b) <= sqrt(u) for nonnegative
-    rationals."""
-    if a < 0 or b < 0 or u < 0:
+    rationals, on integers: with a = an/ad, b = bn/bd, u = un/ud and R =
+    (u - a - b) ad bd ud, it holds iff R >= 0 and 4 an bn ad bd ud^2 <=
+    R^2."""
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    un, ud = u.numerator, u.denominator
+    if an < 0 or bn < 0 or un < 0:
         raise ValueError("arguments must be nonnegative")
-    rest = u - a - b
+    rest = (un * ad - an * ud) * bd - bn * ad * ud
     if rest < 0:
         return False
-    return 4 * a * b <= rest * rest
+    return 4 * an * bn * ad * bd * ud * ud <= rest * rest
 
 
 def _r_sq(theta: Pair, q: int) -> Fraction:
-    """Squared distance of q*theta to Z^2."""
-    total = Fraction(0)
+    """Squared distance of q*theta to Z^2: sum of min(x, Q - x)^2 / Q^2
+    over x = q theta_i Q mod Q, Q the lowest common denominator."""
+    den = _lcd(theta)
+    total = 0
     for t in theta:
-        x = q * t
-        z = nearest_int(x)
-        total += (x - z) ** 2
-    return total
+        x = q * t.numerator * (den // t.denominator) % den
+        total += min(x, den - x) ** 2
+    return Fraction(total, den * den)
 
 
 def _lcd(theta: Pair) -> int:
@@ -129,29 +133,40 @@ def _solve_k(gamma: tuple[int, int], theta: Pair, q: int) -> int:
     return k
 
 
-def _annulus_min_width_sq(
-    theta: Pair, q_lo: int, q_hi: int, budget: int
-) -> Optional[Fraction]:
-    """Smallest d(q theta, Z^2)^2 over integers q_lo < q < q_hi (q_lo >=
-    1), or None when the range is empty.
+def _gap_search(
+    theta: Pair, budget: int
+) -> Callable[[int, int], Optional[Fraction]]:
+    """``gap(q_lo, q_hi)``: the smallest d(q theta, Z^2)^2 over integers
+    q_lo < q < q_hi (q_lo >= 1), or None when the range is empty.
 
-    One cylinder search, its width fixed by a witness height: w =
+    Every gap runs on one lattice of theta, each as one cylinder search
+    warm-started from the transform the previous gap left
+    (core._cylinder_search), its width fixed by a witness height: w =
     max(q_lo + 1, q_hi - q_lo) lies in the range, so the cylinder of
     width^2 d(w theta, Z^2)^2 and height below q_hi holds w's own vector
     and every height in the range that beats it.  When q_hi > 2 q_lo,
     w = q_hi - q_lo and the triangle inequality bounds that width by
-    d(q_lo theta, Z^2) + d(q_hi theta, Z^2).
+    d(q_lo theta, Z^2) + d(q_hi theta, Z^2).  The minimum is the least
+    integer width, in the units of basis.kernel, among the points taller
+    than q_lo.
     """
-    if q_hi - q_lo < 2:
-        return None
-    w = max(q_lo + 1, q_hi - q_lo)
-    cyl = Cylinder(_r_sq(theta, w), Fraction((q_hi - 1) ** 2))
-    vecs = enumerate_in_cylinder(LatticeBasis.from_theta((theta,)), cyl, budget=budget)
-    lo_sq = q_lo * q_lo
-    found = [v.width_sq for v in vecs if v.height_sq > lo_sq]
-    if not found:
-        raise AssertionError("gap search missed its witness height %d" % w)
-    return min(found)
+    basis = LatticeBasis.from_theta((theta,))
+    search = _cylinder_search(basis, budget)
+    _, (unit_w, unit_h), _ = basis.kernel
+
+    def gap(q_lo: int, q_hi: int) -> Optional[Fraction]:
+        if q_hi - q_lo < 2:
+            return None
+        w = max(q_lo + 1, q_hi - q_lo)
+        rp = floor_frac(_r_sq(theta, w) * unit_w)
+        points = search(rp, floor_frac((q_hi - 1) ** 2 * unit_h))
+        lo = floor_frac(q_lo * q_lo * unit_h)
+        found = [pw for pw, ph in points.values() if ph > lo]
+        if not found:
+            raise AssertionError("gap search missed its witness height %d" % w)
+        return min(found) / unit_w
+
+    return gap
 
 
 @dataclass(frozen=True)
@@ -202,16 +217,19 @@ class BadConstructionState:
 
 def _extend_tables(
     M_tab: dict, m_tab: dict, thetas, q_list, j: int, budget: int
-) -> None:
-    """Fill column j of both tables (quantities of theta_j)."""
+) -> Callable[[int, int], Optional[Fraction]]:
+    """Fill column j of both tables (quantities of theta_j); returns the
+    gap search of theta_j that filled the column."""
     theta_j = thetas[j]
+    gap_search = _gap_search(theta_j, budget)
     r_cache = {i: _r_sq(theta_j, q_list[i]) for i in range(j + 1)}
     for i in range(1, j + 1):
         if (i, j) not in m_tab:
             m_tab[(i, j)] = (r_cache[i - 1], r_cache[i])
         if i < j and (i, j) not in M_tab:
-            gap = _annulus_min_width_sq(theta_j, q_list[i - 1], q_list[i], budget)
+            gap = gap_search(q_list[i - 1], q_list[i])
             M_tab[(i, j)] = None if gap is None else (gap, r_cache[i - 1])
+    return gap_search
 
 
 def _drift_beats(drift_sq: Fraction, table: dict, j_max: int) -> Optional[tuple]:
@@ -397,11 +415,12 @@ def certify(
     vacuous = []
     if _lcd(theta) != qs[-1]:
         raise AssertionError("det invariant broken: lcd != Q_n")
-    # the fresh tables up to column n; column n holds the gaps i < n
+    # the fresh tables up to column n; column n holds the gaps i < n,
+    # and its search also serves the last gap
     M_tab: dict = {}
     m_tab: dict = {}
     for j in range(1, n + 1):
-        _extend_tables(M_tab, m_tab, state.thetas, qs, j, budget)
+        gap_search = _extend_tables(M_tab, m_tab, state.thetas, qs, j, budget)
 
     # condition 1: Q_0..Q_n are exactly the best denominators of theta_n
     r_at = {i: _r_sq(theta, qs[i]) for i in range(n + 1)}
@@ -414,7 +433,7 @@ def certify(
         if i < n:
             gap = None if M_tab[(i, n)] is None else M_tab[(i, n)][0]
         else:
-            gap = _annulus_min_width_sq(theta, qs[n - 1], qs[n], budget)
+            gap = gap_search(qs[n - 1], qs[n])
         if gap is not None and gap < r_at[i - 1]:
             raise AssertionError(
                 "gap (%d, %d) beats r_{i-1}: %s < %s"

@@ -66,6 +66,8 @@ class BestApproxRecord:
 
 def sample_theta(d: int, c: int, bits: int, rng: random.Random) -> Theta:
     """Uniform dyadic target with ``bits`` random bits per entry."""
+    if bits < 1:
+        raise ValueError("bits must be positive")
     return tuple(
         tuple(Fraction(rng.getrandbits(bits), 1 << bits) for _ in range(d))
         for _ in range(c)

@@ -700,9 +700,9 @@ def _cylinder_points(
     rm: int,
     budget: int,
 ) -> tuple[dict[tuple[int, ...], tuple[int, int]], list[list[int]]]:
-    """The cylinder search under chain_walker and enumerate_in_cylinder:
-    every nonzero y with |cols . y|^2 <= rp on rows [:d] and <= rm on
-    rows [d:] (closed integer squared radii).
+    """The cylinder search under _cylinder_search and
+    enumerate_in_cylinder: every nonzero y with |cols . y|^2 <= rp on
+    rows [:d] and <= rm on rows [d:] (closed integer squared radii).
 
     The cylinder is rebalanced inside the Euclidean ball: with a =
     bitlen(isqrt(rm)) - bitlen(isqrt(rp)), the block with the smaller
@@ -745,6 +745,27 @@ def _cylinder_points(
     return found, u
 
 
+def _cylinder_search(
+    basis: LatticeBasis, budget: int
+) -> Callable[[int, int], dict[tuple[int, ...], tuple[int, int]]]:
+    """Repeated cylinder searches on one basis.  ``search(rp, rm)`` is
+    _cylinder_points on the columns of basis.kernel with closed integer
+    squared radii in its units; each search starts its reduction from
+    the transform the previous one left (from scratch on the first), and
+    ``budget`` counts the nodes of one search.  The points found are a
+    set, so they do not depend on the order of the searches."""
+    cols = basis.kernel[0]
+    d = basis.d
+    u: Optional[list[list[int]]] = None
+
+    def search(rp: int, rm: int) -> dict[tuple[int, ...], tuple[int, int]]:
+        nonlocal u
+        found, u = _cylinder_points(cols, u, d, rp, rm, budget)
+        return found
+
+    return search
+
+
 def chain_walker(
     basis: LatticeBasis,
     *,
@@ -760,9 +781,9 @@ def chain_walker(
     swapped.  The cylinder searched is cut off by Minkowski's bound
     width^(2d) height^(2c) <= C_{d,c}^2 det^2 (basis.kernel_minkowski_sq),
     or by ``cap`` on the other block when that is lower; it goes
-    through _cylinder_points on the columns of basis.kernel, which
-    rebalances it and starts the reduction from the transform the
-    previous step left (from scratch on the first step).
+    through _cylinder_search on basis.kernel, which rebalances it and
+    starts the reduction from the transform the previous step left (from
+    scratch on the first step).
 
     Returns (key, members): the minimal (other^2, narrow^2) in the
     integer units of basis.kernel and the sorted sign-canonical
@@ -778,12 +799,11 @@ def chain_walker(
     cols, _, _ = basis.kernel
     mink_sq = basis.kernel_minkowski_sq
     d, m = basis.d, basis.m
-    u: Optional[list[list[int]]] = None
+    search = _cylinder_search(basis, budget)
 
     def step(
         y: Sequence[int], forward: bool = True
     ) -> tuple[Optional[tuple[int, int]], list[tuple[int, ...]]]:
-        nonlocal u
         k = d if forward else m - d  # size of the narrowing block
         x = _matvec_int(cols, y)
         x_n = sum(t * t for t in (x[:d] if forward else x[d:]))
@@ -795,7 +815,7 @@ def chain_walker(
         if cap is not None:
             bound = min(bound, cap)
         radii = (x_n - 1, bound) if forward else (bound, x_n - 1)
-        points, u = _cylinder_points(cols, u, d, *radii, budget)
+        points = search(*radii)
         found: dict[tuple[int, ...], tuple[int, int]] = {}
         for yv, (w, h) in points.items():
             n, o = (w, h) if forward else (h, w)

@@ -19,22 +19,22 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import mpmath
 
 from .core import (
     FLOW_BITS,
-    Cylinder,
     LatticeBasis,
     LatticeVector,
     NonGenericLatticeError,
     SearchLimitError,
     _critical_ball,
+    _cylinder_search,
     _kernel_vector,
     chain_walker,
-    enumerate_in_cylinder,
     exact_sqrt,
+    floor_frac,
     frac_from_mpf,
     ln_frac,
     mpf_from_frac,
@@ -168,21 +168,25 @@ def _anchor(basis: LatticeBasis, budget: int) -> list[LatticeVector]:
     return sorted(cls, key=lambda v: v.y[::-1])
 
 
-def _certify(basis: LatticeBasis, x: LatticeVector, budget: int) -> int:
+def _certify(
+    search: Callable[[int, int], dict], basis: LatticeBasis, x: LatticeVector
+) -> int:
     """Check that every lattice point of C(x) is cylinder-equal to x;
-    returns the number of sign-canonical points found.  Widths are
-    compared with widths and heights with heights, so the test is exact
-    on every basis, flowed ones included (see core.chain_walker)."""
-    cands = enumerate_in_cylinder(
-        basis, Cylinder(x.width_sq, x.height_sq), budget=budget
-    )
-    for v in cands:
-        if (v.width_sq, v.height_sq) != (x.width_sq, x.height_sq):
-            raise NonGenericLatticeError(
-                "chain entry is not minimal: cylinder contains a "
-                "strictly smaller vector"
-            )
-    return len(cands)
+    returns the number of sign-canonical points found.  ``search`` is a
+    warm-started cylinder search on basis (core._cylinder_search), and
+    the radii are x's own squared width and height in the integer units
+    of basis.kernel.  Widths are compared with widths and heights with
+    heights, as integers, so the test is exact on every basis, flowed
+    ones included (see core.chain_walker)."""
+    _, (unit_w, unit_h), _ = basis.kernel
+    key = (floor_frac(x.width_sq * unit_w), floor_frac(x.height_sq * unit_h))
+    points = search(*key)
+    if any(wh != key for wh in points.values()):
+        raise NonGenericLatticeError(
+            "chain entry is not minimal: cylinder contains a "
+            "strictly smaller vector"
+        )
+    return len(points)
 
 
 def minimal_vectors(
@@ -198,9 +202,10 @@ def minimal_vectors(
 
     A chain entry is certified by enumerating its cylinder and checking
     cylinder-equality of everything found; a cylinder holding a strictly
-    smaller vector raises NonGenericLatticeError.  The steps and the
-    certificate are exact; only the origin test, which compares a height
-    with a width, uses basis.tol.
+    smaller vector raises NonGenericLatticeError.  The entries share one
+    cylinder search, each warm-started from the reduction the previous
+    one left.  The steps and the certificate are exact; only the origin
+    test, which compares a height with a width, uses basis.tol.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -271,12 +276,13 @@ def minimal_vectors(
         pass
 
     entries = []
+    search = _cylinder_search(basis, budget)
     for j, members in enumerate(chain):
         n = j - idx0
         if -back <= n < count:
             rep = members[0]
             if certify:
-                size = _certify(basis, rep, budget)
+                size = _certify(search, basis, rep)
             else:
                 size = len(members)
             entries.append(ChainEntry(n, rep, size, certify))

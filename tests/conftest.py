@@ -6,8 +6,10 @@ just walks an integer coefficient box and keeps what lands inside.  The
 exact integer scan plays the same part for the d=2, c=1 record
 sequence: it uses no lattice, LLL or chain code, and the reference scan
 (one exact distance per height, no prefilter) is the oracle for
-bestapprox.direct_scan.  The Fraction Gram-Schmidt process is the
-oracle the integral LLL data are checked against.
+bestapprox.direct_scan.  The reference gap search (one fresh cylinder
+enumeration per gap) is the oracle for badk's warm-started gap searches.
+The Fraction Gram-Schmidt process is the oracle the integral LLL data
+are checked against.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from diolab.core import (
     NonGenericLatticeError,
     _int_columns,
     canonical_sign,
+    enumerate_in_cylinder,
     frac_from_mpf,
     mpf_from_frac,
     nearest_int,
@@ -227,6 +230,32 @@ def reference_scan(theta, q_max, *, budget=10**9):
             if shell_best == 0:
                 break
     return records
+
+
+def r_sq(theta, q):
+    """Squared distance of q*theta to Z^d, in Fractions."""
+    total = Fraction(0)
+    for t in theta:
+        f = (q * t) % 1
+        total += min(f, 1 - f) ** 2
+    return total
+
+
+def reference_gap(theta, q_lo, q_hi, budget=10**7):
+    """Smallest d(q theta, Z^2)^2 over integers q_lo < q < q_hi, or None
+    when the range is empty: the gap search badk ran before each column
+    shared one warm-started search, kept as the oracle for it (a fresh
+    lattice and enumerate_in_cylinder per gap).  The witness height
+    w = max(q_lo + 1, q_hi - q_lo) lies in the range and fixes the
+    cylinder's width."""
+    if q_hi - q_lo < 2:
+        return None
+    w = max(q_lo + 1, q_hi - q_lo)
+    cyl = Cylinder(r_sq(theta, w), Fraction((q_hi - 1) ** 2))
+    vecs = enumerate_in_cylinder(LatticeBasis.from_theta((theta,)), cyl, budget=budget)
+    found = [v.width_sq for v in vecs if v.height_sq > q_lo * q_lo]
+    assert found, "reference gap search missed its witness height %d" % w
+    return min(found)
 
 
 def random_unimodular_basis(rng, d, c, ops=5):

@@ -2,6 +2,7 @@
 condition, exact comparator, and failure modes."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -9,10 +10,15 @@ from fractions import Fraction
 
 import pytest
 
+import diolab.badk as badk
+import diolab.core as core
+from conftest import r_sq, reference_gap
 from diolab.badk import (
-    _annulus_min_width_sq,
+    _extend_tables,
+    _gap_search,
     _lattice_minima,
     _quadrant_candidates,
+    _r_sq,
     certificate,
     certify,
     init_state,
@@ -20,15 +26,7 @@ from diolab.badk import (
     sqrt_affine_leq,
     step,
 )
-from diolab.core import BudgetExceededError, SearchLimitError
-
-
-def r_sq(theta, q):
-    total = Fraction(0)
-    for t in theta:
-        f = (q * t) % 1
-        total += min(f, 1 - f) ** 2
-    return total
+from diolab.core import BudgetExceededError, LatticeBasis, SearchLimitError
 
 
 def advance(n_steps):
@@ -36,6 +34,29 @@ def advance(n_steps):
     for _ in range(n_steps):
         state = step(state)
     return state
+
+
+@pytest.fixture(scope="module")
+def states():
+    """Every state of a 12-step construction, n = 1 .. 13."""
+    out = [init_state()]
+    for _ in range(12):
+        out.append(step(out[-1]))
+    return out
+
+
+def fraction_sqrt_affine_leq(a, b, u):
+    """sqrt(a) + sqrt(b) <= sqrt(u) on Fractions: u - a - b >= 0 and
+    4ab <= (u - a - b)^2."""
+    rest = u - a - b
+    return rest >= 0 and 4 * a * b <= rest * rest
+
+
+def coprime_denominators(rng, k, bits):
+    while True:
+        dens = [rng.randrange(1, 1 << bits) for _ in range(k)]
+        if all(math.gcd(x, y) == 1 for x, y in itertools.combinations(dens, 2)):
+            return dens
 
 
 def test_sqrt_affine_leq_frozen():
@@ -58,6 +79,48 @@ def test_sqrt_affine_leq_matches_float_oracle():
         if abs(lhs - rhs) < 1e-9:
             continue
         assert sqrt_affine_leq(a, b, u) == (lhs <= rhs)
+
+
+def test_sqrt_affine_leq_matches_fraction_formula():
+    # u within a few 1/ud of (sqrt a + sqrt b)^2, so both outcomes come
+    # from the last bits of the cleared integers
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        ad, bd, ud = coprime_denominators(rng, 3, 100)
+        a = Fraction(rng.getrandbits(100) * rng.randrange(2), ad)
+        b = Fraction(rng.getrandbits(100), bd)
+        near = math.floor((a + b) * ud) + math.isqrt(math.floor(4 * a * b * ud * ud))
+        u = Fraction(max(near + rng.randrange(-3, 4), 0), ud)
+        got = sqrt_affine_leq(a, b, u)
+        assert got == fraction_sqrt_affine_leq(a, b, u), (a, b, u)
+        outcomes[got] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_sqrt_affine_leq_exact_boundaries():
+    assert sqrt_affine_leq(Fraction(1, 9), Fraction(4, 9), Fraction(1))
+    assert not sqrt_affine_leq(Fraction(1, 9), Fraction(4, 9), 1 - Fraction(1, 9))
+    rng = random.Random(19)
+    for _ in range(200):
+        y, w = coprime_denominators(rng, 2, 50)
+        p = Fraction(rng.getrandbits(50), y)
+        r = Fraction(rng.getrandbits(50), w)
+        # sqrt(p^2) + sqrt(r^2) = sqrt((p + r)^2) exactly
+        u = (p + r) ** 2
+        step_sq = Fraction(1, (p + r).denominator ** 2)
+        assert sqrt_affine_leq(p * p, r * r, u)
+        assert sqrt_affine_leq(r * r, p * p, u)
+        assert sqrt_affine_leq(p * p, r * r, u + step_sq)
+        assert not sqrt_affine_leq(p * p, r * r, u - step_sq)
+
+
+def test_r_sq_matches_fraction_distance(states):
+    state = states[-1]
+    for theta in state.thetas:
+        for q in state.q_list:
+            for h in (q - 1, q, q + 1):
+                assert _r_sq(theta, h) == r_sq(theta, h), (theta, h)
 
 
 def test_init_state():
@@ -201,6 +264,7 @@ def test_gap_search_matches_brute_force_on_the_construction():
     checked = 0
     for j in range(2, state.n + 1):
         theta = state.thetas[j]
+        gap_search = _gap_search(theta, 10**7)
         # theta_j = (a, b) / Q_j, so Q_j^2 r_sq(q) = |qa|^2 + |qb|^2 mod Q_j
         den = qs[j]
         a, b = (int(t * den) for t in theta)
@@ -210,7 +274,7 @@ def test_gap_search_matches_brute_force_on_the_construction():
             for q in range(1, top)
         ]
         for i in range(1, j):
-            gap = _annulus_min_width_sq(theta, qs[i - 1], qs[i], 10**7)
+            gap = gap_search(qs[i - 1], qs[i])
             least = min(num[qs[i - 1] + 1 : qs[i]], default=None)
             want = None if least is None else Fraction(least, den * den)
             assert want is None or want == r_sq(theta, num.index(least))
@@ -234,7 +298,7 @@ def test_gap_search_matches_brute_force_on_random_ranges():
         q_hi = q_lo + rng.choice(
             [rng.randrange(0, 2), rng.randrange(2, q_lo + 2), rng.randrange(2, 3 * q_lo + 3)]
         )
-        gap = _annulus_min_width_sq(theta, q_lo, q_hi, 10**7)
+        gap = _gap_search(theta, 10**7)(q_lo, q_hi)
         if q_hi - q_lo < 2:
             assert gap is None
             kinds["empty"] += 1
@@ -243,6 +307,94 @@ def test_gap_search_matches_brute_force_on_random_ranges():
         assert gap == min(r_sq(theta, q) for q in range(q_lo + 1, q_hi))
     # every branch of the witness height max(q_lo + 1, q_hi - q_lo) runs
     assert min(kinds.values()) >= 40, kinds
+
+
+def test_fresh_tables_match_reference_gap(states, monkeypatch):
+    # every gap certify asks, the M table's and the last one, against a
+    # fresh enumeration per gap
+    asked = []
+    tables = []
+    real_search = badk._gap_search
+    real_extend = badk._extend_tables
+
+    def recording_search(theta, budget):
+        gap_search = real_search(theta, budget)
+
+        def gap(q_lo, q_hi):
+            got = gap_search(q_lo, q_hi)
+            asked.append((theta, q_lo, q_hi, got))
+            return got
+
+        return gap
+
+    def recording_extend(M_tab, *args):
+        tables.append(M_tab)
+        return real_extend(M_tab, *args)
+
+    monkeypatch.setattr(badk, "_gap_search", recording_search)
+    monkeypatch.setattr(badk, "_extend_tables", recording_extend)
+    want = {}
+    for state in states:
+        asked.clear()
+        tables.clear()
+        certify(state)
+        n, qs, thetas = state.n, state.q_list, state.thetas
+        assert all(t is tables[0] for t in tables) and len(tables) == n
+        M_tab = tables[0]
+        assert set(M_tab) == {(i, j) for j in range(1, n + 1) for i in range(1, j)}
+        for (i, j), entry in M_tab.items():
+            args = (thetas[j], qs[i - 1], qs[i])
+            if args not in want:
+                want[args] = reference_gap(*args)
+            assert (None if entry is None else entry[0]) == want[args], (n, i, j)
+            assert entry is None or entry[1] == r_sq(thetas[j], qs[i - 1])
+        last = (thetas[n], qs[n - 1], qs[n])
+        assert asked[-1] == last + (reference_gap(*last),)
+        assert len(asked) == len(M_tab) + 1
+    assert len(want) == 12 * 13 // 2
+
+
+def test_column_search_is_order_free(states):
+    # the warm start carries a transform from gap to gap; the minima
+    # must not depend on the order the gaps are asked in
+    state = states[-1]
+    qs = state.q_list
+    for j in range(2, state.n + 1):
+        theta = state.thetas[j]
+        gaps = [(qs[i - 1], qs[i]) for i in range(1, j + 1)]
+        want = [reference_gap(theta, *g) for g in gaps]
+        up = _gap_search(theta, 10**7)
+        down = _gap_search(theta, 10**7)
+        assert [up(*g) for g in gaps] == want, j
+        assert [down(*g) for g in reversed(gaps)] == want[::-1], j
+
+
+def test_extend_tables_builds_one_basis_per_column(states, monkeypatch):
+    # one lattice of theta_j per column, reduced from scratch once; the
+    # column's other gaps warm-start from the previous gap's transform
+    built = []
+    scratch = []
+    from_theta = LatticeBasis.from_theta.__func__
+    cylinder_points = core._cylinder_points
+
+    def counted_from_theta(cls, theta):
+        built.append(theta)
+        return from_theta(cls, theta)
+
+    def counted_points(cols, u, *args):
+        scratch.append(u is None)
+        return cylinder_points(cols, u, *args)
+
+    monkeypatch.setattr(LatticeBasis, "from_theta", classmethod(counted_from_theta))
+    monkeypatch.setattr(core, "_cylinder_points", counted_points)
+    state = states[-1]
+    M_tab, m_tab = {}, {}
+    for j in range(1, state.n + 1):
+        _extend_tables(M_tab, m_tab, state.thetas, state.q_list, j, 10**7)
+        assert built == [(state.thetas[j],)], j
+        assert len(scratch) == j - 1 and sum(scratch) == min(j - 1, 1), j
+        built.clear()
+        scratch.clear()
 
 
 def test_quadrant_candidates_match_coefficient_box():

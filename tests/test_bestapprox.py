@@ -42,6 +42,13 @@ def test_sample_theta_deterministic():
     assert all(0 <= t < 1 for col in a for t in col)
 
 
+@pytest.mark.parametrize("bits", [0, -1])
+def test_sample_theta_needs_bits(bits):
+    # getrandbits(0) is always 0: every draw would be theta = 0
+    with pytest.raises(ValueError, match="bits must be positive"):
+        sample_theta(2, 1, bits, random.Random(9))
+
+
 def test_direct_scan_frozen_2x1():
     theta = ((Fraction(1, 2), Fraction(1, 3)),)
     recs = direct_scan(theta, 50)
