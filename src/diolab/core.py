@@ -37,7 +37,6 @@ __all__ = [
     "minkowski_leq",
     "a_safe",
     "nearest_int",
-    "kth_root_upper",
     "exact_sqrt",
     "frac_from_mpf",
     "mpf_from_frac",
@@ -104,21 +103,6 @@ def _iroot(n: int, k: int) -> int:
     while x ** k > n:
         x -= 1
     return x
-
-
-def kth_root_upper(x: Fraction, k: int, guard_bits: int = 0) -> Fraction:
-    """Rational upper bound on x**(1/k) for x >= 0."""
-    if x < 0:
-        raise ValueError("negative argument")
-    if k == 1:
-        return x
-    g = guard_bits
-    num = x.numerator << (k * g)
-    den = x.denominator
-    # (num * den^(k-1))^(1/k) / (den * 2^g) >= x^(1/k) / 2^... scale check:
-    # x = num0/den; x^(1/k) = (num0*den^(k-1))^(1/k)/den.
-    r = _iroot(num * den ** (k - 1), k) + 1
-    return Fraction(r, den << g)
 
 
 def exact_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -888,30 +872,58 @@ def enumerate_in_cylinder(
 
 def _critical_ball(
     basis: LatticeBasis, tol: Fraction, budget: int
-) -> tuple[Fraction, list[LatticeVector]]:
+) -> tuple[Fraction, list[tuple[LatticeVector, bool, bool]]]:
     """lambda_1^2 of the mixed norm and the vectors on the closed critical
     ball: mixed^2 <= lambda_1^2 (1 + 4 tol) and within tol of lambda_1^2
-    (sq_close), so exactly lambda_1^2 when tol = 0.
+    (sq_close), so exactly lambda_1^2 when tol = 0.  Each vector comes
+    with (at_w, at_h): its width, resp. its height, within tol of
+    lambda_1^2; the list is sorted by (height^2, width^2, y).
 
-    One enumerate_in_cylinder of the mixed ball of the certified
-    Minkowski radius, lambda_1^(2m) <= C^2 det^2
-    (basis.kernel_minkowski_sq), widened by 1 + 4 tol; it always holds
-    a nonzero vector, and an empty result raises SearchLimitError.
+    Every decision is made on the integers of basis.kernel.  With k =
+    unit_h / unit_w = kn / kd in lowest terms, a point's squared width
+    and height w, h in kernel units are W = w kn and H = h kd in units
+    of 1 / (kd unit_h), its mixed norm is max(W, H) and physical 1 is
+    kd unit_h there, so each sq_close is one integer cross-multiplication.
+    One from-scratch _cylinder_points searches the mixed ball of the
+    certified Minkowski radius, lambda_1^(2m) <= C^2 det^2
+    (basis.kernel_minkowski_sq), widened by 1 + 4 tol: in kernel units
+    rp^m >= kms (kd/kn)^c (1 + 4 tol)^m and rm^m >= kms (kn/kd)^d
+    (1 + 4 tol)^m.  It always holds a nonzero vector, and an empty
+    result raises SearchLimitError.  Only the vectors on the ball are
+    built.
     """
-    _, (unit_w, unit_h), _ = basis.kernel
-    mink_sq = basis.kernel_minkowski_sq / (unit_w**basis.d * unit_h**basis.c)
-    slack = 1 + 4 * tol
-    r_sq = kth_root_upper(mink_sq, basis.m, guard_bits=4) * slack
-    found = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
+    cols, (unit_w, unit_h), _ = basis.kernel
+    d, c, m = basis.d, basis.c, basis.m
+    k = unit_h / unit_w
+    kn, kd = k.numerator, k.denominator
+    kms = basis.kernel_minkowski_sq
+    tn, td = tol.numerator, tol.denominator
+    num = kms.numerator * (td + 4 * tn) ** m
+    den = kms.denominator * td**m
+    rp = _iroot(num * kd**c // (den * kn**c), m) + 1
+    rm = _iroot(num * kn**d // (den * kd**d), m) + 1
+    found, _ = _cylinder_points(cols, None, d, rp, rm, budget)
     if not found:
         raise SearchLimitError("the Minkowski ball holds no lattice vector")
-    lam_sq = min(v.mixed_sq for v in found)
-    on = [
-        v
-        for v in found
-        if v.mixed_sq <= lam_sq * slack and sq_close(v.mixed_sq, lam_sq, tol)
+    lam = min(max(w * kn, h * kd) for w, h in found.values())
+    one = kd * unit_h
+    on_n = one.numerator * tn
+
+    def close(a: int) -> bool:
+        # sq_close(a, lam) in units of 1 / (kd unit_h)
+        diff = abs(a - lam) * td
+        return diff <= tn * max(a, lam) or diff * one.denominator <= on_n
+
+    on = []
+    for y, (w, h) in found.items():
+        big = max(w * kn, h * kd)
+        if big * td <= lam * (td + 4 * tn) and close(big):
+            on.append((h, w, y))
+    on.sort()
+    lam_sq = Fraction(lam * one.denominator, one.numerator)
+    return lam_sq, [
+        (_kernel_vector(basis, y, w, h), close(w * kn), close(h * kd)) for h, w, y in on
     ]
-    return lam_sq, on
 
 
 def shortest_mixed_vectors(
@@ -919,4 +931,4 @@ def shortest_mixed_vectors(
 ) -> list[LatticeVector]:
     """All sign-canonical vectors achieving the mixed-norm first minimum:
     the critical ball with tol = 0."""
-    return _critical_ball(basis, Fraction(0), budget)[1]
+    return [v for v, _, _ in _critical_ball(basis, Fraction(0), budget)[1]]

@@ -340,6 +340,12 @@ def visiting_times(chain: MinimalVectorChain, *, prec: int = 53) -> VisitingTime
 
 @dataclass(frozen=True)
 class SurfaceMembership:
+    """Membership of a lattice on S or S' and why it fails.  ``lam1_sq``
+    is lambda_1^2 of the mixed norm in physical units.  On a flowed
+    basis it is exact for the lattice scaled by the frozen flow factors
+    (LatticeBasis.flow), which is the flowed lattice only up to the
+    relative tolerance LatticeBasis.tol."""
+
     member: bool
     reason: str
     lam1_sq: Fraction
@@ -360,24 +366,24 @@ def _critical_classes(
     """lambda_1^2, the vectors on the closed critical ball, and those
     among them that are wide (width at lambda_1), tall (height at
     lambda_1) or corner (both).  lambda_1 may be a width or a height,
-    so each test compares the two blocks and holds within basis.tol
-    (sq_close); with _critical_ball and minimal_vectors' origin test
+    so each test compares the two blocks and holds within basis.tol;
+    _critical_ball makes it on the integers of basis.kernel and hands
+    each vector's two flags over.  With minimal_vectors' origin test
     these are the only decisions that use a tolerance."""
-    tol = basis.tol
-    lam_sq, on = _critical_ball(basis, tol, budget)
-    # the mixed norm of each vector on the ball is close to lambda_1, so
-    # its width or its height is
+    lam_sq, on = _critical_ball(basis, basis.tol, budget)
     wide, tall, corner = [], [], []
-    for v in on:
-        at_w = sq_close(v.width_sq, lam_sq, tol)
-        at_h = sq_close(v.height_sq, lam_sq, tol)
+    for v, at_w, at_h in on:
         if at_w and at_h:
             corner.append(v)
         elif at_w:
             wide.append(v)
-        else:
+        elif at_h:
             tall.append(v)
-    return lam_sq, on, wide, tall, corner
+        else:
+            # the mixed norm of a vector on the ball is within tol of
+            # lambda_1^2, and it is the width or the height
+            raise AssertionError("a vector on the critical ball is neither wide nor tall")
+    return lam_sq, [v for v, _, _ in on], wide, tall, corner
 
 
 def surface_membership_S(

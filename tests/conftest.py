@@ -8,6 +8,8 @@ sequence: it uses no lattice, LLL or chain code, and the reference scan
 (one exact distance per height, no prefilter) is the oracle for
 bestapprox.direct_scan.  The reference gap search (one fresh cylinder
 enumeration per gap) is the oracle for badk's warm-started gap searches.
+The reference critical ball (enumerate_in_cylinder and Fraction
+sq_close) is the oracle for the integer decisions of core._critical_ball.
 The Fraction Gram-Schmidt process is the oracle the integral LLL data
 are checked against.
 """
@@ -28,13 +30,17 @@ from diolab.core import (
     Cylinder,
     LatticeBasis,
     NonGenericLatticeError,
+    SearchLimitError,
     _int_columns,
+    _iroot,
     canonical_sign,
     enumerate_in_cylinder,
     frac_from_mpf,
     mpf_from_frac,
     nearest_int,
+    sq_close,
 )
+from diolab.dynamics import chart_lattice_1d, first_return, sample_surface_point_1d
 
 
 def brute_cylinder(basis, cyl, box):
@@ -256,6 +262,56 @@ def reference_gap(theta, q_lo, q_hi, budget=10**7):
     found = [v.width_sq for v in vecs if v.height_sq > q_lo * q_lo]
     assert found, "reference gap search missed its witness height %d" % w
     return min(found)
+
+
+def kth_root_upper(x, k, guard_bits=0):
+    """Rational upper bound on x**(1/k) for a Fraction x >= 0, with
+    denominator den(x) * 2^guard_bits."""
+    if x < 0:
+        raise ValueError("negative argument")
+    if k == 1:
+        return x
+    # x^(1/k) = (num * den^(k-1))^(1/k) / den, with num scaled by 2^(k g)
+    num = x.numerator << (k * guard_bits)
+    den = x.denominator
+    return Fraction(_iroot(num * den ** (k - 1), k) + 1, den << guard_bits)
+
+
+def reference_critical_ball(basis, tol, budget=10**7):
+    """lambda_1^2 and the vectors on the closed critical ball, each with
+    its (at_w, at_h) flags, as core._critical_ball returns them: the
+    body it had before it decided on kernel integers, kept as the oracle
+    for it.  One enumerate_in_cylinder of the Minkowski ball widened by
+    1 + 4 tol, every vector built, and each decision a Fraction sq_close
+    in physical units."""
+    _, (unit_w, unit_h), _ = basis.kernel
+    mink_sq = basis.kernel_minkowski_sq / (unit_w**basis.d * unit_h**basis.c)
+    slack = 1 + 4 * tol
+    r_sq = kth_root_upper(mink_sq, basis.m, guard_bits=4) * slack
+    found = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
+    if not found:
+        raise SearchLimitError("the Minkowski ball holds no lattice vector")
+    lam_sq = min(v.mixed_sq for v in found)
+    on = [
+        v
+        for v in found
+        if v.mixed_sq <= lam_sq * slack and sq_close(v.mixed_sq, lam_sq, tol)
+    ]
+    return lam_sq, [
+        (v, sq_close(v.width_sq, lam_sq, tol), sq_close(v.height_sq, lam_sq, tol))
+        for v in on
+    ]
+
+
+def return_orbit(seed, n, bits=48):
+    """The chart lattice of the seeded ``bits``-bit d=c=1 chart point,
+    then the basis after each of its first ``n`` chained first returns
+    (each one flowed from the one before)."""
+    basis = chart_lattice_1d(sample_surface_point_1d(random.Random(seed), bits))
+    yield basis
+    for _ in range(n):
+        basis = first_return(basis).basis_after
+        yield basis
 
 
 def random_unimodular_basis(rng, d, c, ops=5):

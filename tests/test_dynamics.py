@@ -10,12 +10,12 @@ import pytest
 
 from diolab.bestapprox import chain_engine, direct_scan, sample_theta
 import diolab.core as core
+import diolab.dynamics as dynamics
 from diolab.core import (
     Cylinder,
     LatticeBasis,
     NonGenericLatticeError,
     a_safe,
-    kth_root_upper,
     ln_frac,
     minkowski_bound_sq_range,
     sq_close,
@@ -24,6 +24,7 @@ from diolab.dynamics import (
     SurfacePoint1D,
     _chain_stepper,
     SurfacePoint2D,
+    _critical_classes,
     apply_flow,
     apply_flow_log,
     chart_lattice_1d,
@@ -39,7 +40,14 @@ from diolab.dynamics import (
     visiting_times,
 )
 
-from conftest import brute_cylinder, flow_by_columns, safe_box
+from conftest import (
+    brute_cylinder,
+    flow_by_columns,
+    kth_root_upper,
+    reference_critical_ball,
+    return_orbit,
+    safe_box,
+)
 
 
 def fib(n):
@@ -308,12 +316,11 @@ def test_flow_keeps_kernel_columns():
                 assert [v.y for v in got] == [v.y for v in want]
                 checked += 1
         assert checked >= 10
-    basis = chart_lattice_1d(sample_surface_point_1d(random.Random(5), 48))
-    columns, cols = basis.columns, basis.kernel[0]
-    for _ in range(10):
-        basis = first_return(basis).basis_after
-        assert basis.columns is columns
-        assert basis.kernel[0] == cols
+    orbit = return_orbit(5, 10)
+    basis = next(orbit)
+    for flowed in orbit:
+        assert flowed.columns is basis.columns
+        assert flowed.kernel[0] == basis.kernel[0]
 
 
 def test_flow_factors_match_scaled_columns():
@@ -512,6 +519,159 @@ def test_membership_matches_brute_force():
         if mem.member:
             assert mem.corner.y == corner[0]
     assert flowed >= 25 and members >= 25
+
+
+def near_tie_basis(s, delta, corner=False):
+    """d = c = 1 lattice with a frozen flow of unit factors (tol > 0).
+    Off the corner: the wide vector (1, 0) has width^2 s^2 = lambda_1^2
+    and the tall vector (0, 1) height^2 s^2 (1 + delta)^2, a near tie of
+    the mixed norm.  corner: (1, 0) has width^2 s^2 (1 + delta)^2 =
+    lambda_1^2 and height^2 s^2.  The signs keep (1, +-1) longer."""
+    x, y = Fraction(1, 3), Fraction(1, 5)
+    if corner:
+        cols = ((s * (1 + delta), s), (-s * x, 2 * s))
+    else:
+        cols = ((s, s * y), (-s * x, s * (1 + delta)))
+    return LatticeBasis(1, 1, cols, flow=(1, 1))
+
+
+def assert_ball_matches_reference(basis, tol):
+    lam_sq, on = core._critical_ball(basis, tol, 10**7)
+    want_lam, want = reference_critical_ball(basis, tol)
+    assert lam_sq == want_lam
+    # whole vectors (y, raw, width^2, height^2) in order, and the flags
+    assert on == want
+    return lam_sq, on
+
+
+def test_critical_ball_equals_reference():
+    # the integer radius, lambda_1, on-ball filter and wide/tall/corner
+    # flags against the Fraction reference on theta, chart, flowed and
+    # chained-return lattices, at tol = basis.tol and at tol = 0
+    rng = random.Random(17)
+    bases = []
+    for i, (d, c) in enumerate(((1, 1), (2, 1), (1, 2)) * 3):
+        _, basis = theta_basis((32, 64, 128)[i // 3], 200 + i, d, c)
+        bases += [basis, apply_flow(basis, rng.uniform(-2, 2))]
+    bases += [chart_lattice_1d(sample_surface_point_1d(rng, 48)) for _ in range(6)]
+    bases.append(chart_lattice_2d(SurfacePoint2D(
+        Fraction(-5, 16), Fraction(5, 8), Fraction(-7, 8), Fraction(-1, 2),
+        Fraction(1, 8), Fraction(61, 16),
+    )))
+    while len(bases) < 30:
+        p = SurfacePoint2D(*(Fraction(rng.randrange(-64, 65), 32) for _ in range(6)))
+        basis = chart_lattice_2d(p)
+        if basis.det_raw() != 0:
+            bases += [basis, apply_flow(basis, rng.uniform(-1, 1))]
+    for seed in (0, 1, 7):
+        bases += list(return_orbit(seed, 10))
+    members = 0
+    for basis in bases:
+        assert_ball_matches_reference(basis, Fraction(0))
+        lam_sq, on = assert_ball_matches_reference(basis, basis.tol)
+        _, vecs, wide, tall, corner = _critical_classes(basis, 10**7)
+        assert vecs == [v for v, _, _ in on]
+        assert wide == [v for v, at_w, at_h in on if at_w and not at_h]
+        assert tall == [v for v, at_w, at_h in on if at_h and not at_w]
+        assert corner == [v for v, at_w, at_h in on if at_w and at_h]
+        members += surface_membership_S(basis).member
+    assert sum(b.tol > 0 for b in bases) >= 40 and members >= 30
+
+
+@pytest.mark.parametrize(
+    "s, delta, corner, n_on",
+    [
+        # norms below 1: within tol of lambda_1 only by sq_close's floor
+        # of physical 1, and beyond the 1 + 4 tol slack, so off the ball
+        (Fraction(1, 8), 16, False, 1),
+        # norms below 1: within tol only by the floor, within the slack
+        (Fraction(1, 2), 1, False, 2),
+        # norms above 1: within tol of lambda_1 relative to the norm
+        (Fraction(2), Fraction(1, 4), False, 2),
+        # norms above 1: within the slack, beyond tol relative to the norm
+        (Fraction(2), 1, False, 1),
+        # a corner: the height within tol of the width at lambda_1
+        (Fraction(1), Fraction(1, 4), True, 1),
+    ],
+)
+def test_critical_ball_near_ties(s, delta, corner, n_on):
+    basis = near_tie_basis(s, delta * Fraction(1, 1 << 112), corner)
+    tol = basis.tol
+    assert tol == Fraction(1, 1 << 112)
+    lam_sq, on = assert_ball_matches_reference(basis, tol)
+    assert len(on) == n_on
+    a, b = basis.vector((1, 0)), basis.vector((0, 1))
+    if corner:
+        assert [(v.y, at_w, at_h) for v, at_w, at_h in on] == [((1, 0), True, True)]
+        assert a.width_sq == lam_sq != a.height_sq
+        assert surface_membership_Sprime(basis).member
+        return
+    assert a.width_sq == lam_sq < b.height_sq
+    gap = b.height_sq - lam_sq
+    # the branch each case reaches, in physical Fractions
+    assert (gap <= tol * max(b.height_sq, 1)) == (s < 1 or n_on == 2)
+    assert (gap <= tol * b.height_sq) == (s > 1 and n_on == 2)
+    assert (gap <= 4 * tol * lam_sq) == (s > 1 or n_on == 2)
+    assert surface_membership_S(basis).member == (n_on == 2)
+
+
+@pytest.mark.parametrize(
+    "a, e", [(Fraction(999, 500), Fraction(2)), (Fraction(899, 1000), Fraction(9, 10))]
+)
+def test_critical_ball_closed_at_tol(a, e):
+    # the tall vector's height^2 exceeds lambda_1^2 = a^2 by exactly tol
+    # times itself (norms above 1) or times the floor 1 (below 1), with
+    # tol chosen to hit the boundary: sq_close is closed, so it stays on
+    # the ball
+    basis = LatticeBasis(1, 1, ((a, a / 5), (-e / 3, e)))
+    lam, big = a * a, e * e
+    tol = (big - lam) / max(big, 1)
+    assert big <= lam * (1 + 4 * tol)
+    lam_sq, on = assert_ball_matches_reference(basis, tol)
+    assert lam_sq == lam
+    assert [(v.y, at_w, at_h) for v, at_w, at_h in on] == [((1, 0), True, False), ((0, 1), False, True)]
+
+
+def test_critical_classes_file_no_vector_silently(monkeypatch):
+    # a vector on the ball is wide, tall or both; one that is neither
+    # raises instead of being filed as tall
+    basis = LatticeBasis.identity(1, 1)
+    lam_sq, on = core._critical_ball(basis, basis.tol, 10**7)
+    monkeypatch.setattr(
+        dynamics, "_critical_ball", lambda *args: (lam_sq, [(v, False, False) for v, _, _ in on])
+    )
+    with pytest.raises(AssertionError, match="neither wide nor tall"):
+        surface_membership_S(basis)
+
+
+def test_first_return_builds_vectors_only_on_the_ball(monkeypatch):
+    # membership decides on kernel integers: no enumerate_in_cylinder, and
+    # a LatticeVector only for each vector on the critical ball and each
+    # member of the successor class
+    bases = list(return_orbit(3, 10))
+    sizes = []
+    for basis in bases:
+        _, on = core._critical_ball(basis, basis.tol, 10**7)
+        tall = surface_membership_S(basis).tall
+        sizes.append(len(on) + len(_chain_stepper(basis, 10**7)(tall)))
+    built = []
+    kernel_vector = core._kernel_vector
+
+    def counted(basis, y, w, h):
+        built.append(y)
+        return kernel_vector(basis, y, w, h)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerate_in_cylinder called during a first return")
+
+    monkeypatch.setattr(core, "_kernel_vector", counted)
+    monkeypatch.setattr(dynamics, "_kernel_vector", counted)
+    monkeypatch.setattr(core, "enumerate_in_cylinder", forbidden)
+    monkeypatch.setattr(dynamics, "enumerate_in_cylinder", forbidden, raising=False)
+    for basis, size in zip(bases, sizes):
+        built.clear()
+        first_return(basis)
+        assert 0 < len(built) <= size
 
 
 # ---------------------------------------------------------------------------
