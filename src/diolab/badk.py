@@ -267,12 +267,16 @@ def _quadrant_candidates(
 ) -> list[tuple[int, int, int]]:
     """Primitive points of the lattice spanned by the reduced basis
     (b1, b2) with both coordinates positive and lo_sq < norm^2 <= hi_sq,
-    sorted by (norm^2, x, y), from one enumeration of the disk."""
+    sorted by (norm^2, x, y), from one enumeration of the disk, which
+    visits one m of each pair +-m: a point in the negative quadrant
+    stands for its negative."""
     out = []
 
     def visit(m: tuple[int, ...]) -> None:
         x = m[0] * b1[0] + m[1] * b2[0]
         y = m[0] * b1[1] + m[1] * b2[1]
+        if x < 0 and y < 0:
+            x, y = -x, -y
         if x > 0 and y > 0 and lo_sq < x * x + y * y and math.gcd(*m) == 1:
             out.append((x * x + y * y, x, y))
 

@@ -165,11 +165,13 @@ def _ball_volume(k: int) -> tuple[Fraction, int]:
     return coeff, pi_pow
 
 
+@cache
 def minkowski_bound_sq_range(
     d: int, c: int, prec: int = 200
 ) -> tuple[Fraction, Fraction]:
     """Certified rational bounds (lo, hi) on the square of the Minkowski
-    constant; lo == hi exactly when the constant is rational."""
+    constant; lo == hi exactly when the constant is rational.  Cached:
+    the result depends only on (d, c, prec)."""
     cd, pd = _ball_volume(d)
     cc, pc = _ball_volume(c)
     rat = Fraction(2 ** (d + c)) / (cd * cc)
@@ -480,20 +482,21 @@ LLL_DELTA = Fraction(99, 100)
 
 def lll_columns(
     cols: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]]]:
-    """LLL-reduce integer columns; returns (reduced columns, transform U)
-    with reduced = original . U and U unimodular (columns convention).
-    Integral LLL on dd, lam of _int_gso.  Size reduction is stale-mu: a
-    pass takes every r_j = round-half-up(lam_kj / dd[j+1]) from the row
-    before it, so only |mu_{k,k-1}| <= 1/2 is guaranteed.  Lovasz with
-    LLL_DELTA = p/q: q (dd[k+1] dd[k-1] + lam_{k,k-1}^2) >= p dd[k]^2."""
+) -> tuple[list[list[int]], list[list[int]], tuple[list[int], list[list[int]]]]:
+    """LLL-reduce integer columns; returns (reduced columns, transform U,
+    (dd, lam)) with reduced = original . U, U unimodular (columns
+    convention) and (dd, lam) == _int_gso(reduced): the integral
+    Gram-Schmidt data the loop keeps exact, for fp_enumerate's ``gso``.
+    Size reduction is stale-mu: a pass takes every r_j =
+    round-half-up(lam_kj / dd[j+1]) from the row before it, so only
+    |mu_{k,k-1}| <= 1/2 is guaranteed.  Lovasz with LLL_DELTA = p/q:
+    q (dd[k+1] dd[k-1] + lam_{k,k-1}^2) >= p dd[k]^2.  Raises
+    SingularBasisError on dependent columns."""
     m = len(cols)
     b = [list(col) for col in cols]
     u = [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    if m == 1:
-        return b, u
-    p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
     dd, lam = _int_gso(b)
+    p, q = LLL_DELTA.numerator, LLL_DELTA.denominator
     k = 1
     rounds = 0
     while k < m:
@@ -522,7 +525,7 @@ def lll_columns(
             li[k - 1] = (dk * t + lm * li[k]) // dd[k + 1]
         dd[k] = dk
         k = max(k - 1, 1)
-    return b, u
+    return b, u, (dd, lam)
 
 
 def fp_enumerate(
@@ -530,46 +533,74 @@ def fp_enumerate(
     bound_sq: Fraction | int,
     visit: Callable[[tuple[int, ...]], None],
     budget: int = 10**7,
+    gso: Optional[tuple[list[int], list[list[int]]]] = None,
 ) -> int:
-    """Visit every nonzero integer combination y with |cols . y|^2 <=
-    bound_sq (Euclidean, both of +-y).  Returns nodes used; raises
+    """Visit one y of each pair +-y of nonzero integer combinations with
+    |cols . y|^2 <= bound_sq (Euclidean): the y whose last nonzero
+    coordinate is positive.  Returns nodes used; raises
     BudgetExceededError when the traversal exceeds ``budget`` nodes.
-    Integer Fincke-Pohst on dd, lam of _int_gso, the bound scaled once by
-    S = den(bound_sq) prod_i dd[i+1] dd[i]: level i weighs t^2 by w_i =
-    S / (dd[i+1] dd[i]), t = y_i dd[i+1] - N_i, N_i = -sum_{j>i} lam_ji
-    y_j, and visits in increasing order the y_i with |t| <= isqrt(R // w_i),
-    R the integer remaining bound."""
+
+    Integer Fincke-Pohst on the data (dd, lam) of _int_gso(cols), or on
+    ``gso`` when given (lll_columns returns it for its reduced columns),
+    the bound scaled once by S = den(bound_sq) prod_i dd[i+1] dd[i]:
+    level i weighs t^2 by w_i = S / (dd[i+1] dd[i]), t = y_i dd[i+1] -
+    N_i, N_i = -sum_{j>i} lam_ji y_j, and tries in increasing order the
+    y_i with |t| <= isqrt(R // w_i), R the integer remaining bound.  The
+    walk stays in the half-space: while every coordinate above level i
+    is 0 (so N_i = 0), it tries only y_i >= 0, and y_0 >= 1.  The visit
+    order is that of the whole ball (y[m-1] outermost, each coordinate
+    increasing) restricted to the half, and every y_i tried counts one
+    node against ``budget``.
+    """
     m = len(cols)
-    dd, lam = _int_gso(cols)
+    dd, lam = _int_gso(cols) if gso is None else gso
     num, den = bound_sq.numerator, bound_sq.denominator
     if num < 0:
         return 0
-    prod = math.prod(dd[i + 1] * dd[i] for i in range(m))
-    w = [den * prod // (dd[i + 1] * dd[i]) for i in range(m)]
+    # w_i = den prod_{k != i} dd[k+1] dd[k], by suffix then prefix
+    # products, with no long division
+    w = [0] * m
+    acc = den
+    for i in reversed(range(m)):
+        w[i] = acc
+        acc *= dd[i + 1] * dd[i]
+    prod = 1
+    for i in range(m):
+        w[i] *= prod
+        prod *= dd[i + 1] * dd[i]
     y = [0] * m
     nodes = 0
 
-    def descend(i: int, rem: int) -> None:
+    def descend(i: int, rem: int, above: bool) -> None:
+        # above: some coordinate above level i is nonzero
         nonlocal nodes
-        n = -sum(lam[j][i] * y[j] for j in range(i + 1, m))
         di, wi = dd[i + 1], w[i]
         h = isqrt(rem // wi)
-        for yi in range((n - h + di - 1) // di, (n + h) // di + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"enumeration exceeded budget of {budget} nodes"
-                )
-            y[i] = yi
-            if i == 0:
-                if any(y):
-                    visit(tuple(y))
-            else:
+        if above:
+            n = -sum(lam[j][i] * y[j] for j in range(i + 1, m))
+            lo = (n - h + di - 1) // di
+        else:
+            n, lo = 0, 0 if i else 1
+        hi = (n + h) // di
+        if hi < lo:
+            return
+        nodes += hi - lo + 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"enumeration exceeded budget of {budget} nodes"
+            )
+        if i == 0:
+            for yi in range(lo, hi + 1):
+                y[0] = yi
+                visit(tuple(y))
+        else:
+            for yi in range(lo, hi + 1):
+                y[i] = yi
                 t = yi * di - n
-                descend(i - 1, rem - t * t * wi)
+                descend(i - 1, rem - t * t * wi, above or yi != 0)
         y[i] = 0
 
-    descend(m - 1, num * prod)
+    descend(m - 1, num * prod, False)
     return nodes
 
 
@@ -694,10 +725,13 @@ def _cylinder_points(
     zero (every nonzero integer point there lands beyond the ball).  The
     reduction starts from cols . u (``u`` None: from cols): for m = 2 it
     is Lagrange-Gauss and the ball is walked over a half-plane
-    (_plane_points), for m >= 3 LLL and fp_enumerate.  The visitor reads
-    the norms off the reduced columns, shifting the scaled block back
-    exactly.  Returns {sign-canonical y: (width^2, height^2)} in the
-    units of ``cols``, and the transform for the next search.
+    (_plane_points), for m >= 3 LLL hands its reduced columns and their
+    Gram-Schmidt data to fp_enumerate, which walks the half-ball of one
+    y per pair +-y.  The visitor reads the norms off the reduced
+    columns, shifting the scaled block back exactly, and flips the sign
+    of y by canonical_sign.  Returns {sign-canonical y: (width^2,
+    height^2)} in the units of ``cols``, and the transform for the next
+    search.
     """
     m = len(cols)
     work = [list(col) for col in cols] if u is None else _matmul_int(cols, u)
@@ -712,7 +746,7 @@ def _cylinder_points(
     sw, sh = (2 * a, 0) if a > 0 else (0, -2 * a)
     if m == 2:
         return _plane_points(work, u, rp, rm, ball, sw, sh, budget)
-    red, u2 = lll_columns(work)
+    red, u2, gso = lll_columns(work)
     u = u2 if u is None else _matmul_int(u, u2)
     found: dict[tuple[int, ...], tuple[int, int]] = {}
 
@@ -725,7 +759,7 @@ def _cylinder_points(
         if h <= rm:
             found[canonical_sign(_matvec_int(u, yred), d)] = (w, h)
 
-    fp_enumerate(red, ball, visit, budget=budget)
+    fp_enumerate(red, ball, visit, budget=budget, gso=gso)
     return found, u
 
 

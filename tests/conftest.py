@@ -379,9 +379,9 @@ def ellipsoid_box(cols, bound):
 
 
 def brute_ellipsoid(cols, bound):
-    """The nonzero integer y with |cols . y|^2 <= bound, in fp_enumerate's
-    visiting order (y[m-1] outermost, each coordinate increasing), by a
-    scan of the exact box."""
+    """The nonzero integer y with |cols . y|^2 <= bound, both of +-y, in
+    the order fp_enumerate walks its half (y[m-1] outermost, each
+    coordinate increasing), by a scan of the exact box."""
     m = len(cols)
     out = []
     box = ellipsoid_box(cols, bound)

@@ -11,7 +11,7 @@ import pytest
 RUN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "run.py")
 
 
-@pytest.mark.parametrize("workload", ["chain-1x1", "transversal", "certify"])
+@pytest.mark.parametrize("workload", ["chain-1x1", "transversal", "certify", "chain-3d"])
 def test_pinned_digest_matches(workload):
     # --seconds 0 runs only the pinned rounds; --trace 1 runs them twice,
     # untraced and traced

@@ -105,6 +105,26 @@ def test_direct_scan_budget_builds_one_chunk(monkeypatch):
     assert len(built) == 1
 
 
+def test_direct_scan_reuses_cached_annuli():
+    # the c = 2 shell order does not depend on theta: a second scan of
+    # the same q_max builds no annulus, and the cached arrays are
+    # read-only
+    a = ((Fraction(123456789, 1 << 40),), (Fraction(987654321, 1 << 40),))
+    b = ((Fraction(2, 7),), (Fraction(5, 1 << 30),))
+    bestapprox._annulus.cache_clear()
+    first = direct_scan(a, 200)
+    built = bestapprox._annulus.cache_info()
+    assert built.misses > 1 and built.currsize == built.misses
+    assert direct_scan(a, 200) == first
+    direct_scan(b, 200)
+    again = bestapprox._annulus.cache_info()
+    assert again.misses == built.misses and again.hits >= built.misses
+    (q1, q2), norms = bestapprox._annulus(0, 42)
+    for arr in (q1, q2, norms):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+
+
 def test_prefilter_keeps_every_height_within_the_bound():
     # non-dyadic denominators truncate every a_ji, and |q_j| runs up to
     # q_max; each height whose exact squared distance is at most the

@@ -13,6 +13,7 @@ from diolab.core import (
     BudgetExceededError,
     _cylinder_points,
     _ball_volume,
+    _int_gso,
     _gauss_pair,
     Cylinder,
     LLL_DELTA,
@@ -181,7 +182,7 @@ def test_lll_columns_unimodular_transform():
         # force independence by adding the identity
         for i in range(m):
             cols[i][i] += 10
-        red, u = lll_columns(cols)
+        red, u, _ = lll_columns(cols)
         # reduced = original . U with U unimodular
         det_u = (
             u[0][0] * u[1][1] - u[0][1] * u[1][0]
@@ -230,7 +231,7 @@ def test_lll_columns_against_fraction_oracle():
     stale = 0
     for cols in lll_test_bases():
         m = len(cols)
-        red, u = lll_columns(cols)
+        red, u, _ = lll_columns(cols)
         assert LatticeBasis(1, m - 1, u).det_raw() in (1, -1)
         assert red == [
             [sum(u[j][t] * cols[t][i] for t in range(m)) for i in range(m)]
@@ -277,20 +278,50 @@ def fp_test_cases():
 FP_DIGEST = "ab8d783ab2095b68574691c66e41d7ab1ba1f8e54b4da55519cbc56938139408"
 
 
+def last_nonzero_positive(y):
+    return next(t for t in reversed(y) if t) > 0
+
+
 def test_fp_enumerate_exact_against_brute_force():
+    # FP_DIGEST pins the whole-ball sequences of brute_ellipsoid; the
+    # enumeration visits that sequence restricted to the half whose last
+    # nonzero coordinate is positive
     sequences = []
     on_bound = 0
     for cols, bound, on in fp_test_cases():
+        whole = brute_ellipsoid(cols, bound)
         seen = []
         nodes = fp_enumerate(cols, bound, seen.append)
-        assert seen == brute_ellipsoid(cols, bound)
+        assert seen == [y for y in whole if last_nonzero_positive(y)]
+        assert 2 * len(seen) == len(whole)
         assert nodes >= len(seen)
         if on is not None and any(on):
-            assert on in seen and tuple(-t for t in on) in seen
+            neg = tuple(-t for t in on)
+            assert (on in seen) != (neg in seen)
             on_bound += 1
-        sequences.append(seen)
+        sequences.append(whole)
     assert on_bound >= 50
     assert hashlib.sha256(repr(sequences).encode()).hexdigest() == FP_DIGEST
+
+
+def test_lll_columns_hands_on_its_gram_schmidt_data():
+    # the (dd, lam) lll_columns returns is _int_gso of its reduced
+    # columns, and fp_enumerate walks the same nodes with it as without
+    rng = random.Random(16)
+    bases = [cols for cols, _, _ in fp_test_cases()[::3]]
+    for m in (3, 4):
+        while len(bases) < 180 + 40 * (m - 2):
+            cols = [[rng.randrange(-50, 51) for _ in range(m)] for _ in range(m)]
+            if LatticeBasis(1, m - 1, cols).det_raw() != 0:
+                bases.append(cols)
+    for cols in bases:
+        red, _, gso = lll_columns(cols)
+        assert gso == _int_gso(red)
+        bound = sum(t * t for t in red[-1]) + 1
+        plain, handed = [], []
+        nodes = fp_enumerate(red, bound, plain.append)
+        assert fp_enumerate(red, bound, handed.append, gso=gso) == nodes
+        assert handed == plain
 
 
 def test_fp_enumerate_negative_bound_and_budget():
@@ -458,7 +489,7 @@ def _lll_fp_points(cols, d, rp, rm):
     rows = range(d) if k > 0 else range(d, m)
     work = [[t << abs(k) if i in rows else t for i, t in enumerate(col)] for col in cols]
     ball = (rp << 2 * k) + rm if k > 0 else rp + (rm << -2 * k)
-    red, u = lll_columns(work)
+    red, u, _ = lll_columns(work)
     found = {}
 
     def visit(yred):

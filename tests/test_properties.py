@@ -25,7 +25,7 @@ from diolab.dynamics import minimal_vectors
 
 from conftest import brute_cylinder, reference_scan, reference_shells, safe_box
 
-SHAPES = ((1, 1), (2, 1), (1, 2))
+SHAPES = ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2))
 # height caps past every terminal record of a target with denominators <= 16
 Q_MAX = {1: 40, 2: 20}
 
@@ -46,7 +46,7 @@ def records_or_tie(engine, *args, **kwargs):
         return "tie"
 
 
-@settings(derandomize=True, deadline=None, max_examples=1000)
+@settings(derandomize=True, deadline=None, max_examples=3000)
 @given(small_theta())
 def test_chain_equals_scan_or_both_raise(theta):
     q_max = Q_MAX[len(theta)]
@@ -55,7 +55,7 @@ def test_chain_equals_scan_or_both_raise(theta):
     assert chain_engine(theta, q_max=0) == direct_scan(theta, 0) == []
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
+@settings(derandomize=True, deadline=None, max_examples=1350)
 @given(small_theta())
 def test_minimal_vectors_carry_the_records(theta):
     recs = records_or_tie(chain_engine, theta, depth=64)
@@ -138,7 +138,7 @@ def test_direct_scan_equals_reference_scan(case, cut):
         )
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
+@settings(derandomize=True, deadline=None, max_examples=260)
 @given(
     st.sampled_from(SHAPES),
     st.sampled_from((1, 2, 3, 2048)),
