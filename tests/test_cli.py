@@ -1,6 +1,7 @@
 """End-to-end command tests through main(argv): outputs, exit codes,
 seed handling, and byte-identical reruns."""
 
+import hashlib
 import json
 import re
 
@@ -216,3 +217,40 @@ def test_outdir_env(tmp_path, monkeypatch):
     assert main(["bestapprox", "--theta", "1/3", "--qmax", "10"]) == 0
     assert (tmp_path / "envdir").is_dir()
     only_file(tmp_path / "envdir", r"bestapprox_[0-9a-f]{12}\.csv")
+
+
+# one small run of each command; every file it writes is pinned by name
+# (the name carries the configuration tag) and by SHA-256
+PINNED_RUNS = [
+    ["bestapprox", "--seed", "5", "--count", "12"],
+    ["bestapprox", "--d", "2", "--theta", "1/2,1/3", "--qmax", "50"],
+    ["levy", "--trials", "3", "--depth", "10", "--bits", "64", "--seed", "1"],
+    ["dist", "--trials", "3", "--depth", "30", "--bits", "192", "--seed", "4",
+     "--discard", "8"],
+    ["surface", "--d", "1"],
+    ["surface", "--d", "2", "--samples", "60", "--seed", "11"],
+    ["returnmap", "--n", "12", "--seed", "9", "--bits", "24"],
+    ["badk", "--steps", "2"],
+]
+PINNED_FILES = {
+    "badk_a58c8afb79e8.json": "599e972cd9ab38249e7e98fc09ce26849fceac0b49708dfad5d040087f6ec959",
+    "bestapprox_51e3b6cb7607.csv": "8338ef607e1a31826337e5decc262b30763ef67f664afeced7aa476ba96bfb25",
+    "bestapprox_b7790554637c.csv": "a25dba7ac1311430f9c0819f7b142c0165323cd2f465fc70fd9195ea91b260cb",
+    "dist_6aebe0d0ce73.csv": "b2debc5ecb833c60bec5fb051474c7fbe64ba3e556b079898e09acb226e72fd1",
+    "dist_6aebe0d0ce73.json": "a1e5765a6212ad4fa196b59b310fdfb00f40a2643e3133d978a2aa3716891c4c",
+    "levy_4072c76ed6a2.csv": "80e490458107dde9e4a681a24c16b06ee5edd37d24e2dd1345d80e94ec917e6c",
+    "levy_4072c76ed6a2.json": "3b0bd22873862e78116f815e2f5cb05e6cfd1f29976f47f462ebf7be8f7082fb",
+    "returnmap_be8306f67528.csv": "485be7cd100855f81b016762f236bd916dd60413d3080b309741c5374f43b977",
+    "surface_a21e0276bcbb.json": "a44d34b418c6a247d49671c6c79e56d4c6c369278416479233b2c6185c3a71e6",
+    "surface_a2ad328a904c.json": "2f880b1755071cc83b9802ebf5547e59b05401e087ae7fcf0ef0fa4a20a06c7d",
+}
+
+
+def test_outputs_are_pinned(tmp_path):
+    for argv in PINNED_RUNS:
+        assert run(tmp_path, *argv) == 0, argv
+    written = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.iterdir()
+    }
+    assert written == PINNED_FILES
