@@ -204,7 +204,6 @@ class BadConstructionState:
     steps: tuple[StepRecord, ...]
     M_table: dict
     m_table: dict
-    certified_mask: int = 0
 
     @property
     def theta(self) -> Pair:

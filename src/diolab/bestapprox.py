@@ -11,7 +11,6 @@ being resolved silently.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,14 +54,6 @@ class BestApproxRecord:
     q_sq: Fraction
     r_sq: Fraction
     terminal: bool = False
-
-    @property
-    def q(self) -> float:
-        return math.sqrt(float(self.q_sq))
-
-    @property
-    def r(self) -> float:
-        return math.sqrt(float(self.r_sq))
 
 
 def sample_theta(d: int, c: int, bits: int, rng: random.Random) -> Theta:

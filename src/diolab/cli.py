@@ -15,7 +15,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,6 +36,7 @@ from .dynamics import (
 )
 from .estimators import (
     LEVY_2_1,
+    _seeded_trials,
     bjw_cdf_1d,
     bjw_empirical,
     ks_distance,
@@ -72,25 +73,21 @@ def _require(ok: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs to rerun exactly."""
+    """Everything a command needs to rerun exactly: its name and every
+    option that shapes its output (an option that is None is left out)."""
 
     command: str
-    d: Optional[int] = None
-    c: Optional[int] = None
-    trials: Optional[int] = None
-    depth: Optional[int] = None
-    bits: Optional[int] = None
-    seed: Optional[int] = None
-    budget: int = 10**7
-    extras: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, args: argparse.Namespace, *names: str, **fixed) -> "RunConfig":
+        """The configuration of ``args.command``: the named options of
+        ``args`` and the ``fixed`` values."""
+        return cls(args.command, dict({n: getattr(args, n) for n in names}, **fixed))
 
     def to_dict(self) -> dict:
-        out = {"command": self.command, "budget": self.budget}
-        for name in ("d", "c", "trials", "depth", "bits", "seed"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        out.update(self.extras)
+        out = {k: v for k, v in self.options.items() if v is not None}
+        out["command"] = self.command
         return out
 
     def tag(self) -> str:
@@ -120,35 +117,42 @@ def _parse_theta(spec: str, d: int, c: int) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+def _write(
+    args: argparse.Namespace,
+    config: RunConfig,
+    summary: Optional[dict] = None,
+    header: Optional[Sequence[str]] = None,
+    rows: Sequence[Sequence[str]] = (),
+) -> None:
+    """The one writer of every command: ``<command>_<tag>.json`` holds the
+    summary with the configuration under "config", ``<command>_<tag>.csv``
+    the header and rows under a configuration line; each file is written
+    only when its part is given, and reported on stdout."""
+    stem = os.path.join(
+        output_dir(args.outdir), "%s_%s" % (config.command, config.tag())
+    )
+    wrote = []
+    if summary is not None:
+        write_json(stem + ".json", dict(summary, config=config.to_dict()))
+        wrote.append(stem + ".json")
+    if header is not None:
+        write_csv(stem + ".csv", config.to_dict(), header, rows)
+        wrote.append("%s.csv (%d rows)" % (stem, len(rows)))
+    print("wrote %s" % " and ".join(wrote))
+
+
 def cmd_bestapprox(args: argparse.Namespace) -> int:
     _require(args.theta is not None or args.seed is not None, "provide --theta or --seed")
     _require(args.qmax is not None or args.count is not None, "provide --qmax or --count")
-    _require(args.d >= 1 and args.c >= 1, "--d and --c must be positive")
     _require(args.count is None or args.count >= 1, "--count must be positive")
     _require(args.qmax is None or args.qmax >= 0, "--qmax must be nonnegative")
-    _require(args.bits >= 1, "--bits must be positive")
-    seed = args.seed
     if args.theta is not None:
         theta = _parse_theta(args.theta, args.d, args.c)
     else:
-        seed = _resolve_seed(seed)
-        theta = sample_theta(args.d, args.c, args.bits, random.Random(seed))
-    config = RunConfig(
-        "bestapprox",
-        d=args.d,
-        c=args.c,
+        theta = sample_theta(args.d, args.c, args.bits, random.Random(args.seed))
+    config = RunConfig.of(
+        args, "d", "c", "seed", "budget", "theta", "qmax", "count",
         bits=args.bits if args.theta is None else None,
-        seed=seed,
-        budget=args.budget,
-        extras={
-            k: v
-            for k, v in (
-                ("theta", args.theta),
-                ("qmax", args.qmax),
-                ("count", args.count),
-            )
-            if v is not None
-        },
     )
     records = chain_engine(
         theta, depth=args.count, q_max=args.qmax, budget=args.budget
@@ -166,29 +170,16 @@ def cmd_bestapprox(args: argparse.Namespace) -> int:
         + [dec_sqrt_str(r.q_sq), frac_str(r.r_sq)]
         for r in records
     ]
-    path = os.path.join(
-        output_dir(args.outdir), "bestapprox_%s.csv" % config.tag()
-    )
-    write_csv(path, config.to_dict(), header, rows)
-    print("wrote %s (%d records)" % (path, len(rows)))
+    _write(args, config, header=header, rows=rows)
     return EXIT_OK
 
 
 def cmd_levy(args: argparse.Namespace) -> int:
-    _require(args.d >= 1 and args.c >= 1, "--d and --c must be positive")
     _require(args.trials >= 2, "--trials must be at least 2")
     _require(args.depth >= 4, "--depth must be at least 4")
-    _require(args.bits >= 1, "--bits must be positive")
     seed = _resolve_seed(args.seed)
-    config = RunConfig(
-        "levy",
-        d=args.d,
-        c=args.c,
-        trials=args.trials,
-        depth=args.depth,
-        bits=args.bits,
-        seed=seed,
-        budget=args.budget,
+    config = RunConfig.of(
+        args, "d", "c", "trials", "depth", "bits", "budget", seed=seed
     )
     est = levy_ergodic(
         args.d, args.c, args.trials, args.depth, args.bits, seed,
@@ -200,37 +191,18 @@ def cmd_levy(args: argparse.Namespace) -> int:
         target = LEVY_2_1
     else:
         target = None
-    summary = {
-        "config": config.to_dict(),
-        "L_hat": est.L_hat,
-        "L_star_hat": est.L_star_hat,
-        "stderr": est.stderr,
-        "stderr_star": est.stderr_star,
-        "duality_residual": est.duality_residual,
-        "duality_stderr": est.duality_stderr,
-        "resamples": est.resamples,
-        "target": target,
-        "abs_error": None if target is None else abs(est.L_hat - target),
-        "abs_error_star": (
-            None
-            if target is None
-            else abs(est.L_star_hat - args.c * target / args.d)
-        ),
-    }
-    out = output_dir(args.outdir)
-    jpath = os.path.join(out, "levy_%s.json" % config.tag())
-    cpath = os.path.join(out, "levy_%s.csv" % config.tag())
-    write_json(jpath, summary)
-    write_csv(
-        cpath,
-        config.to_dict(),
-        ["trial", "slope_q", "slope_r"],
-        [
-            [str(i), repr(sq), repr(sr)]
-            for i, (sq, sr) in enumerate(est.per_trial)
-        ],
+    # the estimate without what the configuration and the CSV hold
+    summary = asdict(est)
+    del summary["trials"], summary["depth"], summary["per_trial"]
+    summary["target"] = target
+    summary["abs_error"] = None if target is None else abs(est.L_hat - target)
+    summary["abs_error_star"] = (
+        None if target is None else abs(est.L_star_hat - args.c * target / args.d)
     )
-    print("wrote %s and %s" % (jpath, cpath))
+    rows = [
+        [str(i), repr(sq), repr(sr)] for i, (sq, sr) in enumerate(est.per_trial)
+    ]
+    _write(args, config, summary, ["trial", "slope_q", "slope_r"], rows)
     print("L_hat = %.9f  L_star_hat = %.9f" % (est.L_hat, est.L_star_hat))
     if target is not None:
         print("target = %.9f  |error| = %.6f" % (target, abs(est.L_hat - target)))
@@ -238,22 +210,12 @@ def cmd_levy(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    _require(args.d >= 1 and args.c >= 1, "--d and --c must be positive")
     _require(args.trials >= 1, "--trials must be positive")
     _require(args.discard >= 0, "--discard must be nonnegative")
     _require(args.depth > args.discard + 1, "--depth must exceed --discard + 1")
-    _require(args.bits >= 1, "--bits must be positive")
     seed = _resolve_seed(args.seed)
-    config = RunConfig(
-        "dist",
-        d=args.d,
-        c=args.c,
-        trials=args.trials,
-        depth=args.depth,
-        bits=args.bits,
-        seed=seed,
-        budget=args.budget,
-        extras={"discard": args.discard},
+    config = RunConfig.of(
+        args, "d", "c", "trials", "depth", "bits", "budget", "discard", seed=seed
     )
     ecdf = bjw_empirical(
         args.d, args.c, args.trials, args.depth, args.bits, seed,
@@ -272,19 +234,13 @@ def cmd_dist(args: argparse.Namespace) -> int:
         header = ["t", "ecdf"]
         rows = [[dec_str(t, 6), repr(ecdf(float(t)))] for t in grid]
     summary = {
-        "config": config.to_dict(),
         "pool": int(ecdf.samples.size),
         "resamples": ecdf.resamples,
         "support_min": float(ecdf.samples.min()),
         "support_max": float(ecdf.samples.max()),
         "ks_vs_oracle": ks_distance(ecdf, bjw_cdf_1d) if closed else None,
     }
-    out = output_dir(args.outdir)
-    jpath = os.path.join(out, "dist_%s.json" % config.tag())
-    cpath = os.path.join(out, "dist_%s.csv" % config.tag())
-    write_json(jpath, summary)
-    write_csv(cpath, config.to_dict(), header, rows)
-    print("wrote %s and %s" % (jpath, cpath))
+    _write(args, config, summary, header, rows)
     print("pool = %d  support = [%.6f, %.6f]" % (
         summary["pool"], summary["support_min"], summary["support_max"]))
     if closed:
@@ -293,72 +249,48 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    out = output_dir(args.outdir)
     if args.d == 1:
-        config = RunConfig("surface", d=1)
         quad = surface_measure_1d()
         with mpmath.mp.workprec(120):
             exact = mpmath.nstr(2 * mpmath.log(2), 30, strip_zeros=False)
         summary = {
-            "config": config.to_dict(),
             "exact": exact,
             "quadrature": quad,
             "abs_diff": abs(quad - float(2 * mpmath.log(2))),
         }
-        jpath = os.path.join(out, "surface_%s.json" % config.tag())
-        write_json(jpath, summary)
-        print("wrote %s" % jpath)
+        # the quadrature takes no option: its configuration is fixed
+        _write(args, RunConfig("surface", {"d": 1, "budget": 10**7}), summary)
         print("exact 2 ln 2 = %s" % exact)
         print("quadrature   = %.15f" % quad)
         return EXIT_OK
     _require(args.samples >= 1, "--samples must be positive")
     seed = _resolve_seed(args.seed)
-    config = RunConfig(
-        "surface", d=2, seed=seed, budget=args.budget,
-        extras={"samples": args.samples},
-    )
+    config = RunConfig.of(args, "budget", "samples", d=2, seed=seed)
     est = surface_mc_2d(args.samples, seed, budget=args.budget)
-    summary = {
-        "config": config.to_dict(),
-        "muS_hat": est.muS_hat,
-        "stderr": est.stderr,
-        "accept_rate": est.accept_rate,
-        "samples": est.samples,
-        "accepted": est.accepted,
-        "nongeneric": est.nongeneric,
-    }
-    jpath = os.path.join(out, "surface_%s.json" % config.tag())
-    write_json(jpath, summary)
-    print("wrote %s" % jpath)
+    _write(args, config, asdict(est))
     print("muS_hat = %.6f +- %.6f  (accept rate %.4f)" % (
         est.muS_hat, est.stderr, est.accept_rate))
     return EXIT_OK
 
 
 def cmd_returnmap(args: argparse.Namespace) -> int:
-    _require(args.bits >= 1, "--bits must be positive")
     _require(args.n >= 1, "--n must be positive")
     seed = _resolve_seed(args.seed)
-    config = RunConfig(
-        "returnmap", d=1, c=1, bits=args.bits, seed=seed, budget=args.budget,
-        extras={"n": args.n},
-    )
-    master = random.Random(seed)
+    config = RunConfig.of(args, "bits", "budget", "n", d=1, c=1, seed=seed)
+
+    def attempt(rng: random.Random):
+        # a chart point whose lattice is non-generic is re-drawn
+        point = sample_surface_point_1d(rng, args.bits)
+        try:
+            dyn = surface_first_return_1d(point, budget=args.budget)
+            return point, dyn, return_map_explicit_1d(point)
+        except NonGenericLatticeError:
+            return None
+
     rows = []
     max_delta = 0.0
-    produced = 0
-    attempts = 0
-    while produced < args.n:
-        if attempts >= 2 * args.n + 64:
-            raise SearchLimitError("too many non-generic chart points")
-        attempts += 1
-        sub = random.Random(master.getrandbits(64))
-        point = sample_surface_point_1d(sub, args.bits)
-        try:
-            dyn, ratio_sq = surface_first_return_1d(point, budget=args.budget)
-            oracle, oracle_ratio_sq = return_map_explicit_1d(point)
-        except NonGenericLatticeError:
-            continue
+    draws = _seeded_trials(seed, args.n, attempt)
+    for (point, (dyn, ratio_sq), (oracle, oracle_ratio_sq)), _ in draws:
         rel_dx = abs(float((dyn.x - oracle.x) / oracle.x))
         rel_dy = abs(float((dyn.y - oracle.y) / oracle.y))
         mismatch = 0.0 if (dyn.eps == oracle.eps and ratio_sq == oracle_ratio_sq) else 1.0
@@ -367,7 +299,7 @@ def cmd_returnmap(args: argparse.Namespace) -> int:
             tau = mpmath.nstr(ln_frac(ratio_sq, 120) / 4, 30, strip_zeros=False)
         rows.append(
             [
-                str(produced),
+                str(len(rows)),
                 frac_str(point.x),
                 frac_str(point.y),
                 str(point.eps),
@@ -379,26 +311,18 @@ def cmd_returnmap(args: argparse.Namespace) -> int:
                 repr(rel_dy),
             ]
         )
-        produced += 1
     header = [
         "k", "x", "y", "eps", "tau",
         "x_next", "y_next", "eps_next", "rel_dx", "rel_dy",
     ]
-    cpath = os.path.join(
-        output_dir(args.outdir), "returnmap_%s.csv" % config.tag()
-    )
-    write_csv(cpath, config.to_dict(), header, rows)
-    print("wrote %s (%d points)" % (cpath, len(rows)))
+    _write(args, config, header=header, rows=rows)
     print("max relative delta vs oracle = %r" % max_delta)
     return EXIT_OK
 
 
 def cmd_badk(args: argparse.Namespace) -> int:
     _require(args.steps >= 0, "--steps must be nonnegative")
-    config = RunConfig(
-        "badk", d=2, c=1, budget=args.budget,
-        extras={"steps": args.steps, "x_search_bound": args.x_search_bound},
-    )
+    config = RunConfig.of(args, "budget", "steps", "x_search_bound", d=2, c=1)
     state = badk.init_state()
     reports = [badk.certify(state, budget=args.budget)]
     for _ in range(args.steps):
@@ -407,13 +331,10 @@ def cmd_badk(args: argparse.Namespace) -> int:
         )
         reports.append(badk.certify(state, budget=args.budget))
     payload = badk.certificate(state, tuple(reports))
-    payload["config"] = config.to_dict()
     stats = badk.prefix_statistics(state)
     payload["prefix_min_q_r_sq_final"] = frac_str(stats.a)
     payload["prefix_min_qnext_r_sq_final"] = frac_str(stats.b)
-    jpath = os.path.join(output_dir(args.outdir), "badk_%s.json" % config.tag())
-    write_json(jpath, payload)
-    print("wrote %s" % jpath)
+    _write(args, config, payload)
     for row in payload["steps"]:
         flags = "".join(
             "1" if row["conditions"].get(name, None) else "."
@@ -441,57 +362,49 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--outdir", default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("bestapprox", help="best approximation records")
-    pa.add_argument("--d", type=int, default=1)
-    pa.add_argument("--c", type=int, default=1)
+    def command(func, summary, *, shape=True, seed=True, bits=256):
+        """A subcommand with the options it shares with other commands:
+        --budget always, --d/--c, --seed and --bits (default ``bits``)
+        unless switched off."""
+        p = sub.add_parser(func.__name__[len("cmd_"):], help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--budget", type=int, default=10**7)
+        if shape:
+            p.add_argument("--d", type=int, default=1)
+            p.add_argument("--c", type=int, default=1)
+        if seed:
+            p.add_argument("--seed", type=int)
+        if bits:
+            p.add_argument("--bits", type=int, default=bits)
+        return p
+
+    pa = command(cmd_bestapprox, "best approximation records")
     pa.add_argument("--theta", help="row-major fractions p1/q1,p2/q2,...")
-    pa.add_argument("--seed", type=int)
-    pa.add_argument("--bits", type=int, default=256)
     pa.add_argument("--qmax", type=int)
     pa.add_argument("--count", type=int)
-    pa.add_argument("--budget", type=int, default=10**7)
-    pa.set_defaults(func=cmd_bestapprox)
 
-    pl = sub.add_parser("levy", help="growth-rate estimates")
-    pl.add_argument("--d", type=int, default=1)
-    pl.add_argument("--c", type=int, default=1)
+    pl = command(cmd_levy, "growth-rate estimates")
     pl.add_argument("--trials", type=int, default=200)
     pl.add_argument("--depth", type=int, default=100)
-    pl.add_argument("--bits", type=int, default=256)
-    pl.add_argument("--seed", type=int)
-    pl.add_argument("--budget", type=int, default=10**7)
-    pl.set_defaults(func=cmd_levy)
 
-    pd = sub.add_parser("dist", help="limit distribution of q'r products")
-    pd.add_argument("--d", type=int, default=1)
-    pd.add_argument("--c", type=int, default=1)
+    pd = command(cmd_dist, "limit distribution of q'r products")
     pd.add_argument("--trials", type=int, default=100)
     pd.add_argument("--depth", type=int, default=80)
-    pd.add_argument("--bits", type=int, default=256)
-    pd.add_argument("--seed", type=int)
     pd.add_argument("--discard", type=int, default=10)
-    pd.add_argument("--budget", type=int, default=10**7)
-    pd.set_defaults(func=cmd_dist)
 
-    ps = sub.add_parser("surface", help="transversal mass")
+    ps = command(cmd_surface, "transversal mass", shape=False, bits=None)
     ps.add_argument("--d", type=int, choices=(1, 2), default=1)
     ps.add_argument("--samples", type=int, default=2000)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--budget", type=int, default=10**7)
-    ps.set_defaults(func=cmd_surface)
 
-    pr = sub.add_parser("returnmap", help="return map vs closed form")
+    pr = command(cmd_returnmap, "return map vs closed form", shape=False, bits=53)
     pr.add_argument("--n", type=int, default=100)
-    pr.add_argument("--seed", type=int)
-    pr.add_argument("--bits", type=int, default=53)
-    pr.add_argument("--budget", type=int, default=10**7)
-    pr.set_defaults(func=cmd_returnmap)
 
-    pb = sub.add_parser("badk", help="inductive construction certificate")
+    pb = command(
+        cmd_badk, "inductive construction certificate",
+        shape=False, seed=False, bits=None,
+    )
     pb.add_argument("--steps", type=int, default=10)
     pb.add_argument("--x-search-bound", type=int, default=1 << 16)
-    pb.add_argument("--budget", type=int, default=10**7)
-    pb.set_defaults(func=cmd_badk)
     return parser
 
 
@@ -499,6 +412,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # the options shared by several commands are checked here, once
+        for name in ("d", "c", "bits", "budget"):
+            _require(getattr(args, name, 1) >= 1, "--%s must be positive" % name)
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -603,7 +603,6 @@ class SurfacePoint2D:
     n23: Fraction
     n31: Fraction
     n33: Fraction
-    phi: float = 0.0
 
 
 def chart_lattice_2d(p: SurfacePoint2D) -> LatticeBasis:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import mpmath
 import numpy as np
@@ -45,6 +45,8 @@ __all__ = [
     "bjw_oracle_cdf_1d",
     "ks_distance",
 ]
+
+_T = TypeVar("_T")
 
 #: numerical value of the d=2, c=1 Levy constant (literature value, 9 digits)
 LEVY_2_1 = 1.135256974
@@ -85,37 +87,51 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _seeded_chains(
-    d: int, c: int, trials: int, depth: int, bits: int, seed: int, budget: int
-) -> Iterator[tuple[list[BestApproxRecord], int]]:
-    """Chains of ``depth + 1`` records for ``trials`` random theta, each
-    drawn from its own generator seeded by a master ``Random(seed)``.
+def _seeded_trials(
+    seed: int, trials: int, attempt: Callable[[random.Random], Optional[_T]]
+) -> Iterator[tuple[_T, int]]:
+    """The one draw policy of every seeded estimate: a master
+    ``Random(seed)`` hands each draw, in order, its own child generator
+    seeded by the master's next 64 bits.
 
-    A theta that is non-generic or whose chain terminates before the
-    requested depth (a dyadic resonance) is re-drawn.  Yields each
-    accepted chain with the number of re-draws so far; more than
-    2 * trials + 64 draws in total raise SearchLimitError.
+    ``attempt(child)`` returns a result, or None for a draw that must be
+    re-drawn.  Yields ``trials`` results, each with the number of
+    re-draws so far; more than 2 * trials + 64 draws in total raise
+    SearchLimitError.
     """
     master = random.Random(seed)
     accepted = resamples = 0
     while accepted < trials:
         if accepted + resamples >= 2 * trials + 64:
             raise SearchLimitError(
-                "resonance exhaustion: %d re-samples at bits=%d"
-                % (resamples, bits)
+                "draw cap reached: %d of %d draws re-drawn"
+                % (resamples, accepted + resamples)
             )
-        sub = random.Random(master.getrandbits(64))
-        theta = sample_theta(d, c, bits, sub)
-        try:
-            recs = chain_engine(theta, depth=depth + 1, budget=budget)
-        except NonGenericLatticeError:
-            resamples += 1
-            continue
-        if len(recs) <= depth or recs[depth].terminal:
+        result = attempt(random.Random(master.getrandbits(64)))
+        if result is None:
             resamples += 1
             continue
         accepted += 1
-        yield recs, resamples
+        yield result, resamples
+
+
+def _seeded_chains(
+    d: int, c: int, trials: int, depth: int, bits: int, seed: int, budget: int
+) -> Iterator[tuple[list[BestApproxRecord], int]]:
+    """Chains of ``depth + 1`` records for ``trials`` random theta drawn
+    by _seeded_trials.  A theta that is non-generic or whose chain
+    terminates before the requested depth (a dyadic resonance) is
+    re-drawn."""
+
+    def attempt(rng: random.Random) -> Optional[list[BestApproxRecord]]:
+        theta = sample_theta(d, c, bits, rng)
+        try:
+            recs = chain_engine(theta, depth=depth + 1, budget=budget)
+        except NonGenericLatticeError:
+            return None
+        return None if len(recs) <= depth or recs[depth].terminal else recs
+
+    return _seeded_trials(seed, trials, attempt)
 
 
 def levy_ergodic(
@@ -263,12 +279,10 @@ def surface_mc_2d(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    master = random.Random(seed)
-    weights = np.zeros(samples)
-    accepted = 0
-    nongeneric = 0
-    for i in range(samples):
-        rng = random.Random(master.getrandbits(64))
+
+    def attempt(rng: random.Random) -> tuple[float, bool]:
+        """The weight of one proposal (0.0 if rejected) and whether its
+        lattice was non-generic; a rejected proposal is not re-drawn."""
         n31 = _dyadic(rng)
         for _ in range(256):
             n12 = 2 * _dyadic(rng) - 1
@@ -289,7 +303,7 @@ def surface_mc_2d(
         basis = chart_lattice_2d(point)
         det = basis.det_raw()
         if det <= 0:
-            continue
+            return 0.0, False
         cols = np.array(
             [[1.0, float(n12), float(n13)],
              [0.0, float(n22), float(n23)],
@@ -298,24 +312,28 @@ def surface_mc_2d(
         vecs = _COMBOS @ cols.T
         mixed = np.maximum(np.hypot(vecs[:, 0], vecs[:, 1]), np.abs(vecs[:, 2]))
         if np.min(mixed) < 1 - 1e-9:
-            continue
+            return 0.0, False
         try:
             mem = surface_membership_S(basis, budget=budget)
         except NonGenericLatticeError:
-            nongeneric += 1
-            continue
+            return 0.0, True
         if not (
             mem.member
             and mem.wide.y == (1, 0, 0)
             and mem.tall.y == (0, 1, 0)
         ):
-            continue
+            return 0.0, False
         if n13 == -2 or n23 == -2:
             raise ValueError(
                 "accepted point on the proposal-box boundary; enlarge the box"
             )
-        accepted += 1
-        weights[i] = float(1 / Fraction(det) ** 3)
+        return float(1 / Fraction(det) ** 3), False
+
+    draws = [result for result, _ in _seeded_trials(seed, samples, attempt)]
+    weights = np.array([weight for weight, _ in draws])
+    nongeneric = sum(dropped for _, dropped in draws)
+    # an accepted point has 0 < det N < 10 in the box: a positive weight
+    accepted = int(np.count_nonzero(weights))
     mean = float(np.mean(weights))
     muS_hat = _BOX_VOLUME * mean
     if samples > 1:

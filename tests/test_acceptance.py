@@ -232,8 +232,10 @@ def low_mass_verdict(chain, scan):
 
 def test_criterion_7_bjw_low_mass_2d(bjw_2d, scan_2d):
     # the 4/pi cap is checked exactly per value inside bjw_empirical.  For
-    # d >= 2 the liminf of q_{n+1} r_n^2 is 0, so the law has mass near 0
-    # (the d=c=1 law has none below 1/2); how much is not given by the
+    # d >= 2 and almost every theta the liminf of q_{n+1} r_n^2 is 0, so
+    # the law has mass near 0 (the d=c=1 law has none below 1/2).  Not for
+    # every theta: criterion 9's construction is a theta whose
+    # min q_{n+1} r_n^2 stays near 0.1.  How much mass is not given by the
     # paper, so the floor is set from the exact scan's measurement and the
     # chain pool must match the scan pool as a whole
     pool = bjw_2d.samples.size

@@ -86,12 +86,16 @@ USAGE_ERRORS = {
         ["--d", "0", "--seed", "1", "--count", "3"],
         ["--c", "0", "--seed", "1", "--count", "3"],
         ["--seed", "1", "--count", "3", "--bits", "0"],
+        ["--seed", "1", "--count", "3", "--budget", "0"],
+        ["--seed", "1", "--count", "3", "--budget", "-5"],
     ],
     "levy": [
         ["--seed", "1", "--depth", "3"],
         ["--seed", "1", "--trials", "1"],
         ["--seed", "1", "--d", "0"],
         ["--seed", "1", "--trials", "2", "--depth", "4", "--bits", "0"],
+        ["--seed", "1", "--trials", "2", "--depth", "4", "--budget", "0"],
+        ["--seed", "1", "--trials", "2", "--depth", "4", "--budget", "-5"],
     ],
     "dist": [
         ["--seed", "1", "--depth", "5"],
@@ -99,14 +103,26 @@ USAGE_ERRORS = {
         ["--seed", "1", "--trials", "0"],
         ["--seed", "1", "--c", "0"],
         ["--seed", "1", "--trials", "1", "--depth", "4", "--discard", "0", "--bits", "0"],
+        ["--seed", "1", "--trials", "1", "--depth", "4", "--discard", "0", "--budget", "0"],
+        ["--seed", "1", "--trials", "1", "--depth", "4", "--discard", "0", "--budget", "-5"],
     ],
-    "surface": [["--d", "2", "--samples", "0", "--seed", "1"]],
+    "surface": [
+        ["--d", "2", "--samples", "0", "--seed", "1"],
+        ["--d", "1", "--budget", "0"],
+        ["--d", "2", "--samples", "1", "--seed", "1", "--budget", "-5"],
+    ],
     "returnmap": [
         ["--bits", "0", "--seed", "1"],
         ["--n", "0", "--seed", "1"],
         ["--n", "-1", "--seed", "1"],
+        ["--n", "1", "--seed", "1", "--budget", "0"],
+        ["--n", "1", "--seed", "1", "--budget", "-5"],
     ],
-    "badk": [["--steps", "-1"]],
+    "badk": [
+        ["--steps", "-1"],
+        ["--steps", "0", "--budget", "0"],
+        ["--steps", "0", "--budget", "-5"],
+    ],
 }
 
 
@@ -195,6 +211,14 @@ def test_returnmap_routes_agree_exactly(tmp_path, capsys):
     ]
     assert len(rows) == 12
     assert all(r[8] == "0.0" and r[9] == "0.0" for r in rows)
+
+
+def test_returnmap_draw_cap(tmp_path, capsys):
+    # at one bit every chart point has x = 1/2, where 1/x is an integer:
+    # every draw is non-generic and is re-drawn until the cap
+    assert run(tmp_path, "returnmap", "--bits", "1", "--n", "2", "--seed", "1") == 3
+    assert "budget exhausted" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_badk_smoke(tmp_path, capsys):

@@ -219,6 +219,36 @@ def test_bjw_empirical_counts_resamples():
     assert ecdf.resamples == est.resamples > 0
 
 
+def test_seeded_trials_draw_children_in_order():
+    # attempt k sees the child Random(master.getrandbits(64)) of draw k;
+    # a None uses up its child and counts as one re-draw
+    master = random.Random(3)
+    children = [master.getrandbits(64) for _ in range(5)]
+    seen = []
+
+    def attempt(rng):
+        seen.append(rng.random())
+        return None if len(seen) in (2, 3) else len(seen)
+
+    out = list(estimators._seeded_trials(3, 3, attempt))
+    assert out == [(1, 0), (4, 2), (5, 2)]
+    assert seen == [random.Random(k).random() for k in children]
+
+
+def test_seeded_trials_cap():
+    # 2 * trials + 64 draws, then SearchLimitError
+    calls = []
+
+    def attempt(rng):
+        calls.append(rng)
+        assert len(calls) <= 2 * 2 + 64, "a draw past the cap"
+        return None
+
+    with pytest.raises(SearchLimitError):
+        next(estimators._seeded_trials(1, 2, attempt))
+    assert len(calls) == 2 * 2 + 64
+
+
 def test_bjw_empirical_validation():
     with pytest.raises(ValueError):
         bjw_empirical(1, 1, trials=2, depth=10, bits=64, seed=1, discard=10)
