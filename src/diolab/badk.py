@@ -29,8 +29,6 @@ from .core import (
     SearchLimitError,
     _cylinder_search,
     _gauss_pair,
-    ceil_frac,
-    floor_frac,
     fp_enumerate,
 )
 
@@ -45,9 +43,14 @@ __all__ = [
     "certificate",
     "prefix_statistics",
     "sqrt_affine_leq",
+    "SCAN_CAP",
 ]
 
 Pair = tuple[Fraction, Fraction]
+
+# certify re-derives the denominator list by a direct scan while Q_n is
+# at most SCAN_CAP
+SCAN_CAP = 10**6
 
 
 def sqrt_affine_leq(a: Fraction, b: Fraction, u: Fraction) -> bool:
@@ -158,9 +161,9 @@ def _gap_search(
         if q_hi - q_lo < 2:
             return None
         w = max(q_lo + 1, q_hi - q_lo)
-        rp = floor_frac(_r_sq(theta, w) * unit_w)
-        points = search(rp, floor_frac((q_hi - 1) ** 2 * unit_h))
-        lo = floor_frac(q_lo * q_lo * unit_h)
+        rp = math.floor(_r_sq(theta, w) * unit_w)
+        points = search(rp, math.floor((q_hi - 1) ** 2 * unit_h))
+        lo = math.floor(q_lo * q_lo * unit_h)
         found = [pw for pw, ph in points.values() if ph > lo]
         if not found:
             raise AssertionError("gap search missed its witness height %d" % w)
@@ -184,7 +187,6 @@ class StepRecord:
     L_sq: Fraction
     d_sq: Fraction
     eps: Pair
-    eps_norm_sq: Fraction
     q_next: int
 
 
@@ -315,8 +317,8 @@ def step(
     while growth <= x_search_bound:
         for n2, x, y in _quadrant_candidates(rb1, rb2, lo_sq, hi_sq, budget):
             gamma = (x, y) if n % 2 == 0 else (-x, -y)
-            p_lo = ceil_frac(Fraction(10 * n2, Q))
-            p_hi = floor_frac(Fraction(20 * n2, Q))
+            p_lo = math.ceil(Fraction(10 * n2, Q))
+            p_hi = math.floor(Fraction(20 * n2, Q))
             p_count = p_hi - p_lo + 1
             if p_count < 2 or p_lo < 2:
                 continue
@@ -365,7 +367,6 @@ def step(
                 Fraction(n2, Q * Q),
                 Fraction(1, n2),
                 eps,
-                e_sq,
                 q_next,
             )
             return BadConstructionState(
@@ -401,7 +402,6 @@ def certify(
     state: BadConstructionState,
     *,
     budget: int = 10**7,
-    scan_cap: int = 10**6,
 ) -> CertifyReport:
     """Re-verify the seven inductive conditions from theta_n alone.
 
@@ -409,7 +409,7 @@ def certify(
     shares no intermediate data with step: the tables are recomputed,
     and condition 1 has three routes to the denominator list, the gap
     searches (the tables' column n and the last gap), chain_engine on
-    theta_n, and a direct scan while Q_n <= scan_cap.
+    theta_n, and a direct scan while Q_n <= SCAN_CAP.
     """
     n = state.n
     theta = state.theta
@@ -446,7 +446,7 @@ def certify(
     if tuple(int(r.Q[0]) for r in recs) != qs:
         raise AssertionError("chain_engine disagrees with Q list")
     scanned = False
-    if qs[-1] <= scan_cap:
+    if qs[-1] <= SCAN_CAP:
         recs = direct_scan((theta,), qs[-1])
         if tuple(int(r.Q[0]) for r in recs) != qs:
             raise AssertionError("direct scan disagrees with Q list")

@@ -399,22 +399,18 @@ def beta_sequence(records: Sequence[BestApproxRecord], d: int, c: int) -> list[F
     return out
 
 
-def cf_convergents(x: Fraction, limit: int = 10**6) -> list[tuple[int, int]]:
+def cf_convergents(x: Fraction) -> list[tuple[int, int]]:
     """Continued fraction convergents (p, q) of x, by Euclid's algorithm."""
     num, den = x.numerator, x.denominator
     ph, pl = 1, 0
     qh, ql = 0, 1
     out = []
-    for _ in range(limit):
-        if den == 0:
-            break
+    while den:
         a = num // den
         num, den = den, num - a * den
         ph, pl = a * ph + pl, ph
         qh, ql = a * qh + ql, qh
         out.append((ph, qh))
-    else:
-        raise BudgetExceededError("continued fraction did not terminate")
     return out
 
 

@@ -250,6 +250,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     if args.d == 1:
+        # the quadrature takes no option: its configuration is fixed
+        _require(
+            args.seed is None and args.samples is None and args.budget == 10**7,
+            "--d 1 takes no --seed, no --samples and only the default --budget",
+        )
         quad = surface_measure_1d()
         with mpmath.mp.workprec(120):
             exact = mpmath.nstr(2 * mpmath.log(2), 30, strip_zeros=False)
@@ -258,15 +263,15 @@ def cmd_surface(args: argparse.Namespace) -> int:
             "quadrature": quad,
             "abs_diff": abs(quad - float(2 * mpmath.log(2))),
         }
-        # the quadrature takes no option: its configuration is fixed
         _write(args, RunConfig("surface", {"d": 1, "budget": 10**7}), summary)
         print("exact 2 ln 2 = %s" % exact)
         print("quadrature   = %.15f" % quad)
         return EXIT_OK
-    _require(args.samples >= 1, "--samples must be positive")
+    samples = 2000 if args.samples is None else args.samples
+    _require(samples >= 1, "--samples must be positive")
     seed = _resolve_seed(args.seed)
-    config = RunConfig.of(args, "budget", "samples", d=2, seed=seed)
-    est = surface_mc_2d(args.samples, seed, budget=args.budget)
+    config = RunConfig.of(args, "budget", d=2, samples=samples, seed=seed)
+    est = surface_mc_2d(samples, seed, budget=args.budget)
     _write(args, config, asdict(est))
     print("muS_hat = %.6f +- %.6f  (accept rate %.4f)" % (
         est.muS_hat, est.stderr, est.accept_rate))
@@ -394,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = command(cmd_surface, "transversal mass", shape=False, bits=None)
     ps.add_argument("--d", type=int, choices=(1, 2), default=1)
-    ps.add_argument("--samples", type=int, default=2000)
+    ps.add_argument("--samples", type=int, help="default 2000, --d 2 only")
 
     pr = command(cmd_returnmap, "return map vs closed form", shape=False, bits=53)
     pr.add_argument("--n", type=int, default=100)

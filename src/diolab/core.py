@@ -76,14 +76,6 @@ def nearest_int(x: Fraction) -> int:
     return (2 * x.numerator + x.denominator - 1) // (2 * x.denominator)
 
 
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of a nonnegative integer."""
     if n < 0:
@@ -894,8 +886,8 @@ def enumerate_in_cylinder(
     the reduction from scratch.
     """
     cols, (unit_w, unit_h), _ = basis.kernel
-    rp = floor_frac(cyl.r_plus_sq * unit_w)
-    rm = floor_frac(cyl.r_minus_sq * unit_h)
+    rp = math.floor(cyl.r_plus_sq * unit_w)
+    rm = math.floor(cyl.r_minus_sq * unit_h)
     if rp < 0 or rm < 0:
         return []
     found, _ = _cylinder_points(cols, None, basis.d, rp, rm, budget)

@@ -15,6 +15,7 @@ places n = 0 at the smallest n with |X_{n+1}|_- >= |X_n|_+.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .core import (
     _kernel_vector,
     chain_walker,
     exact_sqrt,
-    floor_frac,
     frac_from_mpf,
     ln_frac,
     mpf_from_frac,
@@ -179,7 +179,7 @@ def _certify(
     heights, as integers, so the test is exact on every basis, flowed
     ones included (see core.chain_walker)."""
     _, (unit_w, unit_h), _ = basis.kernel
-    key = (floor_frac(x.width_sq * unit_w), floor_frac(x.height_sq * unit_h))
+    key = (math.floor(x.width_sq * unit_w), math.floor(x.height_sq * unit_h))
     points = search(*key)
     if any(wh != key for wh in points.values()):
         raise NonGenericLatticeError(
@@ -200,6 +200,15 @@ def minimal_vectors(
     """``count`` consecutive chain entries from index 0 on, plus ``back``
     entries below 0 when the chain extends that far.
 
+    X_0 is the first class X_n meeting the origin test height(X_{n+1})
+    >= width(X_n), within basis.tol.  The anchor A (_anchor) meets it:
+    its successor is narrower than A, so narrower than lambda_1, so at
+    least lambda_1 tall.  Along the chain the test only gains, since
+    heights grow and widths shrink and sq_close's relative slack keeps
+    that order.  So X_0 follows the first predecessor of A failing the
+    test, and is the chain's first class when none fails; a walk back
+    from A finds it.  With no successor A is X_0 and no walk is made.
+
     A chain entry is certified by enumerating its cylinder and checking
     cylinder-equality of everything found; a cylinder holding a strictly
     smaller vector raises NonGenericLatticeError.  The entries share one
@@ -210,7 +219,6 @@ def minimal_vectors(
     if count < 1:
         raise ValueError("count must be positive")
     step = _chain_stepper(basis, budget)
-    tol = basis.tol
     chain: deque[list[LatticeVector]] = deque([_anchor(basis, budget)])
     backward_finite = forward_finite = False
 
@@ -236,40 +244,13 @@ def minimal_vectors(
         chain.appendleft(prv)
         return True
 
-    def cond(i: int) -> bool:
-        h = chain[i + 1][0].height_sq
-        w = chain[i][0].width_sq
-        return h > w or sq_close(h, w, tol)
-
-    # walk backward to before the numbering transition
-    for _ in range(10000):
-        if len(chain) < 2:
-            if not grow_forward():
+    idx0 = 0
+    if grow_forward():
+        while grow_backward():
+            h, w = chain[1][0].height_sq, chain[0][0].width_sq
+            if not (h > w or sq_close(h, w, basis.tol)):
+                idx0 = 1
                 break
-            continue
-        if not cond(0):
-            break
-        if not grow_backward():
-            break
-    else:
-        raise SearchLimitError("failed to locate the chain origin")
-
-    # first index satisfying the condition is n = 0
-    idx0 = None
-    i = 0
-    for _ in range(10000):
-        while len(chain) < i + 2 and grow_forward():
-            pass
-        if len(chain) < i + 2:
-            idx0 = max(len(chain) - 1, 0)
-            break
-        if cond(i):
-            idx0 = i
-            break
-        i += 1
-    if idx0 is None:
-        raise SearchLimitError("failed to locate the chain origin")
-
     while idx0 < back and grow_backward():
         idx0 += 1
     while len(chain) - idx0 < count and grow_forward():
@@ -297,24 +278,23 @@ def minimal_vectors(
 @dataclass(frozen=True)
 class VisitingTimes:
     """t[n] is the flow time taking the lattice onto S between entries n
-    and n+1; t_prime[n] the time landing on S' at entry n.  ratio_sq
-    holds the exact value of e^{2(d+c)t} for each time, suitable for
-    apply_flow_log when a float time is too coarse."""
+    and n+1.  ratio_sq holds the exact value of e^{2(d+c)t} for each
+    time, suitable for apply_flow_log when a float time is too coarse;
+    ratio_sq_prime[n] that of the time landing on S' at entry n."""
 
     t: tuple[tuple[int, float], ...]
-    t_prime: tuple[tuple[int, float], ...]
     ratio_sq: tuple[tuple[int, Fraction], ...]
     ratio_sq_prime: tuple[tuple[int, Fraction], ...]
 
 
-def visiting_times(chain: MinimalVectorChain, *, prec: int = 53) -> VisitingTimes:
-    """Times ln(height(X_{n+1})/width(X_n))/(d+c) and
-    ln(height(X_n)/width(X_n))/(d+c), from exact squared norms."""
+def visiting_times(chain: MinimalVectorChain) -> VisitingTimes:
+    """Times ln(height(X_{n+1})/width(X_n))/(d+c) and the exact ratios
+    height(X_n)^2/width(X_n)^2 of the times onto S', from exact squared
+    norms."""
     if len(chain.entries) < 2:
         raise ValueError("need a chain with at least two entries")
     m = chain.basis.d + chain.basis.c
     ts = []
-    tps = []
     rs = []
     rps = []
     for a, b in zip(chain.entries, chain.entries[1:]):
@@ -322,16 +302,13 @@ def visiting_times(chain: MinimalVectorChain, *, prec: int = 53) -> VisitingTime
             continue
         if a.vector.width_sq > 0 and b.vector.height_sq > 0:
             ratio = b.vector.height_sq / a.vector.width_sq
-            val = ln_frac(ratio, prec) / (2 * m)
+            val = ln_frac(ratio, 53) / (2 * m)
             ts.append((a.n, float(val)))
             rs.append((a.n, ratio))
     for a in chain.entries:
         if a.vector.width_sq > 0 and a.vector.height_sq > 0:
-            ratio = a.vector.height_sq / a.vector.width_sq
-            val = ln_frac(ratio, prec) / (2 * m)
-            tps.append((a.n, float(val)))
-            rps.append((a.n, ratio))
-    return VisitingTimes(tuple(ts), tuple(tps), tuple(rs), tuple(rps))
+            rps.append((a.n, a.vector.height_sq / a.vector.width_sq))
+    return VisitingTimes(tuple(ts), tuple(rs), tuple(rps))
 
 
 # ---------------------------------------------------------------------------

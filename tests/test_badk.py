@@ -244,10 +244,10 @@ def test_certify_rejects_corrupted_sign():
 
 
 def test_certify_rejects_skipped_denominator_beyond_scan_cap():
-    # Q_6 ~ 7.9e11 is beyond scan_cap, so direct_scan is off; doubling
+    # Q_6 ~ 7.9e11 is beyond SCAN_CAP, so direct_scan is off; doubling
     # Q_3 skips the best denominator 39106 of theta_6
     state = advance(5)
-    assert state.Q > 10**6
+    assert state.Q > badk.SCAN_CAP
     qs = state.q_list
     assert qs[3] == 39106
     bad = dataclasses.replace(state, q_list=qs[:3] + (2 * qs[3],) + qs[4:])

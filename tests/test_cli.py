@@ -109,6 +109,9 @@ USAGE_ERRORS = {
     "surface": [
         ["--d", "2", "--samples", "0", "--seed", "1"],
         ["--d", "1", "--budget", "0"],
+        ["--d", "1", "--seed", "3"],
+        ["--d", "1", "--samples", "60"],
+        ["--d", "1", "--budget", "5"],
         ["--d", "2", "--samples", "1", "--seed", "1", "--budget", "-5"],
     ],
     "returnmap": [

@@ -395,6 +395,36 @@ def test_chain_count_validation():
         minimal_vectors(LatticeBasis.identity(1, 1), 0)
 
 
+def test_origin_is_the_first_class_meeting_the_condition():
+    # X_0 meets height(X_1) >= width(X_0) within tol and X_{-1} fails it,
+    # on theta-lattices and chart lattices, flowed and after a return
+    def meets(x, nxt, tol):
+        h, w = nxt.height_sq, x.width_sq
+        return h > w or sq_close(h, w, tol)
+
+    rng = random.Random(19)
+    bases = []
+    for d, c in [(1, 1), (2, 1), (1, 2)]:
+        for _ in range(3):
+            basis = LatticeBasis.from_theta(sample_theta(d, c, 64, rng))
+            ratio = dict(visiting_times(minimal_vectors(basis, 3)).ratio_sq)[1]
+            on_s = apply_flow_log(basis, ratio)
+            bases += [basis, apply_flow(basis, 0.37), first_return(on_s).basis_after]
+    for _ in range(6):
+        basis = chart_lattice_1d(sample_surface_point_1d(rng, 48))
+        bases += [basis, apply_flow(basis, -0.61), first_return(basis).basis_after]
+    behind = 0
+    for basis in bases:
+        chain = minimal_vectors(basis, 3, back=2, certify=False)
+        by_n = {e.n: e.vector for e in chain.entries}
+        if 1 in by_n:
+            assert meets(by_n[0], by_n[1], basis.tol)
+        if -1 in by_n:
+            assert not meets(by_n[-1], by_n[0], basis.tol)
+            behind += 1
+    assert len(bases) == 45 and behind >= 20
+
+
 # ---------------------------------------------------------------------------
 # visiting times
 
