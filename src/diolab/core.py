@@ -3,7 +3,10 @@ reduction, Fincke-Pohst enumeration, the Lagrange-Gauss plane search
 and Minkowski bounds.
 
 Scalars are exact :class:`fractions.Fraction`s, except in the integer
-kernel (LLL, Fincke-Pohst and Lagrange-Gauss), which is integer-only.
+kernel (LLL, Fincke-Pohst and Lagrange-Gauss), which is integer-only:
+Fincke-Pohst decides its ranges on fixed-point integer intervals and
+falls back to exact integers where an interval cannot decide, with no
+float anywhere.
 mpmath supplies arbitrary-precision floats for logarithms, flow factors
 and display, but every decision made here (containment, minimality,
 ties) reduces to comparisons of exact squared norms.  Irrational
@@ -520,6 +523,28 @@ def lll_columns(
     return b, u, (dd, lam)
 
 
+# Fraction bits of fp_enumerate's fixed-point intervals.  Every value
+# gives the same walk; fewer bits only send more nodes to the exact branch.
+_FP_BITS = 64
+
+
+def _fp_weights(dd: Sequence[int], den: int) -> tuple[list[int], int]:
+    """The exact weights of fp_enumerate's integer walk: (w, prod) with
+    prod = prod_i dd[i+1] dd[i] and w_i = den prod / (dd[i+1] dd[i]), by
+    suffix then prefix products, with no long division."""
+    m = len(dd) - 1
+    w = [0] * m
+    acc = den
+    for i in reversed(range(m)):
+        w[i] = acc
+        acc *= dd[i + 1] * dd[i]
+    prod = 1
+    for i in range(m):
+        w[i] *= prod
+        prod *= dd[i + 1] * dd[i]
+    return w, prod
+
+
 def fp_enumerate(
     cols: Sequence[Sequence[int]],
     bound_sq: Fraction | int,
@@ -532,48 +557,96 @@ def fp_enumerate(
     coordinate is positive.  Returns nodes used; raises
     BudgetExceededError when the traversal exceeds ``budget`` nodes.
 
-    Integer Fincke-Pohst on the data (dd, lam) of _int_gso(cols), or on
-    ``gso`` when given (lll_columns returns it for its reduced columns),
-    the bound scaled once by S = den(bound_sq) prod_i dd[i+1] dd[i]:
-    level i weighs t^2 by w_i = S / (dd[i+1] dd[i]), t = y_i dd[i+1] -
-    N_i, N_i = -sum_{j>i} lam_ji y_j, and tries in increasing order the
-    y_i with |t| <= isqrt(R // w_i), R the integer remaining bound.  The
-    walk stays in the half-space: while every coordinate above level i
-    is 0 (so N_i = 0), it tries only y_i >= 0, and y_0 >= 1.  The visit
-    order is that of the whole ball (y[m-1] outermost, each coordinate
-    increasing) restricted to the half, and every y_i tried counts one
-    node against ``budget``.
+    Fincke-Pohst on the data (dd, lam) of _int_gso(cols), or on ``gso``
+    when given (lll_columns returns it for its reduced columns): with
+    r_i = dd[i+1] / dd[i], mu_ji = lam_ji / dd[i+1] and B_i the bound
+    left at level i (B_{m-1} = B = bound_sq), level i tries in
+    increasing order the y_i with (y_i - c)^2 r_i <= B_i, c = -sum_{j>i}
+    mu_ji y_j.  The walk stays in the half-space: while every coordinate
+    above level i is 0 (so c = 0), it tries only y_i >= 0, and y_0 >= 1.
+    The visit order is that of the whole ball (y[m-1] outermost, each
+    coordinate increasing) restricted to the half, and every y_i tried
+    counts one node against ``budget``.
+
+    Each range is decided on integers, in fixed point with P = _FP_BITS
+    fraction bits: eps = B_i / B (0 when B = 0), c, and the per-call
+    floors of r_i / B, B / r_i and mu_ji (one quotient each of dd and
+    lam) are kept as intervals rounded outward, so that rho = sqrt(eps B
+    / r_i) has one too.  The range is lo = ceil(c - rho)
+    (0 or 1 in the half-space) and hi = floor(c + rho), and it is taken
+    when both ends of its interval round to the same integer.  These are
+    exactly the integer walk's bounds on the exact remainder R = S B_i,
+    S = den(B) prod_i dd[i+1] dd[i]: with w_i = S / (dd[i+1] dd[i]), n =
+    c dd[i+1] and h = isqrt(R // w_i) = floor(rho dd[i+1]),
+    ceil((n - h) / dd[i+1]) = ceil(c - rho) and floor((n + h) / dd[i+1])
+    = floor(c + rho), since n - y_i dd[i+1] is an integer.  Where an
+    interval leaves an end undecided, or eps's lower end is negative,
+    the node recomputes R from y and takes that integer walk's range
+    (the weights are built then, once per call), and its eps interval
+    restarts from R.  Either way the range, the visits and the node
+    count are the exact walk's; only integers are used.
     """
     m = len(cols)
     dd, lam = _int_gso(cols) if gso is None else gso
     num, den = bound_sq.numerator, bound_sq.denominator
     if num < 0:
         return 0
-    # w_i = den prod_{k != i} dd[k+1] dd[k], by suffix then prefix
-    # products, with no long division
-    w = [0] * m
-    acc = den
-    for i in reversed(range(m)):
-        w[i] = acc
-        acc *= dd[i + 1] * dd[i]
-    prod = 1
-    for i in range(m):
-        w[i] *= prod
-        prod *= dd[i + 1] * dd[i]
+    p = _FP_BITS
+    # eps = B_i / X, X = xn / den: B itself, or 1 / den on the zero ball
+    xn = num or 1
+    # floors in units of 2^-p: each value lies in [f, f + 1) 2^-p
+    r_x = [(dd[i + 1] * den << p) // (dd[i] * xn) for i in range(m)]
+    x_r = [(xn * dd[i] << p) // (den * dd[i + 1]) for i in range(m)]
+    mu = [[(t << p) // dd[i + 1] for i, t in enumerate(row)] for row in lam]
     y = [0] * m
     nodes = 0
+    weights: Optional[tuple[list[int], int]] = None
 
-    def descend(i: int, rem: int, above: bool) -> None:
-        # above: some coordinate above level i is nonzero
+    def exact(i: int, above: bool) -> tuple[int, int, int]:
+        # the integer walk's range on R recomputed from y, and the floor
+        # of eps = R / (xn prod) in units of 2^-p
+        nonlocal weights
+        if weights is None:
+            weights = _fp_weights(dd, den)
+        w, prod = weights
+
+        def centre(j: int) -> int:
+            return -sum(lam[k][j] * y[k] for k in range(j + 1, m))
+
+        rem = num * prod
+        for j in range(i + 1, m):
+            t = y[j] * dd[j + 1] - centre(j)
+            rem -= t * t * w[j]
+        di, n = dd[i + 1], centre(i)
+        h = isqrt(rem // w[i])
+        lo = (n - h + di - 1) // di if above else 0 if i else 1
+        return lo, (n + h) // di, (rem << p) // (xn * prod)
+
+    def descend(i: int, e_lo: int, e_hi: int, above: bool) -> None:
+        # above: some coordinate above level i is nonzero; eps lies in
+        # [e_lo, e_hi] 2^-p, and c in [c_lo, c_hi] 2^-p
         nonlocal nodes
-        di, wi = dd[i + 1], w[i]
-        h = isqrt(rem // wi)
+        c_lo = c_hi = 0
         if above:
-            n = -sum(lam[j][i] * y[j] for j in range(i + 1, m))
-            lo = (n - h + di - 1) // di
-        else:
-            n, lo = 0, 0 if i else 1
-        hi = (n + h) // di
+            s = r = 0
+            for j in range(i + 1, m):
+                yj = y[j]
+                s -= mu[j][i] * yj
+                r += abs(yj)
+            c_lo, c_hi = s - r, s + r
+        lo = 0 if i else 1
+        sure = e_lo >= 0
+        if sure:
+            rho_lo = isqrt(e_lo * x_r[i])
+            rho_hi = isqrt(e_hi * (x_r[i] + 1)) + 1
+            hi = (c_lo + rho_lo) >> p
+            sure = hi == (c_hi + rho_hi) >> p
+            if sure and above:
+                lo = -((rho_hi - c_lo) >> p)
+                sure = lo == -((rho_lo - c_hi) >> p)
+        if not sure:
+            lo, hi, e_lo = exact(i, above)
+            e_hi = e_lo + 1
         if hi < lo:
             return
         nodes += hi - lo + 1
@@ -586,13 +659,28 @@ def fp_enumerate(
                 y[0] = yi
                 visit(tuple(y))
         else:
+            a_lo, a_hi, p2 = r_x[i], r_x[i] + 1, 2 * p
             for yi in range(lo, hi + 1):
                 y[i] = yi
-                t = yi * di - n
-                descend(i - 1, rem - t * t * wi, above or yi != 0)
+                # eps - (y_i - c)^2 r_i / B, with (y_i - c)^2 in
+                # [q_lo, q_hi] 2^-2p
+                d_lo, d_hi = (yi << p) - c_hi, (yi << p) - c_lo
+                if d_lo >= 0:
+                    q_lo, q_hi = d_lo * d_lo, d_hi * d_hi
+                elif d_hi <= 0:
+                    q_lo, q_hi = d_hi * d_hi, d_lo * d_lo
+                else:
+                    q_lo, q_hi = 0, max(d_lo * d_lo, d_hi * d_hi)
+                descend(
+                    i - 1,
+                    e_lo + (-q_hi * a_hi >> p2),
+                    e_hi - (q_lo * a_lo >> p2),
+                    above or yi != 0,
+                )
         y[i] = 0
 
-    descend(m - 1, num * prod, False)
+    e = (num << p) // xn
+    descend(m - 1, e, e, False)
     return nodes
 
 

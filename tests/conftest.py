@@ -11,7 +11,9 @@ enumeration per gap) is the oracle for badk's warm-started gap searches.
 The reference critical ball (enumerate_in_cylinder and Fraction
 sq_close) is the oracle for the integer decisions of core._critical_ball.
 The Fraction Gram-Schmidt process is the oracle the integral LLL data
-are checked against.
+are checked against, and the reference Fincke-Pohst walk (every range
+decided on the exact integer remainder) is the oracle for the
+fixed-point intervals of core.fp_enumerate.
 """
 
 import itertools
@@ -19,6 +21,7 @@ import math
 import random
 from fractions import Fraction
 from math import isqrt
+from typing import Callable, Optional, Sequence
 
 import mpmath
 import numpy as np
@@ -32,6 +35,7 @@ from diolab.core import (
     NonGenericLatticeError,
     SearchLimitError,
     _int_columns,
+    _int_gso,
     _iroot,
     canonical_sign,
     enumerate_in_cylinder,
@@ -415,3 +419,82 @@ def safe_box(basis, cyl):
             k += 1
         bound = max(bound, k)
     return bound
+
+
+def reference_fp_enumerate(
+    cols: Sequence[Sequence[int]],
+    bound_sq: Fraction | int,
+    visit: Callable[[tuple[int, ...]], None],
+    budget: int = 10**7,
+    gso: Optional[tuple[list[int], list[list[int]]]] = None,
+) -> int:
+    """The exact integer walk that fp_enumerate ran before its
+    fixed-point intervals, kept verbatim as the oracle for it.
+
+    Visit one y of each pair +-y of nonzero integer combinations with
+    |cols . y|^2 <= bound_sq (Euclidean): the y whose last nonzero
+    coordinate is positive.  Returns nodes used; raises
+    BudgetExceededError when the traversal exceeds ``budget`` nodes.
+
+    Integer Fincke-Pohst on the data (dd, lam) of _int_gso(cols), or on
+    ``gso`` when given (lll_columns returns it for its reduced columns),
+    the bound scaled once by S = den(bound_sq) prod_i dd[i+1] dd[i]:
+    level i weighs t^2 by w_i = S / (dd[i+1] dd[i]), t = y_i dd[i+1] -
+    N_i, N_i = -sum_{j>i} lam_ji y_j, and tries in increasing order the
+    y_i with |t| <= isqrt(R // w_i), R the integer remaining bound.  The
+    walk stays in the half-space: while every coordinate above level i
+    is 0 (so N_i = 0), it tries only y_i >= 0, and y_0 >= 1.  The visit
+    order is that of the whole ball (y[m-1] outermost, each coordinate
+    increasing) restricted to the half, and every y_i tried counts one
+    node against ``budget``.
+    """
+    m = len(cols)
+    dd, lam = _int_gso(cols) if gso is None else gso
+    num, den = bound_sq.numerator, bound_sq.denominator
+    if num < 0:
+        return 0
+    # w_i = den prod_{k != i} dd[k+1] dd[k], by suffix then prefix
+    # products, with no long division
+    w = [0] * m
+    acc = den
+    for i in reversed(range(m)):
+        w[i] = acc
+        acc *= dd[i + 1] * dd[i]
+    prod = 1
+    for i in range(m):
+        w[i] *= prod
+        prod *= dd[i + 1] * dd[i]
+    y = [0] * m
+    nodes = 0
+
+    def descend(i: int, rem: int, above: bool) -> None:
+        # above: some coordinate above level i is nonzero
+        nonlocal nodes
+        di, wi = dd[i + 1], w[i]
+        h = isqrt(rem // wi)
+        if above:
+            n = -sum(lam[j][i] * y[j] for j in range(i + 1, m))
+            lo = (n - h + di - 1) // di
+        else:
+            n, lo = 0, 0 if i else 1
+        hi = (n + h) // di
+        if hi < lo:
+            return
+        nodes += hi - lo + 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"enumeration exceeded budget of {budget} nodes"
+            )
+        if i == 0:
+            for yi in range(lo, hi + 1):
+                y[0] = yi
+                visit(tuple(y))
+        else:
+            for yi in range(lo, hi + 1):
+                y[i] = yi
+                t = yi * di - n
+                descend(i - 1, rem - t * t * wi, above or yi != 0)
+        y[i] = 0
+
+    descend(m - 1, num * prod, False)
+    return nodes

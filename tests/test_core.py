@@ -40,6 +40,7 @@ from diolab.core import (
     sq_close,
 )
 
+from diolab.bestapprox import chain_engine, sample_theta
 from diolab.dynamics import apply_flow, chart_lattice_1d, sample_surface_point_1d
 
 from conftest import (
@@ -49,6 +50,7 @@ from conftest import (
     fraction_gso,
     random_cylinder,
     random_unimodular_basis,
+    reference_fp_enumerate,
     safe_box,
 )
 
@@ -334,6 +336,90 @@ def test_fp_enumerate_negative_bound_and_budget():
     assert seen == []
     with pytest.raises(BudgetExceededError):
         fp_enumerate([[1, 0], [0, 1]], Fraction(10**6, 7), seen.append, budget=10)
+
+
+def fp_identity_cases(monkeypatch):
+    """(cols, bound, gso) cases for fp_enumerate against the exact walk:
+    fp_test_cases(); LLL-reduced m = 3 and 4 bases with bounds met by
+    each reduced column and one between; and the warm-started cylinders
+    chain_engine searches on 256- and 512-bit 1x2 and 2x1 targets and on
+    2048-bit 3x1 and 2x2 ones, recorded from its calls."""
+    cases = [(cols, bound, None) for cols, bound, _ in fp_test_cases()]
+    rng = random.Random(20)
+    for m in (3, 4):
+        for bits in (4, 64, 300):
+            for _ in range(8):
+                cols = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(m)] for _ in range(m)]
+                if LatticeBasis(1, m - 1, cols).det_raw() == 0:
+                    continue
+                red, _, gso = lll_columns(cols)
+                norms = [sum(t * t for t in col) for col in red]
+                cases += [(red, bound, gso) for bound in norms]
+                cases.append((red, Fraction(3 * max(norms), 2), gso))
+    walk = fp_enumerate
+
+    def record(cols, bound, visit, budget=10**7, gso=None):
+        cases.append((cols, bound, gso))
+        return walk(cols, bound, visit, budget=budget, gso=gso)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(diolab.core, "fp_enumerate", record)
+        for d, c, bits, depth in (
+            (1, 2, 256, 40), (2, 1, 256, 40), (1, 2, 512, 40), (2, 1, 512, 40),
+            (3, 1, 2048, 16), (2, 2, 2048, 16),
+        ):
+            chain_engine(sample_theta(d, c, bits, rng), depth=depth)
+    return cases
+
+
+def _fp_walk(enumerate_, case, budget=10**7):
+    cols, bound, gso = case
+    seen = []
+    try:
+        nodes = enumerate_(cols, bound, seen.append, budget=budget, gso=gso)
+    except BudgetExceededError:
+        nodes = None
+    return nodes, seen
+
+
+def test_fp_enumerate_matches_the_exact_walk(monkeypatch):
+    # the fixed-point ranges are the integer walk's: the same nodes and
+    # visits at the module's fraction bits, and at 8 down to 1 bit, where
+    # the intervals are wide enough to fail on a centre or bound rounded
+    # inward and, at one bit, most ranges are left to the exact branch
+    cases = fp_identity_cases(monkeypatch)
+    assert len(cases) > 550
+    assert sum(max(abs(t) for col in cols for t in col).bit_length() > 2000 for cols, _, _ in cases) > 20
+    want = [_fp_walk(reference_fp_enumerate, case) for case in cases]
+    assert [_fp_walk(fp_enumerate, case) for case in cases] == want
+    exact = []
+    weights = diolab.core._fp_weights
+    monkeypatch.setattr(diolab.core, "_fp_weights", lambda *a: exact.append(a) or weights(*a))
+    for bits in range(8, 0, -1):
+        exact.clear()
+        monkeypatch.setattr(diolab.core, "_FP_BITS", bits)
+        assert [_fp_walk(fp_enumerate, case) for case in cases] == want, bits
+    assert len(exact) > len(cases) // 2
+
+
+@pytest.mark.parametrize("bits", [None, 1])
+def test_fp_enumerate_budget_edge_matches_the_exact_walk(monkeypatch, bits):
+    # budget = nodes - 1 raises in both walks after the same visits, and
+    # budget = nodes raises in neither
+    cases = fp_identity_cases(monkeypatch)
+    if bits:
+        monkeypatch.setattr(diolab.core, "_FP_BITS", bits)
+    edges = 0
+    for case in cases:
+        nodes, seen = _fp_walk(reference_fp_enumerate, case)
+        if not nodes:
+            continue
+        short = _fp_walk(reference_fp_enumerate, case, budget=nodes - 1)
+        assert short[0] is None
+        assert _fp_walk(fp_enumerate, case, budget=nodes - 1) == short
+        assert _fp_walk(fp_enumerate, case, budget=nodes) == (nodes, seen)
+        edges += 1
+    assert edges > 500
 
 
 def test_lll_columns_rejects_dependent_columns():
