@@ -17,7 +17,6 @@ from .core import (
     SingularBasisError,
     a_safe,
     enumerate_in_cylinder,
-    exact_sqrt,
     minkowski_leq,
     shortest_mixed_vectors,
 )

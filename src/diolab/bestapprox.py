@@ -344,29 +344,21 @@ def chain_engine(
         )
 
     # height 1 record: best of the unit heights
-    first: Optional[tuple[int, tuple[int, ...]]] = None
-    tie = False
+    units = []
     for j in range(c):
         y = [nearest_int(theta[j][i]) for i in range(d)] + [0] * c
         y[d + j] = 1
-        w = sum(t * t for t in _matvec_int(acols, y)[:d])
-        if first is None or w < first[0]:
-            first = (w, tuple(y))
-            tie = False
-        elif w == first[0]:
-            tie = True
-    assert first is not None
-    if tie:
+        units.append((sum(t * t for t in _matvec_int(acols, y)[:d]), tuple(y)))
+    wsq, y = min(units)
+    if [w for w, _ in units].count(wsq) > 1:
         raise NonGenericLatticeError("two unit heights tie at the first record")
-    wsq = first[0]
-    emit(first[1], wsq, 1)
+    emit(y, wsq, 1)
     if wsq == 0:
         return records
 
     step = chain_walker(
         basis, cap=None if q_max is None else q_max * q_max, budget=budget
     )
-    y = first[1]
     while depth is None or len(records) < depth:
         key, members = step(y)
         if not members:

@@ -40,7 +40,6 @@ __all__ = [
     "minkowski_leq",
     "a_safe",
     "nearest_int",
-    "exact_sqrt",
     "frac_from_mpf",
     "mpf_from_frac",
     "ln_frac",
@@ -98,17 +97,6 @@ def _iroot(n: int, k: int) -> int:
     while x ** k > n:
         x -= 1
     return x
-
-
-def exact_sqrt(x: Fraction) -> Optional[Fraction]:
-    """sqrt(x) when x is the square of a rational, else None."""
-    if x < 0:
-        return None
-    sn = isqrt(x.numerator)
-    sd = isqrt(x.denominator)
-    if sn * sn == x.numerator and sd * sd == x.denominator:
-        return Fraction(sn, sd)
-    return None
 
 
 def frac_from_mpf(x: "mpmath.mpf") -> Fraction:
@@ -187,8 +175,6 @@ def minkowski_leq(value_sq: Fraction, d: int, c: int) -> bool:
             return True
         if value_sq > hi:
             return False
-        if lo == hi:
-            return value_sq <= lo
         prec *= 2
     raise NonGenericLatticeError(
         "value coincides with the Minkowski constant beyond 4000 bits"
@@ -1002,9 +988,9 @@ def _critical_ball(
     certified Minkowski radius, lambda_1^(2m) <= C^2 det^2
     (basis.kernel_minkowski_sq), widened by 1 + 4 tol: in kernel units
     rp^m >= kms (kd/kn)^c (1 + 4 tol)^m and rm^m >= kms (kn/kd)^d
-    (1 + 4 tol)^m.  It always holds a nonzero vector, and an empty
-    result raises SearchLimitError.  Only the vectors on the ball are
-    built.
+    (1 + 4 tol)^m.  By Minkowski's theorem it holds a nonzero vector, so
+    an empty result is a fault (AssertionError).  Only the vectors on
+    the ball are built.
     """
     cols, (unit_w, unit_h), _ = basis.kernel
     d, c, m = basis.d, basis.c, basis.m
@@ -1018,7 +1004,7 @@ def _critical_ball(
     rm = _iroot(num * kn**d // (den * kd**d), m) + 1
     found, _ = _cylinder_points(cols, None, d, rp, rm, budget)
     if not found:
-        raise SearchLimitError("the Minkowski ball holds no lattice vector")
+        raise AssertionError("the Minkowski ball holds no lattice vector")
     lam = min(max(w * kn, h * kd) for w, h in found.values())
     one = kd * unit_h
     on_n = one.numerator * tn

@@ -29,12 +29,10 @@ from .core import (
     LatticeBasis,
     LatticeVector,
     NonGenericLatticeError,
-    SearchLimitError,
     _critical_ball,
     _cylinder_search,
     _kernel_vector,
     chain_walker,
-    exact_sqrt,
     frac_from_mpf,
     ln_frac,
     mpf_from_frac,
@@ -135,7 +133,9 @@ def _chain_stepper(basis: LatticeBasis, budget: int):
     returns the successor class of the vector x and ``step(x,
     forward=False)`` its predecessor class, each sorted by reversed
     coordinates so that the first member is the class representative;
-    None when x is vertical (resp. horizontal)."""
+    None when x is vertical (resp. horizontal).  x is a chain member, so
+    its neighbour lies in the Minkowski cylinder the walker searches
+    (w(X_n)^d h(X_{n+1})^c <= C det) and an empty search is a fault."""
     walk = chain_walker(basis, budget=budget)
 
     def step(x: LatticeVector, forward: bool = True) -> Optional[list[LatticeVector]]:
@@ -143,9 +143,7 @@ def _chain_stepper(basis: LatticeBasis, budget: int):
             return None
         key, members = walk(x.y, forward)
         if not members:
-            raise SearchLimitError(
-                "the Minkowski cylinder holds no chain neighbour"
-            )
+            raise AssertionError("the Minkowski cylinder holds no chain neighbour")
         o, n = key
         w, h = (n, o) if forward else (o, n)
         members.sort(key=lambda y: y[::-1])
@@ -155,16 +153,14 @@ def _chain_stepper(basis: LatticeBasis, budget: int):
 
 
 def _anchor(basis: LatticeBasis, budget: int) -> list[LatticeVector]:
-    """The chain class through a shortest mixed-norm vector."""
+    """The class of smallest (height^2, width^2) among the shortest
+    mixed-norm vectors: the wide class when the critical ball holds one,
+    else the narrowest of the rest.  It is a relative minimum: a vector
+    no wider and no taller has mixed norm lambda_1, so it lies on the
+    ball, and the key's minimality makes it cylinder-equal."""
     svs = shortest_mixed_vectors(basis, budget=budget)
-    lam_sq = svs[0].mixed_sq
-    wide = [v for v in svs if v.width_sq == lam_sq]
-    if wide:
-        h_min = min(v.height_sq for v in wide)
-        cls = [v for v in wide if v.height_sq == h_min]
-    else:
-        w_min = min(v.width_sq for v in svs)
-        cls = [v for v in svs if v.width_sq == w_min]
+    key = min((v.height_sq, v.width_sq) for v in svs)
+    cls = [v for v in svs if (v.height_sq, v.width_sq) == key]
     return sorted(cls, key=lambda v: v.y[::-1])
 
 
@@ -427,16 +423,14 @@ def _return_step(
 ) -> tuple[SurfaceMembership, LatticeVector, Fraction]:
     """Membership of ``basis`` on S, the chain successor X_2 of its tall
     short vector X_1, and the exact ratio height(X_2)^2 / width(X_1)^2
-    = e^{2(d+c) tau} of the return time tau.  The chain ends where X_1
-    or X_2 is vertical; the flowed lattice would then be off S, so that
-    raises NonGenericLatticeError."""
+    = e^{2(d+c) tau} of the return time tau.  Membership makes X_1 a
+    relative minimum of nonzero width, so X_2 exists; the chain ends
+    where X_2 is vertical, the flowed lattice would then be off S, and
+    that raises NonGenericLatticeError."""
     mem = surface_membership_S(basis, budget=budget)
     if not mem.member:
         raise ValueError(f"lattice is not on the transversal: {mem.reason}")
-    cls = _chain_stepper(basis, budget)(mem.tall)
-    if cls is None:
-        raise NonGenericLatticeError("tall short vector is vertical")
-    x2 = cls[0]
+    x2 = _chain_stepper(basis, budget)(mem.tall)[0]
     if x2.width_sq == 0:
         raise NonGenericLatticeError("successor of the tall short vector is vertical")
     return mem, x2, x2.height_sq / mem.tall.width_sq
@@ -503,33 +497,30 @@ def sample_surface_point_1d(rng: random.Random, bits: int = 53) -> SurfacePoint1
     return SurfacePoint1D(draw(), draw(), 1 if rng.getrandbits(1) else -1)
 
 
-def _sqrt_frac(x: Fraction, bits: int) -> Fraction:
-    root = exact_sqrt(x)
-    if root is not None:
-        return root
-    with mpmath.mp.workprec(bits):
-        return frac_from_mpf(mpmath.sqrt(mpf_from_frac(x, bits)))
+def _chart_point(wide: LatticeVector, tall: LatticeVector) -> SurfacePoint1D:
+    """Chart point of the d=c=1 lattice whose wide and tall short vectors
+    are ``wide`` and ``tall``: x = |tall / wide| on the first coordinate,
+    y = |wide / tall| on the second, eps the sign of wide's two
+    coordinates.  Each ratio compares one block of two vectors, so the
+    scale and every frozen flow factor cancel in the raw coordinates and
+    the point is exact on chart and flowed lattices alike."""
+    x = abs(tall.raw[0] / wide.raw[0])
+    y = abs(wide.raw[1] / tall.raw[1])
+    return SurfacePoint1D(x, y, 1 if wide.raw[0] * wide.raw[1] > 0 else -1)
 
 
 def surface_coordinates_1d(
     basis: LatticeBasis, *, budget: int = 10**7
 ) -> SurfacePoint1D:
-    """Chart coordinates of a d=c=1 lattice on the transversal.
-
-    x and y come from exact ratios of squared norms (the scale cancels),
-    so for chart-built lattices the round trip is exact.
-    """
+    """Chart coordinates of a d=c=1 lattice on the transversal, read
+    exactly off its two short vectors (_chart_point), on chart-built and
+    flowed lattices alike."""
     if (basis.d, basis.c) != (1, 1):
         raise ValueError("chart coordinates exist only for d = c = 1")
     mem = surface_membership_S(basis, budget=budget)
     if not mem.member:
         raise ValueError(f"lattice is not on the transversal: {mem.reason}")
-    x_sq = mem.tall.width_sq / mem.wide.width_sq
-    y_sq = mem.wide.height_sq / mem.tall.height_sq
-    x = _sqrt_frac(x_sq, FLOW_BITS)
-    y = _sqrt_frac(y_sq, FLOW_BITS)
-    eps = 1 if mem.wide.raw[0] * mem.wide.raw[1] > 0 else -1
-    return SurfacePoint1D(x, y, eps)
+    return _chart_point(mem.wide, mem.tall)
 
 
 def return_map_explicit_1d(
@@ -550,17 +541,12 @@ def surface_first_return_1d(
     p: SurfacePoint1D, *, budget: int = 10**7
 ) -> tuple[SurfacePoint1D, Fraction]:
     """Dynamical route to the next chart point: build the chart lattice,
-    find the chain successor by enumeration, and re-extract coordinates
-    from exact norm ratios.  Agrees with return_map_explicit_1d."""
+    find the chain successor by enumeration, and read the chart point of
+    the flowed lattice, whose wide and tall short vectors are the tall
+    vector and its successor (_chart_point).  Agrees with
+    return_map_explicit_1d."""
     mem, x2, ratio_sq = _return_step(chart_lattice_1d(p), budget)
-    x_sq = x2.width_sq / mem.tall.width_sq
-    y_sq = mem.tall.height_sq / x2.height_sq
-    x_next = exact_sqrt(x_sq)
-    y_next = exact_sqrt(y_sq)
-    if x_next is None or y_next is None:
-        raise NonGenericLatticeError("chart ratios are not rational squares")
-    eps_next = 1 if mem.tall.raw[0] * mem.tall.raw[1] > 0 else -1
-    return SurfacePoint1D(x_next, y_next, eps_next), ratio_sq
+    return _chart_point(mem.tall, x2), ratio_sq
 
 
 # ---------------------------------------------------------------------------

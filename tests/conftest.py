@@ -33,7 +33,6 @@ from diolab.core import (
     Cylinder,
     LatticeBasis,
     NonGenericLatticeError,
-    SearchLimitError,
     _int_columns,
     _int_gso,
     _iroot,
@@ -294,7 +293,7 @@ def reference_critical_ball(basis, tol, budget=10**7):
     r_sq = kth_root_upper(mink_sq, basis.m, guard_bits=4) * slack
     found = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
     if not found:
-        raise SearchLimitError("the Minkowski ball holds no lattice vector")
+        raise AssertionError("the Minkowski ball holds no lattice vector")
     lam_sq = min(v.mixed_sq for v in found)
     on = [
         v

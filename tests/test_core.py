@@ -1,8 +1,10 @@
 """Kernel tests: exact helpers, norms, Minkowski bounds, LLL, and the
 cylinder enumeration against the brute-force oracle."""
 
+import ast
 import hashlib
 import importlib
+import inspect
 import itertools
 import math
 import pkgutil
@@ -12,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import diolab
+import diolab.core as core
 
 from diolab.core import (
     BudgetExceededError,
@@ -27,7 +30,6 @@ from diolab.core import (
     canonical_sign,
     chain_walker,
     enumerate_in_cylinder,
-    exact_sqrt,
     fp_enumerate,
     frac_from_mpf,
     ln_frac,
@@ -65,19 +67,32 @@ def test_every_export_resolves(module):
     assert [n for n in names if not hasattr(mod, n)] == []
 
 
+@pytest.mark.parametrize(
+    "module", [m.name for m in pkgutil.iter_modules(diolab.__path__) if m.name[0] != "_"]
+)
+def test_every_import_is_used(module):
+    # every name a module imports is read there or re-exported by its
+    # __all__, so a deletion cannot leave a stale import behind
+    mod = importlib.import_module("diolab." + module)
+    tree = ast.parse(inspect.getsource(mod))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    assert sorted(imported - read - set(getattr(mod, "__all__", ()))) == []
+
+
 def test_nearest_int_halves_round_down():
     assert nearest_int(Fraction(1, 2)) == 0
     assert nearest_int(Fraction(3, 2)) == 1
     assert nearest_int(Fraction(-1, 2)) == -1
     assert nearest_int(Fraction(7, 3)) == 2
     assert nearest_int(Fraction(-7, 3)) == -2
-
-
-def test_exact_sqrt():
-    assert exact_sqrt(Fraction(4, 9)) == Fraction(2, 3)
-    assert exact_sqrt(Fraction(0)) == 0
-    assert exact_sqrt(Fraction(2)) is None
-    assert exact_sqrt(Fraction(49, 64)) == Fraction(7, 8)
 
 
 def test_mpf_round_trip_exact():
@@ -563,6 +578,14 @@ def test_shortest_mixed_respects_scale():
     vecs = shortest_mixed_vectors(basis)
     assert len(vecs) == 4
     assert all(v.mixed_sq == Fraction(1, 4) for v in vecs)
+
+
+def test_an_empty_minkowski_ball_is_a_fault(monkeypatch):
+    # Minkowski's theorem puts a lattice vector in the ball, so a search
+    # finding none is a kernel fault, not an exhausted budget
+    monkeypatch.setattr(core, "_cylinder_points", lambda *args: ({}, None))
+    with pytest.raises(AssertionError, match="Minkowski ball holds no"):
+        shortest_mixed_vectors(LatticeBasis.identity(1, 1))
 
 
 # ---------------------------------------------------------------------------

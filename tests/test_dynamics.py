@@ -390,6 +390,32 @@ def test_chain_flow_equivariance():
     assert ys_a[k : k + n] == ys_b[:n]
 
 
+@pytest.mark.parametrize("certify", [False, True])
+def test_anchor_is_a_relative_minimum_beside_a_corner(certify):
+    # columns (1, 1) and (-1/2, 1): the critical ball holds the corner
+    # (1, 0) and the tall vector (0, 1) at height 1.  The corner is no
+    # relative minimum (the tall vector is narrower at its height), so
+    # the chain anchors on the tall vector
+    basis = LatticeBasis(1, 1, ((Fraction(1), Fraction(1)), (Fraction(-1, 2), Fraction(1))))
+    chain = minimal_vectors(basis, 3, back=2, certify=certify)
+    assert [(e.n, e.vector.y) for e in chain.entries] == [
+        (-1, (-1, 1)),
+        (0, (0, 1)),
+        (1, (1, 2)),
+    ]
+    assert chain.backward_finite and chain.forward_finite
+
+
+def test_an_empty_successor_cylinder_is_a_fault(monkeypatch):
+    # every vector stepped from is a chain member, whose neighbour lies in
+    # the Minkowski cylinder: a walker finding none is a fault
+    monkeypatch.setattr(
+        dynamics, "chain_walker", lambda *args, **kwargs: lambda y, forward=True: (None, [])
+    )
+    with pytest.raises(AssertionError, match="no chain neighbour"):
+        minimal_vectors(LatticeBasis.identity(1, 1), 2)
+
+
 def test_chain_count_validation():
     with pytest.raises(ValueError):
         minimal_vectors(LatticeBasis.identity(1, 1), 0)
@@ -732,6 +758,19 @@ def test_first_return_frozen():
     assert fr.tau == pytest.approx(1.228367886410652, abs=1e-14)
     q = surface_coordinates_1d(fr.basis_after)
     assert (q.x, q.y, q.eps) == (Fraction(1, 3), Fraction(2, 7), -1)
+
+
+def test_chained_returns_read_the_chart_map_exactly():
+    # a flowed lattice carries frozen flow factors, and its chart point is
+    # still exactly the explicit map's iterate, return after return
+    rng = random.Random(52)
+    for _ in range(20):
+        p = sample_surface_point_1d(rng, bits=48)
+        basis = chart_lattice_1d(p)
+        for _ in range(12):
+            basis = first_return(basis).basis_after
+            p, _ = return_map_explicit_1d(p)
+            assert surface_coordinates_1d(basis) == p
 
 
 def test_explicit_map_frozen():
