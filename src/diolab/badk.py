@@ -12,13 +12,13 @@ an integer p_n in the window [10 Q_n L_n^2, 20 Q_n L_n^2] with
 L_n = |alpha_n|, and moves to theta_{n+1} = theta_n + eps_n / Q_n where
 eps_n = alpha_n / (p_n - k_n/Q_n); then Q_{n+1} = p_n Q_n - k_n.  The
 seven inductive conditions are enforced during the step and re-verified
-from scratch by certify.
+by certify on tables it builds itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -197,6 +197,11 @@ class BadConstructionState:
     Tables hold, per column j, the squared quantities from which the gap
     minima M_{i,j} = sqrt(A) - sqrt(B) and drop minima m_{i,j} read off;
     entries are None when the denominator gap contains no integer.
+
+    certify_memo is certify's store of the columns it has built, shared
+    by every state of one lineage: init_state makes a fresh one, step
+    hands it on unread.  Each column is keyed by everything it is a
+    function of, so a state with other data misses it.
     """
 
     n: int
@@ -206,6 +211,7 @@ class BadConstructionState:
     steps: tuple[StepRecord, ...]
     M_table: dict
     m_table: dict
+    certify_memo: dict = field(compare=False, repr=False)
 
     @property
     def theta(self) -> Pair:
@@ -260,6 +266,7 @@ def init_state() -> BadConstructionState:
         steps=(),
         M_table=M_tab,
         m_table=m_tab,
+        certify_memo={},
     )
 
 
@@ -291,14 +298,14 @@ def step(
     x_search_bound: int = 1 << 16,
     *,
     budget: int = 10**7,
-    q_budget: int = 10**30,
+    q_budget: Optional[int] = None,
 ) -> BadConstructionState:
     """One inductive step; deterministic (smallest admissible candidate,
     then smallest window integer).
 
     x_search_bound caps the growth factor of the candidate search radius
     over its lower bound |gamma|^2 = n Q_n; raise it if the step reports
-    exhaustion.
+    exhaustion.  q_budget, when given, caps Q_{n+1}.
     """
     n = state.n
     Q = state.Q
@@ -324,7 +331,7 @@ def step(
                 continue
             k = _solve_k(gamma, theta, Q)
             q_next = p_lo * Q - k
-            if q_next > q_budget:
+            if q_budget is not None and q_next > q_budget:
                 raise BudgetExceededError(
                     "denominator budget exceeded: %d > %d" % (q_next, q_budget)
                 )
@@ -377,6 +384,7 @@ def step(
                 steps=state.steps + (rec,),
                 M_table=M_tab,
                 m_table=m_tab,
+                certify_memo=state.certify_memo,
             )
         lo_sq = hi_sq
         hi_sq *= 4
@@ -403,13 +411,19 @@ def certify(
     *,
     budget: int = 10**7,
 ) -> CertifyReport:
-    """Re-verify the seven inductive conditions from theta_n alone.
+    """Re-verify the seven inductive conditions from the state's thetas,
+    denominators Q_0..Q_n, eps_list and step records.
 
     Raises AssertionError with the offending datum on any violation;
-    shares no intermediate data with step: the tables are recomputed,
+    shares no intermediate data with step: the tables are rebuilt here,
     and condition 1 has three routes to the denominator list, the gap
     searches (the tables' column n and the last gap), chain_engine on
     theta_n, and a direct scan while Q_n <= SCAN_CAP.
+
+    Column j of the tables is a function of (theta_j, Q_0..Q_j, budget)
+    alone, so columns j < n come from the lineage's certify_memo when
+    that key is there, and are built and stored otherwise; column n is
+    always built, and stored for the next state's certify.
     """
     n = state.n
     theta = state.theta
@@ -418,12 +432,20 @@ def certify(
     vacuous = []
     if _lcd(theta) != qs[-1]:
         raise AssertionError("det invariant broken: lcd != Q_n")
-    # the fresh tables up to column n; column n holds the gaps i < n,
+    # the full tables up to column n; column n holds the gaps i < n,
     # and its search also serves the last gap
     M_tab: dict = {}
     m_tab: dict = {}
+    memo = state.certify_memo
     for j in range(1, n + 1):
-        gap_search = _extend_tables(M_tab, m_tab, state.thetas, qs, j, budget)
+        key = (state.thetas[j], qs[: j + 1], budget)
+        column = memo.get(key) if j < n else None
+        if column is None:
+            column = ({}, {})
+            gap_search = _extend_tables(*column, state.thetas, qs, j, budget)
+            memo[key] = column
+        M_tab.update(column[0])
+        m_tab.update(column[1])
 
     # condition 1: Q_0..Q_n are exactly the best denominators of theta_n
     r_at = {i: _r_sq(theta, qs[i]) for i in range(n + 1)}
@@ -462,7 +484,7 @@ def certify(
             raise AssertionError("no branching at recorded step %d" % rec.n)
     conditions["growth_and_branching"] = True
 
-    # conditions 3-5 on the fresh tables
+    # conditions 3-5 on the full tables
     if n >= 2:
         for i in range(1, n):
             ab = M_tab[(i, n)]

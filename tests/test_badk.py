@@ -309,13 +309,10 @@ def test_gap_search_matches_brute_force_on_random_ranges():
     assert min(kinds.values()) >= 40, kinds
 
 
-def test_fresh_tables_match_reference_gap(states, monkeypatch):
-    # every gap certify asks, the M table's and the last one, against a
-    # fresh enumeration per gap
-    asked = []
-    tables = []
+def recording_gap_search(monkeypatch, asked):
+    """Patch badk._gap_search so every gap asked is appended to asked as
+    (theta, q_lo, q_hi, gap)."""
     real_search = badk._gap_search
-    real_extend = badk._extend_tables
 
     def recording_search(theta, budget):
         gap_search = real_search(theta, budget)
@@ -327,20 +324,39 @@ def test_fresh_tables_match_reference_gap(states, monkeypatch):
 
         return gap
 
-    def recording_extend(M_tab, *args):
-        tables.append(M_tab)
-        return real_extend(M_tab, *args)
-
     monkeypatch.setattr(badk, "_gap_search", recording_search)
+
+
+def recording_extend_tables(monkeypatch, built):
+    """Patch badk._extend_tables so every column built is appended to
+    built as (j, M column, m column)."""
+    real_extend = badk._extend_tables
+
+    def recording_extend(M_tab, m_tab, thetas, q_list, j, budget):
+        built.append((j, M_tab, m_tab))
+        return real_extend(M_tab, m_tab, thetas, q_list, j, budget)
+
     monkeypatch.setattr(badk, "_extend_tables", recording_extend)
+
+
+def test_fresh_tables_match_reference_gap(states, monkeypatch):
+    # every gap certify asks, the M table's and the last one, against a
+    # fresh enumeration per gap; a lineage certified in order builds one
+    # column per certify, column n, and takes the others from its memo
+    asked = []
+    built = []
+    recording_gap_search(monkeypatch, asked)
+    recording_extend_tables(monkeypatch, built)
+    memo = {}
+    M_tab = {}
     want = {}
     for state in states:
         asked.clear()
-        tables.clear()
-        certify(state)
+        built.clear()
+        certify(dataclasses.replace(state, certify_memo=memo))
         n, qs, thetas = state.n, state.q_list, state.thetas
-        assert all(t is tables[0] for t in tables) and len(tables) == n
-        M_tab = tables[0]
+        assert [j for j, _, _ in built] == [n]
+        M_tab.update(built[0][1])
         assert set(M_tab) == {(i, j) for j in range(1, n + 1) for i in range(1, j)}
         for (i, j), entry in M_tab.items():
             args = (thetas[j], qs[i - 1], qs[i])
@@ -350,8 +366,91 @@ def test_fresh_tables_match_reference_gap(states, monkeypatch):
             assert entry is None or entry[1] == r_sq(thetas[j], qs[i - 1])
         last = (thetas[n], qs[n - 1], qs[n])
         assert asked[-1] == last + (reference_gap(*last),)
-        assert len(asked) == len(M_tab) + 1
+        assert len(asked) == n
     assert len(want) == 12 * 13 // 2
+
+
+def test_memo_builds_one_column_per_certify(states, monkeypatch):
+    # in order: column n's n - 1 gaps and the last gap; cold: every
+    # column, n (n - 1) / 2 gaps, and the last gap; the same report
+    asked = []
+    built = []
+    recording_gap_search(monkeypatch, asked)
+    recording_extend_tables(monkeypatch, built)
+    memo = {}
+    for state in states:
+        n = state.n
+        reports = []
+        for warm in (True, False):
+            asked.clear()
+            built.clear()
+            reports.append(
+                certify(dataclasses.replace(state, certify_memo=memo if warm else {}))
+            )
+            if warm:
+                assert [j for j, _, _ in built] == [n]
+                assert len(asked) == n
+            else:
+                assert [j for j, _, _ in built] == list(range(1, n + 1))
+                assert len(asked) == n * (n - 1) // 2 + 1
+        assert reports[0] == reports[1], n
+    assert len(memo) == states[-1].n
+
+
+def test_lineages_never_share_a_memo():
+    a, b = init_state(), init_state()
+    assert a.certify_memo is not b.certify_memo
+    certify(a)
+    assert a.certify_memo and not b.certify_memo
+    a2 = step(a)
+    assert a2.certify_memo is a.certify_memo
+    assert step(b).certify_memo is b.certify_memo
+
+
+def test_step_never_reads_the_memo():
+    class Unreadable(dict):
+        def refuse(self, *args):
+            raise AssertionError("step touched the memo")
+
+        __getitem__ = __setitem__ = __contains__ = __iter__ = __len__ = refuse
+        get = keys = values = items = refuse
+
+    state = init_state()
+    unreadable = Unreadable()
+    got = step(dataclasses.replace(state, certify_memo=unreadable))
+    assert got == step(state)
+    assert got.certify_memo is unreadable
+
+
+def test_memo_is_keyed_by_budget(states, monkeypatch):
+    # the default-budget columns are in the memo, yet a budget of one
+    # node rebuilds from column 1 and fails at column 2's first search
+    state = dataclasses.replace(states[4], certify_memo={})
+    for earlier in states[:5]:
+        certify(dataclasses.replace(earlier, certify_memo=state.certify_memo))
+    built = []
+    recording_extend_tables(monkeypatch, built)
+    with pytest.raises(BudgetExceededError):
+        certify(state, budget=1)
+    assert [j for j, _, _ in built] == [1, 2]
+
+
+def test_memo_misses_a_tampered_state(states, monkeypatch):
+    # doubling Q_3 changes the key of every column j >= 3: certify
+    # rebuilds those columns and rejects the state
+    state = states[5]
+    memo = {}
+    for earlier in states[:6]:
+        certify(dataclasses.replace(earlier, certify_memo=memo))
+    qs = state.q_list
+    bad = dataclasses.replace(
+        state, q_list=qs[:3] + (2 * qs[3],) + qs[4:], certify_memo=memo
+    )
+    built = []
+    recording_extend_tables(monkeypatch, built)
+    with pytest.raises(AssertionError):
+        certify(bad)
+    assert [j for j, _, _ in built] == [3, 4, 5, 6]
 
 
 def test_column_search_is_order_free(states):

@@ -234,6 +234,19 @@ def test_badk_smoke(tmp_path, capsys):
     assert payload["steps"][1]["Q"] == 366
 
 
+def test_badk_goes_past_twelve_steps(tmp_path, capsys):
+    # Q_14 exceeds 10^30: no denominator cap stops the construction
+    assert run(tmp_path, "badk", "--steps", "13") == 0
+    payload = read_json(str(only_file(tmp_path, r"badk_[0-9a-f]{12}\.json")))
+    rows = payload["steps"]
+    assert [row["n"] for row in rows] == list(range(1, 15))
+    assert rows[-1]["Q"] > 10**30
+    for row in rows:
+        assert all(row["conditions"].values())
+        assert len(set(row["conditions"]) | set(row["vacuous"])) == 7
+        assert row["n"] < 3 or row["vacuous"] == []
+
+
 def test_badk_search_bound_exit(tmp_path, capsys):
     assert run(tmp_path, "badk", "--steps", "1", "--x-search-bound", "0") == 3
     assert "budget exhausted" in capsys.readouterr().err
