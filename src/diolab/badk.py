@@ -200,8 +200,9 @@ class BadConstructionState:
 
     certify_memo is certify's store of the columns it has built, shared
     by every state of one lineage: init_state makes a fresh one, step
-    hands it on unread.  Each column is keyed by everything it is a
-    function of, so a state with other data misses it.
+    hands it on and only reads it.  Each column is keyed by everything
+    it is a function of (_column_key), so a state with other data
+    misses it.
     """
 
     n: int
@@ -239,6 +240,12 @@ def _extend_tables(
     return gap_search
 
 
+def _column_key(thetas, q_list, j: int, budget: int) -> tuple:
+    """Everything column j of the tables is a function of: theta_j,
+    Q_0..Q_j and the search budget."""
+    return (thetas[j], q_list[: j + 1], budget)
+
+
 def _drift_beats(drift_sq: Fraction, table: dict, j_max: int) -> Optional[tuple]:
     """The first key (i, j) with j <= j_max whose entry (A, B) fails
     sqrt(drift_sq) + sqrt(B) <= sqrt(A), or None."""
@@ -248,6 +255,23 @@ def _drift_beats(drift_sq: Fraction, table: dict, j_max: int) -> Optional[tuple]
         if not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
             return key
     return None
+
+
+def _drift_rejects(
+    drift_sq: Fraction, recalled: list, m_tab: dict, M_tab: dict, j_max: int
+) -> bool:
+    """Whether _drift_beats finds a key in m_tab or in M_tab.  The
+    entries in recalled, each one that beat an earlier drift, are tried
+    first; a key the full scans find adds its entry to recalled."""
+    for ab in recalled:
+        if not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
+            return True
+    for table in (m_tab, M_tab):
+        key = _drift_beats(drift_sq, table, j_max)
+        if key is not None:
+            recalled.append(table[key])
+            return True
+    return False
 
 
 def init_state() -> BadConstructionState:
@@ -306,6 +330,12 @@ def step(
     x_search_bound caps the growth factor of the candidate search radius
     over its lower bound |gamma|^2 = n Q_n; raise it if the step reports
     exhaustion.  q_budget, when given, caps Q_{n+1}.
+
+    Column n of the tables comes from certify_memo when certify(state)
+    has stored it under step's own key, and is built by _extend_tables
+    otherwise; step never writes the memo or one of its columns.  The
+    drift test tries the entries that rejected an earlier candidate
+    before scanning both tables (_drift_rejects).
     """
     n = state.n
     Q = state.Q
@@ -313,7 +343,17 @@ def step(
     _, _, rb1, rb2 = _lattice_minima(theta, Q)
     M_tab = dict(state.M_table)
     m_tab = dict(state.m_table)
-    _extend_tables(M_tab, m_tab, state.thetas, state.q_list, n, budget)
+    column = state.certify_memo.get(
+        _column_key(state.thetas, state.q_list, n, budget)
+    )
+    if column is None:
+        _extend_tables(M_tab, m_tab, state.thetas, state.q_list, n, budget)
+    else:
+        # the entries _extend_tables would add: only absent keys
+        for tab, col in zip((M_tab, m_tab), column):
+            for key, entry in col.items():
+                tab.setdefault(key, entry)
+    recalled: list = []
     eps_prev_sq = (
         state.eps_list[-1][0] ** 2 + state.eps_list[-1][1] ** 2
     )
@@ -340,7 +380,7 @@ def step(
             if not e_sq < eps_prev_sq:
                 continue
             drift_sq = 64 * e_sq
-            if _drift_beats(drift_sq, m_tab, n) or _drift_beats(drift_sq, M_tab, n):
+            if _drift_rejects(drift_sq, recalled, m_tab, M_tab, n):
                 continue
             alpha = (Fraction(gamma[0], Q), Fraction(gamma[1], Q))
             ab_vec = (
@@ -414,16 +454,18 @@ def certify(
     """Re-verify the seven inductive conditions from the state's thetas,
     denominators Q_0..Q_n, eps_list and step records.
 
-    Raises AssertionError with the offending datum on any violation;
-    shares no intermediate data with step: the tables are rebuilt here,
-    and condition 1 has three routes to the denominator list, the gap
-    searches (the tables' column n and the last gap), chain_engine on
-    theta_n, and a direct scan while Q_n <= SCAN_CAP.
+    Raises AssertionError with the offending datum on any violation.
+    certify never reads step's M_table and m_table: it checks only
+    columns it built itself, and condition 1 has three routes to the
+    denominator list, the gap searches (the tables' column n and the
+    last gap), chain_engine on theta_n, and a direct scan while
+    Q_n <= SCAN_CAP.
 
     Column j of the tables is a function of (theta_j, Q_0..Q_j, budget)
     alone, so columns j < n come from the lineage's certify_memo when
     that key is there, and are built and stored otherwise; column n is
-    always built, and stored for the next state's certify.
+    always built, and stored for the next state's certify.  Only certify
+    writes the memo; step reads column n from it.
     """
     n = state.n
     theta = state.theta
@@ -438,7 +480,7 @@ def certify(
     m_tab: dict = {}
     memo = state.certify_memo
     for j in range(1, n + 1):
-        key = (state.thetas[j], qs[: j + 1], budget)
+        key = _column_key(state.thetas, qs, j, budget)
         column = memo.get(key) if j < n else None
         if column is None:
             column = ({}, {})

@@ -327,6 +327,7 @@ def cmd_returnmap(args: argparse.Namespace) -> int:
 
 def cmd_badk(args: argparse.Namespace) -> int:
     _require(args.steps >= 0, "--steps must be nonnegative")
+    _require(args.x_search_bound >= 1, "--x-search-bound must be positive")
     config = RunConfig.of(args, "budget", "steps", "x_search_bound", d=2, c=1)
     state = badk.init_state()
     reports = [badk.certify(state, budget=args.budget)]

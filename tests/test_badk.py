@@ -407,19 +407,123 @@ def test_lineages_never_share_a_memo():
     assert step(b).certify_memo is b.certify_memo
 
 
-def test_step_never_reads_the_memo():
-    class Unreadable(dict):
-        def refuse(self, *args):
-            raise AssertionError("step touched the memo")
+class Unwritable(dict):
+    """A dict that raises on every write."""
 
-        __getitem__ = __setitem__ = __contains__ = __iter__ = __len__ = refuse
-        get = keys = values = items = refuse
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("step wrote to the memo")
 
+    __setitem__ = __delitem__ = setdefault = update = refuse
+    pop = popitem = clear = refuse
+
+
+def warm_memos(states, budget=10**7):
+    """For each state of the fixture's lineage but the last, the state on
+    the memo of a lineage certified in order up to it."""
+    memo = {}
+    for state in states[:-1]:
+        warm = dataclasses.replace(state, certify_memo=memo)
+        certify(warm, budget=budget)
+        yield warm
+
+
+def frozen(memo):
+    """memo with itself and every column Unwritable."""
+    return Unwritable(
+        (key, tuple(Unwritable(col) for col in column))
+        for key, column in memo.items()
+    )
+
+
+def test_step_never_writes_the_memo(states):
+    # an empty memo, certify's warm memo, and a memo holding column n
+    # only under another budget, each frozen with its columns: step
+    # writes none of them and builds the fixture's next state on each
+    other = warm_memos(states, budget=10**6)
+    for warm, elsewhere, after in zip(warm_memos(states), other, states[1:]):
+        n = warm.n
+        assert (warm.thetas[n], warm.q_list, 10**7) in warm.certify_memo
+        assert (warm.thetas[n], warm.q_list, 10**6) in elsewhere.certify_memo
+        for memo in ({}, warm.certify_memo, elsewhere.certify_memo):
+            unwritable = frozen(memo)
+            got = step(dataclasses.replace(warm, certify_memo=unwritable))
+            assert got == after, n
+            assert got.certify_memo is unwritable
+            assert unwritable == memo
+
+
+def test_step_takes_column_n_from_certify(states, monkeypatch):
+    # after certify(state_n) on the lineage's memo, step builds no
+    # column and asks no gap; cold, or with column n only under another
+    # budget than its own, it builds column n and asks its n - 1 gaps
+    asked = []
+    built = []
+    recording_gap_search(monkeypatch, asked)
+    recording_extend_tables(monkeypatch, built)
+    other = list(warm_memos(states, budget=10**6))
+    warm = list(warm_memos(states))
+    for state, elsewhere in zip(warm, other):
+        n = state.n
+        for memo, budget, want in (
+            (state.certify_memo, 10**7, []),
+            ({}, 10**7, [n]),
+            (elsewhere.certify_memo, 10**7, [n]),
+            (state.certify_memo, 10**6, [n]),
+        ):
+            asked.clear()
+            built.clear()
+            step(dataclasses.replace(state, certify_memo=memo), budget=budget)
+            assert [j for j, _, _ in built] == want, n
+            assert len(asked) == (n - 1 if want else 0), n
+
+
+def test_recalled_entries_agree_with_the_full_scans(monkeypatch):
+    # on every candidate of 12 steps that reaches the drift test, the
+    # test on recalled entries first decides as the two full scans do
+    real = badk._drift_rejects
+    outcomes = {"recalled": 0, "scanned": 0, "passed": 0}
+
+    def checked(drift_sq, recalled, m_tab, M_tab, j_max):
+        before = len(recalled)
+        got = real(drift_sq, recalled, m_tab, M_tab, j_max)
+        want = bool(
+            badk._drift_beats(drift_sq, m_tab, j_max)
+            or badk._drift_beats(drift_sq, M_tab, j_max)
+        )
+        assert got == want, (drift_sq, j_max)
+        if not got:
+            outcomes["passed"] += 1
+        elif len(recalled) == before:
+            outcomes["recalled"] += 1
+        else:
+            outcomes["scanned"] += 1
+        return got
+
+    monkeypatch.setattr(badk, "_drift_rejects", checked)
     state = init_state()
-    unreadable = Unreadable()
-    got = step(dataclasses.replace(state, certify_memo=unreadable))
-    assert got == step(state)
-    assert got.certify_memo is unreadable
+    for _ in range(12):
+        certify(state)
+        state = step(state)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_certified_construction_makes_182_searches(monkeypatch):
+    # 12 steps in the bench's order, certify then step: certify builds
+    # each column once and step takes column n from it
+    calls = []
+    cylinder_points = core._cylinder_points
+
+    def counted_points(*args):
+        calls.append(1)
+        return cylinder_points(*args)
+
+    monkeypatch.setattr(core, "_cylinder_points", counted_points)
+    state = init_state()
+    certify(state)
+    for _ in range(12):
+        state = step(state)
+        certify(state)
+    assert len(calls) == 182
 
 
 def test_memo_is_keyed_by_budget(states, monkeypatch):

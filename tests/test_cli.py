@@ -125,6 +125,7 @@ USAGE_ERRORS = {
         ["--steps", "-1"],
         ["--steps", "0", "--budget", "0"],
         ["--steps", "0", "--budget", "-5"],
+        ["--steps", "1", "--x-search-bound", "0"],
     ],
 }
 
@@ -248,8 +249,9 @@ def test_badk_goes_past_twelve_steps(tmp_path, capsys):
 
 
 def test_badk_search_bound_exit(tmp_path, capsys):
-    assert run(tmp_path, "badk", "--steps", "1", "--x-search-bound", "0") == 3
-    assert "budget exhausted" in capsys.readouterr().err
+    assert run(tmp_path, "badk", "--steps", "1", "--x-search-bound", "1") == 3
+    err = capsys.readouterr().err
+    assert "budget exhausted: x_search_bound=1 exhausted at n=1" in err
 
 
 def test_outdir_env(tmp_path, monkeypatch):
