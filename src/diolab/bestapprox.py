@@ -311,7 +311,8 @@ def chain_engine(
     Each step is a core.chain_walker step on the target's lattice: the
     successor minimizes (height_sq, width_sq) among vectors narrower
     than r_n, inside the cylinder cut off by the Minkowski inequality,
-    with the reduction warm-started from the previous step.  An exact
+    with the reduction warm-started from the previous search (for m >= 3
+    a step the last cylinder answers makes none).  An exact
     tie on that key between two height vectors raises
     NonGenericLatticeError; two nearest points of one height vector
     resolve to the lexicographically smaller.  Like direct_scan, no

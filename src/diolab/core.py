@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import isqrt
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 import mpmath
@@ -242,13 +243,21 @@ class LatticeVector:
         return max(self.width_sq, self.height_sq)
 
 
+@cache
+def _sign_order(d: int, m: int) -> tuple[int, ...]:
+    """canonical_sign's scan order on R^d x R^(m-d): the minus block,
+    then the plus block."""
+    return tuple(range(d, m)) + tuple(range(d))
+
+
 def canonical_sign(y: Sequence[int], d: int) -> tuple[int, ...]:
     """Flip the sign of y so its first nonzero entry, scanning the minus
     block before the plus block, is positive."""
-    for i in list(range(d, len(y))) + list(range(d)):
-        if y[i] > 0:
+    for i in _sign_order(d, len(y)):
+        t = y[i]
+        if t > 0:
             return tuple(y)
-        if y[i] < 0:
+        if t < 0:
             return tuple(-t for t in y)
     return tuple(y)
 
@@ -793,11 +802,12 @@ def _cylinder_points(
     is Lagrange-Gauss and the ball is walked over a half-plane
     (_plane_points), for m >= 3 LLL hands its reduced columns and their
     Gram-Schmidt data to fp_enumerate, which walks the half-ball of one
-    y per pair +-y.  The visitor reads the norms off the reduced
-    columns, shifting the scaled block back exactly, and flips the sign
-    of y by canonical_sign.  Returns {sign-canonical y: (width^2,
-    height^2)} in the units of ``cols``, and the transform for the next
-    search.
+    y per pair +-y.  The visitor reads the norms off the rows of the
+    reduced columns, built once per search, shifting the scaled block
+    back exactly; only for a point inside the cylinder does it take y
+    from the rows of the transform and flip its sign by canonical_sign.
+    Returns {sign-canonical y: (width^2, height^2)} in the units of
+    ``cols``, and the transform for the next search.
     """
     m = len(cols)
     work = [list(col) for col in cols] if u is None else _matmul_int(cols, u)
@@ -815,15 +825,26 @@ def _cylinder_points(
     red, u2, gso = lll_columns(work)
     u = u2 if u is None else _matmul_int(u, u2)
     found: dict[tuple[int, ...], tuple[int, int]] = {}
+    rows = list(zip(*red))
+    w_rows, h_rows = rows[:d], rows[d:]
+    u_rows = list(zip(*u))
 
     def visit(yred: tuple[int, ...]) -> None:
-        raw = _matvec_int(red, yred)
-        w = sum(t * t for t in raw[:d]) >> sw
+        w = 0
+        for row in w_rows:
+            t = sum(map(mul, row, yred))
+            w += t * t
+        w >>= sw
         if w > rp:
             return
-        h = sum(t * t for t in raw[d:]) >> sh
+        h = 0
+        for row in h_rows:
+            t = sum(map(mul, row, yred))
+            h += t * t
+        h >>= sh
         if h <= rm:
-            found[canonical_sign(_matvec_int(u, yred), d)] = (w, h)
+            y = [sum(map(mul, row, yred)) for row in u_rows]
+            found[canonical_sign(y, d)] = (w, h)
 
     fp_enumerate(red, ball, visit, budget=budget, gso=gso)
     return found, u
@@ -869,6 +890,29 @@ def chain_walker(
     starts the reduction from the transform the previous step left (from
     scratch on the first step).
 
+    For m >= 3 the walker keeps what it learnt from its last cylinder:
+    the direction of the step, the cylinder's narrow radius R_n, the
+    floor F (the other^2 of the step's answer) and every point of the
+    cylinder with other^2 above F, which are all the lattice points with
+    narrow^2 <= R_n and F < other^2 <= B, B the cylinder's other radius.
+    A later step from y in the same direction, with x_n - 1 <= R_n and
+    x_o >= F (x_n, x_o the narrow^2 and other^2 of y), first reads the
+    kept points with narrow^2 < x_n and other^2 > x_o.  If any is left,
+    their minimal class is the answer and no search runs; the points
+    read with other^2 above the answer's are kept, with R_n = x_n - 1
+    and the answer's other^2 as the floor.  This is exact.  The bound falls as the narrow
+    norm grows, and x_n <= R_n + 1, so the step's own bound is at least
+    B and every point read lies in its cylinder.  A candidate of y that
+    beats the answer, or ties it, has narrow^2 <= x_n - 1 <= R_n and F
+    <= x_o < other^2 <= the answer's other^2 <= B, so it was kept and is
+    read.  Along a chain the floor is the next step's x_o, so that step
+    makes no search whenever the last cylinder already holds its
+    successor.  A step answered from the kept points makes no nodes, so
+    it cannot raise BudgetExceededError.  For d = c = 1 no step is
+    answered so: C_{1,1} = 1 puts the cylinder searched from record
+    n - 1 at heights q <= 1 / r_{n-1} < q_{n-1} + q_n <= q_{n+1}, below
+    the record after next, so m = 2 keeps nothing.
+
     Returns (key, members): the minimal (other^2, narrow^2) in the
     integer units of basis.kernel and the sorted sign-canonical
     coordinates achieving it, an exact tie being one class; (None, [])
@@ -884,31 +928,42 @@ def chain_walker(
     mink_sq = basis.kernel_minkowski_sq
     d, m = basis.d, basis.m
     search = _cylinder_search(basis, budget)
+    # the last cylinder (m >= 3): (forward, R_n, floor, [(other^2,
+    # narrow^2, y) of each point above the floor])
+    last: Optional[tuple[bool, int, int, list]] = None
 
     def step(
         y: Sequence[int], forward: bool = True
     ) -> tuple[Optional[tuple[int, int]], list[tuple[int, ...]]]:
-        k = d if forward else m - d  # size of the narrowing block
+        nonlocal last
         x = _matvec_int(cols, y)
         x_n = sum(t * t for t in (x[:d] if forward else x[d:]))
         x_o = sum(t * t for t in (x[d:] if forward else x[:d]))
         if x_n == 0:
             return None, []
-        # other^2 is an integer, so the exact floor of the root is the bound
-        bound = _iroot(mink_sq.numerator // (mink_sq.denominator * x_n**k), m - k)
-        if cap is not None:
-            bound = min(bound, cap)
-        radii = (x_n - 1, bound) if forward else (bound, x_n - 1)
-        points = search(*radii)
-        found: dict[tuple[int, ...], tuple[int, int]] = {}
-        for yv, (w, h) in points.items():
-            n, o = (w, h) if forward else (h, w)
-            if o > x_o:
-                found[yv] = (o, n)
+        found = []
+        if last and last[0] == forward and x_n - 1 <= last[1] and x_o >= last[2]:
+            found = [p for p in last[3] if p[1] < x_n and p[0] > x_o]
         if not found:
+            k = d if forward else m - d  # size of the narrowing block
+            # other^2 is an integer, so the exact floor of the root is the bound
+            bound = _iroot(
+                mink_sq.numerator // (mink_sq.denominator * x_n**k), m - k
+            )
+            if cap is not None:
+                bound = min(bound, cap)
+            radii = (x_n - 1, bound) if forward else (bound, x_n - 1)
+            for yv, (w, h) in search(*radii).items():
+                n, o = (w, h) if forward else (h, w)
+                if o > x_o:
+                    found.append((o, n, yv))
+        if not found:
+            last = None
             return None, []
-        best = min(found.values())
-        return best, sorted(yv for yv, key in found.items() if key == best)
+        best = min(found)[:2]
+        if m > 2:
+            last = (forward, x_n - 1, best[0], [p for p in found if p[0] > best[0]])
+        return best, sorted(yv for o, n, yv in found if (o, n) == best)
 
     return step
 

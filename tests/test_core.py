@@ -15,6 +15,7 @@ import pytest
 
 import diolab
 import diolab.core as core
+import diolab.dynamics as dynamics
 
 from diolab.core import (
     BudgetExceededError,
@@ -357,8 +358,9 @@ def fp_identity_cases(monkeypatch):
     """(cols, bound, gso) cases for fp_enumerate against the exact walk:
     fp_test_cases(); LLL-reduced m = 3 and 4 bases with bounds met by
     each reduced column and one between; and the warm-started cylinders
-    chain_engine searches on 256- and 512-bit 1x2 and 2x1 targets and on
-    2048-bit 3x1 and 2x2 ones, recorded from its calls."""
+    chain_engine searches on two 256- and two 512-bit 1x2 and 2x1
+    targets and on two 2048-bit 3x1 and 2x2 ones, recorded from its
+    calls."""
     cases = [(cols, bound, None) for cols, bound, _ in fp_test_cases()]
     rng = random.Random(20)
     for m in (3, 4):
@@ -383,7 +385,8 @@ def fp_identity_cases(monkeypatch):
             (1, 2, 256, 40), (2, 1, 256, 40), (1, 2, 512, 40), (2, 1, 512, 40),
             (3, 1, 2048, 16), (2, 2, 2048, 16),
         ):
-            chain_engine(sample_theta(d, c, bits, rng), depth=depth)
+            for _ in range(2):
+                chain_engine(sample_theta(d, c, bits, rng), depth=depth)
     return cases
 
 
@@ -736,3 +739,171 @@ def test_plane_search_errors():
     assert len(_cylinder_points([[1, 0], [0, 1]], None, 1, 1, 1, 6)[0]) == 4
     with pytest.raises(BudgetExceededError):
         _cylinder_points([[1, 0], [0, 1]], None, 1, 1, 1, 5)
+
+
+# ---------------------------------------------------------------------------
+# the m >= 3 search: the visitor on the rows of the reduced columns
+
+
+SHAPES_M3 = ((2, 1), (1, 2), (3, 1), (1, 3), (2, 2))
+
+
+def test_cylinder_points_matches_the_lll_route_at_m_3_and_4():
+    # random columns and eccentric radii from scratch, then the chain
+    # cylinders of theta-lattices, each from the transform the last left
+    rng = random.Random(64)
+    hits = 0
+    for m in (3, 4):
+        for bits in (4, 64, 256):
+            for _ in range(6):
+                d = rng.randrange(1, m)
+                cols = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(m)] for _ in range(m)]
+                if LatticeBasis(d, m - d, cols).det_raw() == 0:
+                    continue
+                red, _, _ = lll_columns(cols)
+                top = 3 * max(sum(t * t for t in col) for col in red)
+                rp, rm = rng.randrange(top), rng.randrange(top)
+                if rng.getrandbits(1):
+                    rp, rm = (rp >> rng.randrange(12), rm) if rng.getrandbits(1) else (rp, rm >> 6)
+                got, u = _cylinder_points(cols, None, d, rp, rm, 10**7)
+                assert got == _lll_fp_points(cols, d, rp, rm)
+                hits += bool(got)
+                rp, rm = rm, rp
+                got, _ = _cylinder_points(cols, u, d, rp, rm, 10**7)
+                assert got == _lll_fp_points(cols, d, rp, rm)
+    assert hits >= 20
+    warm = 0
+    for d, c in SHAPES_M3:
+        theta = sample_theta(d, c, 256, rng)
+        basis = LatticeBasis.from_theta(theta)
+        cols, mink = basis.kernel[0], basis.kernel_minkowski_sq
+        u = None
+        for rec in chain_engine(theta, depth=12):
+            x = [sum(col[i] * t for col, t in zip(cols, (*rec.P, *rec.Q))) for i in range(d + c)]
+            wy = sum(t * t for t in x[:d])
+            if wy == 0:
+                break
+            bound = core._iroot(mink.numerator // (mink.denominator * wy**d), c)
+            got, u = _cylinder_points(cols, u, d, wy - 1, bound, 10**7)
+            assert got == _lll_fp_points(cols, d, wy - 1, bound)
+            warm += u is not None and bool(got)
+    assert warm >= 40
+
+
+# ---------------------------------------------------------------------------
+# chain_walker's last cylinder: steps answered from the points it kept
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    points = core._cylinder_points
+
+    def counted(*args):
+        calls.append(args)
+        return points(*args)
+
+    monkeypatch.setattr(core, "_cylinder_points", counted)
+    return calls
+
+
+def _fresh_step(basis, y, forward=True, cap=None):
+    return chain_walker(basis, cap=cap, budget=10**7)(y, forward)
+
+
+def _record_ys(theta, depth):
+    return [(*rec.P, *rec.Q) for rec in chain_engine(theta, depth=depth)]
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_kept_cylinder_steps_match_fresh_walkers(monkeypatch, capped):
+    # each step of a chain equals that of a walker built for it alone;
+    # a cap at the height of record 14 ends every capped chain there
+    calls = _count_searches(monkeypatch)
+    rng = random.Random(61)
+    steps = answered = 0
+    for d, c in SHAPES_M3:
+        for _ in range(2):
+            theta = sample_theta(d, c, 256, rng)
+            basis = LatticeBasis.from_theta(theta)
+            ys = _record_ys(theta, 30)
+            cap = int(chain_engine(theta, depth=15)[-1].q_sq) if capped else None
+            step = chain_walker(basis, cap=cap, budget=10**7)
+            y = ys[0]
+            for _ in range(30):
+                before = len(calls)
+                got = step(y)
+                answered += len(calls) == before
+                assert got == _fresh_step(basis, y, cap=cap)
+                steps += 1
+                if not got[1]:
+                    break
+                y = got[1][0]
+            assert capped == (got == (None, []))
+    assert steps == (150 if capped else 300) and answered >= steps // 3
+
+
+def test_kept_cylinder_steps_off_the_chain(monkeypatch):
+    # after the chain steps from records k - 1 and k, the walker is asked
+    # about record k again (below its floor), sums and differences of
+    # nearby records (often wider than its narrow radius) and steps the
+    # other way; every answer equals a fresh walker's
+    calls = _count_searches(monkeypatch)
+    rng = random.Random(65)
+    asked = answered = 0
+    for d, c in SHAPES_M3:
+        theta = sample_theta(d, c, 256, rng)
+        basis = LatticeBasis.from_theta(theta)
+        ys = _record_ys(theta, 32)
+        step = chain_walker(basis, budget=10**7)
+        for k in range(2, len(ys) - 2):
+            y0, y1, y2, y3, y4 = ys[k - 2 : k + 3]
+            queries = [(y2, True), (y3, False), (y2, False)] + [
+                (tuple(s + sign * t for s, t in zip(a, b)), True)
+                for a, b, sign in ((y1, y3, 1), (y0, y3, 1), (y1, y4, 1), (y0, y4, -1))
+            ]
+            for y, forward in queries:
+                assert step(ys[k - 1])[1][0] == y2 and step(y2)[1][0] == y3
+                before = len(calls)
+                got = step(y, forward)
+                answered += len(calls) == before
+                assert got == _fresh_step(basis, y, forward), (k, y, forward)
+                asked += 1
+    assert asked >= 900 and answered >= 10
+
+
+def test_minimal_vectors_steps_match_fresh_walkers(monkeypatch):
+    # the steps of d = 2 chains of flowed theta-lattices, backward from
+    # the anchor and then forward
+    calls = _count_searches(monkeypatch)
+    asked = []
+    walker = dynamics.chain_walker
+
+    def recording(basis, **kwargs):
+        step = walker(basis, **kwargs)
+
+        def recorded(y, forward=True):
+            before = len(calls)
+            got = step(y, forward)
+            asked.append((basis, y, forward, got, len(calls) == before))
+            return got
+
+        return recorded
+
+    monkeypatch.setattr(dynamics, "chain_walker", recording)
+    rng = random.Random(66)
+    for _ in range(3):
+        basis = apply_flow(LatticeBasis.from_theta(sample_theta(2, 1, 256, rng)), 25)
+        chain = dynamics.minimal_vectors(basis, 20, back=12, certify=False)
+        assert len(chain.entries) == 32
+    for basis, y, forward, got, _ in asked:
+        assert got == _fresh_step(basis, y, forward)
+    backward = [hit for _, _, forward, _, hit in asked if not forward]
+    forward = [hit for _, _, forward, _, hit in asked if forward]
+    assert len(backward) >= 36 and sum(backward) >= 10 and sum(forward) >= 10
+
+
+def test_a_2x1_chain_searches_less_than_once_per_record(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    records = chain_engine(sample_theta(2, 1, 512, random.Random(67)), depth=60)
+    assert len(records) == 60
+    assert len(calls) < len(records)
