@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bestapprox import chain_engine, direct_scan
 from .core import (
-    BudgetExceededError,
     LatticeBasis,
     SearchLimitError,
     _cylinder_search,
@@ -190,13 +189,23 @@ class StepRecord:
     q_next: int
 
 
+class Column(NamedTuple):
+    """Column j of the tables: the squared quantities (A, B) of theta_j
+    from which the gap minima M_{i,j} = sqrt(A) - sqrt(B), 1 <= i < j,
+    and the drop minima m_{i,j}, 1 <= i <= j, read off; M[i-1] is None
+    when the denominator gap (Q_{i-1}, Q_i) contains no integer.  floor
+    is _drift_floor of its entries."""
+
+    M: tuple
+    m: tuple
+    floor: Fraction
+
+
 @dataclass(frozen=True)
 class BadConstructionState:
     """Prefix of the inductive construction.
 
-    Tables hold, per column j, the squared quantities from which the gap
-    minima M_{i,j} = sqrt(A) - sqrt(B) and drop minima m_{i,j} read off;
-    entries are None when the denominator gap contains no integer.
+    columns[j-1] is column j of the tables, for 1 <= j < n.
 
     certify_memo is certify's store of the columns it has built, shared
     by every state of one lineage: init_state makes a fresh one, step
@@ -210,8 +219,7 @@ class BadConstructionState:
     q_list: tuple[int, ...]
     eps_list: tuple[Pair, ...]
     steps: tuple[StepRecord, ...]
-    M_table: dict
-    m_table: dict
+    columns: tuple[Column, ...]
     certify_memo: dict = field(compare=False, repr=False)
 
     @property
@@ -223,21 +231,42 @@ class BadConstructionState:
         return self.q_list[-1]
 
 
-def _extend_tables(
-    M_tab: dict, m_tab: dict, thetas, q_list, j: int, budget: int
-) -> Callable[[int, int], Optional[Fraction]]:
-    """Fill column j of both tables (quantities of theta_j); returns the
-    gap search of theta_j that filled the column."""
+def _drift_floor(entries) -> Fraction:
+    """A strict lower bound on T = (sqrt(A) - sqrt(B))^2 over the entries
+    (A, B), or -1 when some entry has A <= B.
+
+    An entry fails sqrt(drift) + sqrt(B) <= sqrt(A) iff A < B, or A = B
+    and drift > 0, or A > B and drift > T.  With A = an/ad, B = bn/bd and
+    s = isqrt(an bn ad bd), sqrt(AB) = sqrt(an bn ad bd)/(ad bd) <
+    (s + 1)/(ad bd), so T = A + B - 2 sqrt(AB) > A + B - 2(s + 1)/(ad bd)
+    = (an bd + bn ad - 2(s + 1))/(ad bd).
+    Hence, when every A > B, no entry fails for a drift at most the least
+    of these bounds; when some A <= B, -1 lies below every drift.
+    """
+    bounds = []
+    for a, b in entries:
+        if a <= b:
+            return Fraction(-1)
+        an, ad = a.numerator, a.denominator
+        bn, bd = b.numerator, b.denominator
+        s = math.isqrt(an * bn * ad * bd)
+        bounds.append(Fraction(an * bd + bn * ad - 2 * (s + 1), ad * bd))
+    return min(bounds)
+
+
+def _column(
+    thetas, q_list, j: int, budget: int
+) -> tuple[Column, Callable[[int, int], Optional[Fraction]]]:
+    """Column j of the tables (quantities of theta_j), and the gap search
+    of theta_j that built it."""
     theta_j = thetas[j]
     gap_search = _gap_search(theta_j, budget)
-    r_cache = {i: _r_sq(theta_j, q_list[i]) for i in range(j + 1)}
-    for i in range(1, j + 1):
-        if (i, j) not in m_tab:
-            m_tab[(i, j)] = (r_cache[i - 1], r_cache[i])
-        if i < j and (i, j) not in M_tab:
-            gap = gap_search(q_list[i - 1], q_list[i])
-            M_tab[(i, j)] = None if gap is None else (gap, r_cache[i - 1])
-    return gap_search
+    r = [_r_sq(theta_j, q) for q in q_list[: j + 1]]
+    gaps = [gap_search(q_list[i - 1], q_list[i]) for i in range(1, j)]
+    M = tuple(None if g is None else (g, r[i]) for i, g in enumerate(gaps))
+    m = tuple(zip(r, r[1:]))
+    floor = _drift_floor([ab for ab in M + m if ab is not None])
+    return Column(M, m, floor), gap_search
 
 
 def _column_key(thetas, q_list, j: int, budget: int) -> tuple:
@@ -246,32 +275,19 @@ def _column_key(thetas, q_list, j: int, budget: int) -> tuple:
     return (thetas[j], q_list[: j + 1], budget)
 
 
-def _drift_beats(drift_sq: Fraction, table: dict, j_max: int) -> Optional[tuple]:
-    """The first key (i, j) with j <= j_max whose entry (A, B) fails
-    sqrt(drift_sq) + sqrt(B) <= sqrt(A), or None."""
-    for key, ab in table.items():
-        if key[1] > j_max or ab is None:
+def _drift_beats(drift_sq: Fraction, columns, which: str) -> Optional[tuple]:
+    """The first key (i, j), column-major, whose entry (A, B) in table
+    which ("M" or "m") of column j = columns[j-1] fails
+    sqrt(drift_sq) + sqrt(B) <= sqrt(A), or None.  A column whose floor
+    is at least drift_sq has no such entry (_drift_floor); the others
+    are decided entry by entry."""
+    for j, column in enumerate(columns, 1):
+        if drift_sq <= column.floor:
             continue
-        if not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
-            return key
+        for i, ab in enumerate(getattr(column, which), 1):
+            if ab is not None and not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
+                return (i, j)
     return None
-
-
-def _drift_rejects(
-    drift_sq: Fraction, recalled: list, m_tab: dict, M_tab: dict, j_max: int
-) -> bool:
-    """Whether _drift_beats finds a key in m_tab or in M_tab.  The
-    entries in recalled, each one that beat an earlier drift, are tried
-    first; a key the full scans find adds its entry to recalled."""
-    for ab in recalled:
-        if not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
-            return True
-    for table in (m_tab, M_tab):
-        key = _drift_beats(drift_sq, table, j_max)
-        if key is not None:
-            recalled.append(table[key])
-            return True
-    return False
 
 
 def init_state() -> BadConstructionState:
@@ -279,17 +295,13 @@ def init_state() -> BadConstructionState:
     theta0 = (Fraction(0), Fraction(0))
     theta1 = (Fraction(1, 5), Fraction(1, 5))
     eps0 = (Fraction(1, 5), Fraction(1, 5))
-    M_tab: dict = {}
-    m_tab: dict = {}
-    _extend_tables(M_tab, m_tab, (theta0, theta1), (1, 5), 1, 10**7)
     return BadConstructionState(
         n=1,
         thetas=(theta0, theta1),
         q_list=(1, 5),
         eps_list=(eps0,),
         steps=(),
-        M_table=M_tab,
-        m_table=m_tab,
+        columns=(),
         certify_memo={},
     )
 
@@ -322,38 +334,29 @@ def step(
     x_search_bound: int = 1 << 16,
     *,
     budget: int = 10**7,
-    q_budget: Optional[int] = None,
 ) -> BadConstructionState:
     """One inductive step; deterministic (smallest admissible candidate,
     then smallest window integer).
 
     x_search_bound caps the growth factor of the candidate search radius
     over its lower bound |gamma|^2 = n Q_n; raise it if the step reports
-    exhaustion.  q_budget, when given, caps Q_{n+1}.
+    exhaustion.
 
     Column n of the tables comes from certify_memo when certify(state)
-    has stored it under step's own key, and is built by _extend_tables
-    otherwise; step never writes the memo or one of its columns.  The
-    drift test tries the entries that rejected an earlier candidate
-    before scanning both tables (_drift_rejects).
+    has stored it under step's own key, and is built by _column
+    otherwise; step never writes the memo.  The next state holds the
+    state's columns and column n.
     """
     n = state.n
     Q = state.Q
     theta = state.theta
     _, _, rb1, rb2 = _lattice_minima(theta, Q)
-    M_tab = dict(state.M_table)
-    m_tab = dict(state.m_table)
     column = state.certify_memo.get(
         _column_key(state.thetas, state.q_list, n, budget)
     )
     if column is None:
-        _extend_tables(M_tab, m_tab, state.thetas, state.q_list, n, budget)
-    else:
-        # the entries _extend_tables would add: only absent keys
-        for tab, col in zip((M_tab, m_tab), column):
-            for key, entry in col.items():
-                tab.setdefault(key, entry)
-    recalled: list = []
+        column, _ = _column(state.thetas, state.q_list, n, budget)
+    columns = state.columns + (column,)
     eps_prev_sq = (
         state.eps_list[-1][0] ** 2 + state.eps_list[-1][1] ** 2
     )
@@ -371,16 +374,14 @@ def step(
                 continue
             k = _solve_k(gamma, theta, Q)
             q_next = p_lo * Q - k
-            if q_budget is not None and q_next > q_budget:
-                raise BudgetExceededError(
-                    "denominator budget exceeded: %d > %d" % (q_next, q_budget)
-                )
             eps = (Fraction(gamma[0], q_next), Fraction(gamma[1], q_next))
             e_sq = eps[0] ** 2 + eps[1] ** 2
             if not e_sq < eps_prev_sq:
                 continue
             drift_sq = 64 * e_sq
-            if _drift_rejects(drift_sq, recalled, m_tab, M_tab, n):
+            if _drift_beats(drift_sq, columns, "m") or _drift_beats(
+                drift_sq, columns, "M"
+            ):
                 continue
             alpha = (Fraction(gamma[0], Q), Fraction(gamma[1], Q))
             ab_vec = (
@@ -422,8 +423,7 @@ def step(
                 q_list=state.q_list + (q_next,),
                 eps_list=state.eps_list + (eps,),
                 steps=state.steps + (rec,),
-                M_table=M_tab,
-                m_table=m_tab,
+                columns=columns,
                 certify_memo=state.certify_memo,
             )
         lo_sq = hi_sq
@@ -455,8 +455,8 @@ def certify(
     denominators Q_0..Q_n, eps_list and step records.
 
     Raises AssertionError with the offending datum on any violation.
-    certify never reads step's M_table and m_table: it checks only
-    columns it built itself, and condition 1 has three routes to the
+    certify never reads step's columns: it checks only columns it built
+    or stored itself, and condition 1 has three routes to the
     denominator list, the gap searches (the tables' column n and the
     last gap), chain_engine on theta_n, and a direct scan while
     Q_n <= SCAN_CAP.
@@ -474,20 +474,18 @@ def certify(
     vacuous = []
     if _lcd(theta) != qs[-1]:
         raise AssertionError("det invariant broken: lcd != Q_n")
-    # the full tables up to column n; column n holds the gaps i < n,
-    # and its search also serves the last gap
-    M_tab: dict = {}
-    m_tab: dict = {}
+    # columns 1..n; column n holds the gaps i < n, and its search also
+    # serves the last gap
+    columns = []
     memo = state.certify_memo
     for j in range(1, n + 1):
         key = _column_key(state.thetas, qs, j, budget)
         column = memo.get(key) if j < n else None
         if column is None:
-            column = ({}, {})
-            gap_search = _extend_tables(*column, state.thetas, qs, j, budget)
+            column, gap_search = _column(state.thetas, qs, j, budget)
             memo[key] = column
-        M_tab.update(column[0])
-        m_tab.update(column[1])
+        columns.append(column)
+    gaps_n = columns[-1].M
 
     # condition 1: Q_0..Q_n are exactly the best denominators of theta_n
     r_at = {i: _r_sq(theta, qs[i]) for i in range(n + 1)}
@@ -498,7 +496,7 @@ def certify(
             raise AssertionError("distances fail to decrease at i=%d" % i)
         # a tie with r_{i-1} is allowed: a tying height is not a record
         if i < n:
-            gap = None if M_tab[(i, n)] is None else M_tab[(i, n)][0]
+            gap = None if gaps_n[i - 1] is None else gaps_n[i - 1][0]
         else:
             gap = gap_search(qs[n - 1], qs[n])
         if gap is not None and gap < r_at[i - 1]:
@@ -526,10 +524,9 @@ def certify(
             raise AssertionError("no branching at recorded step %d" % rec.n)
     conditions["growth_and_branching"] = True
 
-    # conditions 3-5 on the full tables
+    # condition 3 on column n, conditions 4-5 on columns 1..n-1
     if n >= 2:
-        for i in range(1, n):
-            ab = M_tab[(i, n)]
+        for i, ab in enumerate(gaps_n, 1):
             if ab is not None and not ab[0] > ab[1]:
                 raise AssertionError("M_{%d,%d} <= 0" % (i, n))
         conditions["gap_minima_positive"] = True
@@ -537,14 +534,14 @@ def certify(
         vacuous.append("gap_minima_positive")
     delta = (theta[0] - state.thetas[-2][0], theta[1] - state.thetas[-2][1])
     drift_sq = 64 * qs[-2] ** 2 * (delta[0] ** 2 + delta[1] ** 2)
-    for name, tab, label in (
-        ("drift_below_gap_minima", M_tab, "M"),
-        ("drift_below_drop_minima", m_tab, "m"),
+    for name, label in (
+        ("drift_below_gap_minima", "M"),
+        ("drift_below_drop_minima", "m"),
     ):
-        if not any(j <= n - 1 for _, j in tab):
+        if not any(getattr(column, label) for column in columns[:-1]):
             vacuous.append(name)
             continue
-        key = _drift_beats(drift_sq, tab, n - 1)
+        key = _drift_beats(drift_sq, columns[:-1], label)
         if key is not None:
             raise AssertionError("drift beats %s at %s" % (label, key))
         conditions[name] = True

@@ -7,7 +7,8 @@ exact integer scan plays the same part for the d=2, c=1 record
 sequence: it uses no lattice, LLL or chain code, and the reference scan
 (one exact distance per height, no prefilter) is the oracle for
 bestapprox.direct_scan.  The reference gap search (one fresh cylinder
-enumeration per gap) is the oracle for badk's warm-started gap searches.
+enumeration per gap) is the oracle for badk's warm-started gap searches,
+and the flat-table drift scan is the oracle for its column drift floors.
 The reference critical ball (enumerate_in_cylinder and Fraction
 sq_close) is the oracle for the integer decisions of core._critical_ball.
 The Fraction Gram-Schmidt process is the oracle the integral LLL data
@@ -26,6 +27,7 @@ from typing import Callable, Optional, Sequence
 import mpmath
 import numpy as np
 
+from diolab.badk import sqrt_affine_leq
 from diolab.bestapprox import BestApproxRecord
 from diolab.core import (
     FLOW_BITS,
@@ -265,6 +267,19 @@ def reference_gap(theta, q_lo, q_hi, budget=10**7):
     found = [v.width_sq for v in vecs if v.height_sq > q_lo * q_lo]
     assert found, "reference gap search missed its witness height %d" % w
     return min(found)
+
+
+def reference_drift_beats(drift_sq, table, j_max):
+    """The first key (i, j) with j <= j_max, in the table's order, whose
+    entry (A, B) fails sqrt(drift_sq) + sqrt(B) <= sqrt(A), or None: the
+    scan badk ran on flat dicts of every entry before each table column
+    carried a drift floor, kept as the oracle for badk._drift_beats."""
+    for key, ab in table.items():
+        if key[1] > j_max or ab is None:
+            continue
+        if not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
+            return key
+    return None
 
 
 def kth_root_upper(x, k, guard_bits=0):

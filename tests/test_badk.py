@@ -12,9 +12,9 @@ import pytest
 
 import diolab.badk as badk
 import diolab.core as core
-from conftest import r_sq, reference_gap
+from conftest import r_sq, reference_drift_beats, reference_gap
 from diolab.badk import (
-    _extend_tables,
+    _column,
     _gap_search,
     _lattice_minima,
     _quadrant_candidates,
@@ -199,12 +199,15 @@ def test_step_is_deterministic():
     assert a.thetas == b.thetas and a.steps == b.steps
 
 
-def test_step_leaves_input_unchanged():
+def test_step_leaves_input_unchanged(states):
+    # state n holds columns 1..n-1; step hands them on as they are and
+    # appends column n
     s1 = init_state()
-    keys = set(s1.M_table)
     step(s1)
-    assert s1.n == 1 and s1.q_list == (1, 5)
-    assert set(s1.M_table) == keys
+    assert s1.n == 1 and s1.q_list == (1, 5) and s1.columns == ()
+    for state, after in zip(states, states[1:]):
+        assert len(state.columns) == state.n - 1
+        assert after.columns[:-1] == state.columns
 
 
 def test_certify_every_prefix():
@@ -279,11 +282,11 @@ def test_gap_search_matches_brute_force_on_the_construction():
             want = None if least is None else Fraction(least, den * den)
             assert want is None or want == r_sq(theta, num.index(least))
             assert gap == want, (i, j)
-            if (i, j) in state.M_table:
-                entry = state.M_table[(i, j)]
+            if j < state.n:
+                entry = state.columns[j - 1].M[i - 1]
                 assert (None if entry is None else entry[0]) == want
                 checked += 1
-    assert checked == len(state.M_table) == 3
+    assert checked == sum(len(c.M) for c in state.columns) == 3
 
 
 def test_gap_search_matches_brute_force_on_random_ranges():
@@ -327,43 +330,44 @@ def recording_gap_search(monkeypatch, asked):
     monkeypatch.setattr(badk, "_gap_search", recording_search)
 
 
-def recording_extend_tables(monkeypatch, built):
-    """Patch badk._extend_tables so every column built is appended to
-    built as (j, M column, m column)."""
-    real_extend = badk._extend_tables
+def recording_column(monkeypatch, built):
+    """Patch badk._column so the index j of every column it starts to
+    build is appended to built."""
+    real_column = badk._column
 
-    def recording_extend(M_tab, m_tab, thetas, q_list, j, budget):
-        built.append((j, M_tab, m_tab))
-        return real_extend(M_tab, m_tab, thetas, q_list, j, budget)
+    def recording(thetas, q_list, j, budget):
+        built.append(j)
+        return real_column(thetas, q_list, j, budget)
 
-    monkeypatch.setattr(badk, "_extend_tables", recording_extend)
+    monkeypatch.setattr(badk, "_column", recording)
 
 
 def test_fresh_tables_match_reference_gap(states, monkeypatch):
-    # every gap certify asks, the M table's and the last one, against a
-    # fresh enumeration per gap; a lineage certified in order builds one
-    # column per certify, column n, and takes the others from its memo
+    # every gap certify asks, column n's and the last one, against a
+    # fresh enumeration per gap, and column n's drops against Fraction
+    # distances; a lineage certified in order builds one column per
+    # certify, column n, and takes the others from its memo
     asked = []
     built = []
     recording_gap_search(monkeypatch, asked)
-    recording_extend_tables(monkeypatch, built)
+    recording_column(monkeypatch, built)
     memo = {}
-    M_tab = {}
     want = {}
     for state in states:
         asked.clear()
         built.clear()
         certify(dataclasses.replace(state, certify_memo=memo))
         n, qs, thetas = state.n, state.q_list, state.thetas
-        assert [j for j, _, _ in built] == [n]
-        M_tab.update(built[0][1])
-        assert set(M_tab) == {(i, j) for j in range(1, n + 1) for i in range(1, j)}
-        for (i, j), entry in M_tab.items():
-            args = (thetas[j], qs[i - 1], qs[i])
-            if args not in want:
-                want[args] = reference_gap(*args)
-            assert (None if entry is None else entry[0]) == want[args], (n, i, j)
-            assert entry is None or entry[1] == r_sq(thetas[j], qs[i - 1])
+        assert built == [n]
+        column = memo[badk._column_key(thetas, qs, n, 10**7)]
+        r = [r_sq(thetas[n], q) for q in qs]
+        assert column.m == tuple(zip(r, r[1:]))
+        assert len(column.M) == n - 1
+        for i, entry in enumerate(column.M, 1):
+            args = (thetas[n], qs[i - 1], qs[i])
+            want[args] = reference_gap(*args)
+            assert (None if entry is None else entry[0]) == want[args], (n, i)
+            assert entry is None or entry[1] == r[i - 1]
         last = (thetas[n], qs[n - 1], qs[n])
         assert asked[-1] == last + (reference_gap(*last),)
         assert len(asked) == n
@@ -376,7 +380,7 @@ def test_memo_builds_one_column_per_certify(states, monkeypatch):
     asked = []
     built = []
     recording_gap_search(monkeypatch, asked)
-    recording_extend_tables(monkeypatch, built)
+    recording_column(monkeypatch, built)
     memo = {}
     for state in states:
         n = state.n
@@ -388,10 +392,10 @@ def test_memo_builds_one_column_per_certify(states, monkeypatch):
                 certify(dataclasses.replace(state, certify_memo=memo if warm else {}))
             )
             if warm:
-                assert [j for j, _, _ in built] == [n]
+                assert built == [n]
                 assert len(asked) == n
             else:
-                assert [j for j, _, _ in built] == list(range(1, n + 1))
+                assert built == list(range(1, n + 1))
                 assert len(asked) == n * (n - 1) // 2 + 1
         assert reports[0] == reports[1], n
     assert len(memo) == states[-1].n
@@ -428,17 +432,13 @@ def warm_memos(states, budget=10**7):
 
 
 def frozen(memo):
-    """memo with itself and every column Unwritable."""
-    return Unwritable(
-        (key, tuple(Unwritable(col) for col in column))
-        for key, column in memo.items()
-    )
+    """An Unwritable copy of memo; its columns are immutable already."""
+    return Unwritable(memo)
 
 
 def test_step_never_writes_the_memo(states):
     # an empty memo, certify's warm memo, and a memo holding column n
-    # only under another budget, each frozen with its columns: step
-    # writes none of them and builds the fixture's next state on each
+    # only under another budget, each frozen: step writes none of them and builds the fixture's next state on each
     other = warm_memos(states, budget=10**6)
     for warm, elsewhere, after in zip(warm_memos(states), other, states[1:]):
         n = warm.n
@@ -459,7 +459,7 @@ def test_step_takes_column_n_from_certify(states, monkeypatch):
     asked = []
     built = []
     recording_gap_search(monkeypatch, asked)
-    recording_extend_tables(monkeypatch, built)
+    recording_column(monkeypatch, built)
     other = list(warm_memos(states, budget=10**6))
     warm = list(warm_memos(states))
     for state, elsewhere in zip(warm, other):
@@ -473,38 +473,118 @@ def test_step_takes_column_n_from_certify(states, monkeypatch):
             asked.clear()
             built.clear()
             step(dataclasses.replace(state, certify_memo=memo), budget=budget)
-            assert [j for j, _, _ in built] == want, n
+            assert built == want, n
             assert len(asked) == (n - 1 if want else 0), n
 
 
-def test_recalled_entries_agree_with_the_full_scans(monkeypatch):
-    # on every candidate of 12 steps that reaches the drift test, the
-    # test on recalled entries first decides as the two full scans do
-    real = badk._drift_rejects
-    outcomes = {"recalled": 0, "scanned": 0, "passed": 0}
+def flat(columns, which):
+    """The entries of table which ("M" or "m") of columns 1, 2, ... as
+    one dict keyed (i, j), column-major."""
+    return {
+        (i, j): ab
+        for j, column in enumerate(columns, 1)
+        for i, ab in enumerate(getattr(column, which), 1)
+    }
 
-    def checked(drift_sq, recalled, m_tab, M_tab, j_max):
-        before = len(recalled)
-        got = real(drift_sq, recalled, m_tab, M_tab, j_max)
-        want = bool(
-            badk._drift_beats(drift_sq, m_tab, j_max)
-            or badk._drift_beats(drift_sq, M_tab, j_max)
-        )
-        assert got == want, (drift_sq, j_max)
-        if not got:
-            outcomes["passed"] += 1
-        elif len(recalled) == before:
-            outcomes["recalled"] += 1
-        else:
-            outcomes["scanned"] += 1
+
+def hand_column(M, m):
+    """A column of the given entries and its floor."""
+    entries = [ab for ab in M + m if ab is not None]
+    return badk.Column(tuple(M), tuple(m), badk._drift_floor(entries))
+
+
+def test_drift_floors_agree_with_the_flat_scan(monkeypatch):
+    # every drift test of a 40-step certified lineage, step's on each
+    # candidate that reaches it and certify's conditions 4-5, names the
+    # key the flat scan of every entry names; some columns are skipped
+    # by their floor and the others decided entry by entry
+    real = badk._drift_beats
+    seen = {"skipped": 0, "decided": 0, "beaten": 0, "passed": 0}
+
+    def checked(drift_sq, columns, which):
+        got = real(drift_sq, columns, which)
+        want = reference_drift_beats(drift_sq, flat(columns, which), len(columns))
+        assert got == want, (drift_sq, which, len(columns))
+        for column in columns:
+            seen["skipped" if drift_sq <= column.floor else "decided"] += 1
+        seen["passed" if got is None else "beaten"] += 1
         return got
 
-    monkeypatch.setattr(badk, "_drift_rejects", checked)
+    monkeypatch.setattr(badk, "_drift_beats", checked)
     state = init_state()
-    for _ in range(12):
+    for _ in range(40):
         certify(state)
         state = step(state)
-    assert min(outcomes.values()) > 0, outcomes
+    certify(state)
+    assert min(seen.values()) > 0, seen
+
+
+def test_drift_floor_on_hand_made_columns():
+    F = Fraction
+    # A and B rational squares, so AB is one and T = (sqrt A - sqrt B)^2
+    # = (3/2 - 1/2)^2 = 1 exactly; s = isqrt(9 * 1 * 4 * 4) = 12 makes the
+    # floor 9/4 + 1/4 - 2 * 13/16 = 7/8 < T
+    square = hand_column([None, (F(9, 4), F(1, 4))], [(F(100), F(1))])
+    assert square.floor == F(7, 8)
+    # AB = 2 is no square: T = 3 - 2 sqrt 2 > 3 - 2(1 + 1) = -1
+    loose = hand_column([], [(F(2), F(1))])
+    assert loose.floor == -1
+    # A = B fails for every positive drift, A < B for every drift
+    equal = hand_column([], [(F(1, 3), F(1, 3))])
+    below = hand_column([], [(F(1, 4), F(1, 3))])
+    assert equal.floor == below.floor == -1
+    cases = [
+        ([square], F(7, 8), "M", None),  # drift = floor: skipped
+        ([square], F(15, 16), "M", None),  # in (floor, T]: decided, passes
+        ([square], F(1), "M", None),  # drift = T passes
+        ([square], 1 + F(1, 10**9), "M", (2, 1)),  # just above T fails
+        ([square], 1 + F(1, 10**9), "m", None),
+        ([loose], F(1, 6), "m", None),
+        ([loose], F(1, 2), "m", (1, 1)),
+        ([equal], F(0), "m", None),
+        ([equal], F(1, 10**9), "m", (1, 1)),
+        ([below], F(0), "m", (1, 1)),
+        # column-major: column 1's entry comes before column 2's
+        ([square, below], F(2), "m", (1, 2)),
+        ([square, square], F(2), "M", (2, 1)),
+    ]
+    for columns, drift_sq, which, want in cases:
+        table = flat(columns, which)
+        assert badk._drift_beats(drift_sq, columns, which) == want, (drift_sq, which)
+        assert reference_drift_beats(drift_sq, table, len(columns)) == want
+
+
+def test_certify_names_the_first_beaten_entry(states):
+    # entries the drift beats (A < B), planted in memo columns under
+    # their own keys: certify names the first, column-major (not the
+    # first by i), and M before m; column n is always rebuilt, so an
+    # entry planted there is never read
+    state = states[5]
+    n, thetas, qs = state.n, state.thetas, state.q_list
+    memo = {}
+    for earlier in states[:6]:
+        certify(dataclasses.replace(earlier, certify_memo=memo))
+    warm = dataclasses.replace(state, certify_memo=memo)
+    beaten = (Fraction(1, 4), Fraction(1, 3))
+
+    def plant(which, i, j):
+        key = badk._column_key(thetas, qs, j, 10**7)
+        column = memo[key]
+        tables = {"M": list(column.M), "m": list(column.m)}
+        tables[which][i - 1] = beaten
+        memo[key] = hand_column(tables["M"], tables["m"])
+
+    plant("m", 1, n)
+    plant("M", 1, n)
+    assert all(certify(warm).conditions.values())
+    plant("m", 1, 4)
+    plant("m", 3, 3)
+    with pytest.raises(AssertionError, match=r"drift beats m at \(3, 3\)$"):
+        certify(warm)
+    plant("M", 1, 5)
+    plant("M", 2, 4)
+    with pytest.raises(AssertionError, match=r"drift beats M at \(2, 4\)$"):
+        certify(warm)
 
 
 def test_certified_construction_makes_182_searches(monkeypatch):
@@ -533,10 +613,10 @@ def test_memo_is_keyed_by_budget(states, monkeypatch):
     for earlier in states[:5]:
         certify(dataclasses.replace(earlier, certify_memo=state.certify_memo))
     built = []
-    recording_extend_tables(monkeypatch, built)
+    recording_column(monkeypatch, built)
     with pytest.raises(BudgetExceededError):
         certify(state, budget=1)
-    assert [j for j, _, _ in built] == [1, 2]
+    assert built == [1, 2]
 
 
 def test_memo_misses_a_tampered_state(states, monkeypatch):
@@ -551,10 +631,10 @@ def test_memo_misses_a_tampered_state(states, monkeypatch):
         state, q_list=qs[:3] + (2 * qs[3],) + qs[4:], certify_memo=memo
     )
     built = []
-    recording_extend_tables(monkeypatch, built)
+    recording_column(monkeypatch, built)
     with pytest.raises(AssertionError):
         certify(bad)
-    assert [j for j, _, _ in built] == [3, 4, 5, 6]
+    assert built == [3, 4, 5, 6]
 
 
 def test_column_search_is_order_free(states):
@@ -572,7 +652,7 @@ def test_column_search_is_order_free(states):
         assert [down(*g) for g in reversed(gaps)] == want[::-1], j
 
 
-def test_extend_tables_builds_one_basis_per_column(states, monkeypatch):
+def test_column_builds_one_basis_per_column(states, monkeypatch):
     # one lattice of theta_j per column, reduced from scratch once; the
     # column's other gaps warm-start from the previous gap's transform
     built = []
@@ -591,9 +671,8 @@ def test_extend_tables_builds_one_basis_per_column(states, monkeypatch):
     monkeypatch.setattr(LatticeBasis, "from_theta", classmethod(counted_from_theta))
     monkeypatch.setattr(core, "_cylinder_points", counted_points)
     state = states[-1]
-    M_tab, m_tab = {}, {}
     for j in range(1, state.n + 1):
-        _extend_tables(M_tab, m_tab, state.thetas, state.q_list, j, 10**7)
+        _column(state.thetas, state.q_list, j, 10**7)
         assert built == [(state.thetas[j],)], j
         assert len(scratch) == j - 1 and sum(scratch) == min(j - 1, 1), j
         built.clear()
@@ -636,11 +715,6 @@ def test_quadrant_candidates_match_coefficient_box():
 def test_search_limit_error():
     with pytest.raises(SearchLimitError):
         step(init_state(), x_search_bound=0)
-
-
-def test_denominator_budget():
-    with pytest.raises(BudgetExceededError):
-        step(init_state(), q_budget=100)
 
 
 def test_prefix_statistics_exact():

@@ -88,6 +88,33 @@ def test_every_import_is_used(module):
     assert sorted(imported - read - set(getattr(mod, "__all__", ()))) == []
 
 
+def test_every_helper_is_called():
+    # every module-level function and class is read somewhere in src/ or
+    # exported by its module's __all__, so a deletion cannot leave a
+    # helper with no caller behind
+    mods = [diolab] + [
+        importlib.import_module("diolab." + m.name)
+        for m in pkgutil.iter_modules(diolab.__path__)
+    ]
+    trees = {mod: ast.parse(inspect.getsource(mod)) for mod in mods}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        "%s.%s" % (mod.__name__, node.name)
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in read
+        and node.name not in getattr(mod, "__all__", ())
+    ]
+    assert unread == []
+
+
 def test_nearest_int_halves_round_down():
     assert nearest_int(Fraction(1, 2)) == 0
     assert nearest_int(Fraction(3, 2)) == 1
