@@ -70,8 +70,7 @@ def sample_theta(d: int, c: int, bits: int, rng: random.Random) -> Theta:
 # exhaustive engine
 
 
-# heights per chunk: the first chunk is checked exactly and sets the
-# first bound, and each later chunk doubles up to the cap
+# heights per chunk: each chunk doubles from the first up to the cap
 _CHUNK_MIN = 64
 _CHUNK_MAX = 1 << 15
 
@@ -94,14 +93,17 @@ def _runs(tags: np.ndarray, starts: np.ndarray, counts: np.ndarray):
 
 
 @lru_cache(maxsize=16)
-def _annulus(n0: int, n1: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+def _annulus(
+    n0: int, n1: int
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
     """Sign-canonical heights (q1, q2) with n0 < q1^2 + q2^2 <= n1, in
-    shell order: by squared norm, then q1, then q2.
+    shell order (by squared norm, then q1, then q2), with their squared
+    norms and their uint64 prefilter margins |q1| + |q2| + 1.
 
     The annulus does not depend on theta and _shell_chunks' bounds
     depend only on q_max, so scans of one q_max share their chunks: the
     16 most recent are cached, read-only, each of at most about 34k
-    heights (three int64 arrays, at most about 0.8 MB; 13 MB in all)."""
+    heights (four 8-byte arrays, at most about 1.1 MB; 17 MB in all)."""
     q1 = np.arange(isqrt(n1) + 1, dtype=np.int64)
     hi = _isqrt_array(n1 - q1 * q1)
     inner = n0 - q1 * q1
@@ -121,23 +123,25 @@ def _annulus(n0: int, n1: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarra
     # a stable sort by norm; the key n * (norm - n0) + rank is unique
     n = len(norms)
     order = np.argsort((norms - n0) * n + np.arange(n, dtype=np.int64))
-    out = h1[order], h2[order], norms[order]
+    h1, h2 = h1[order], h2[order]
+    out = h1, h2, norms[order], (h1 + np.abs(h2) + 1).view(np.uint64)
     for a in out:
         a.setflags(write=False)
-    return out[:2], out[2]
+    return out[:2], out[2], out[3]
 
 
 def _shell_chunks(c: int, q_max: int):
     """Nonzero sign-canonical heights with norm <= q_max in shell order,
     as chunks of whole shells that grow from _CHUNK_MIN to about
-    _CHUNK_MAX heights: (height columns, shell keys), the key q for
-    c = 1 and the squared norm for c = 2."""
+    _CHUNK_MAX heights: (height columns, shell keys, margins), the key q
+    for c = 1 and the squared norm for c = 2, the margin sum_j |q_j| + 1
+    in uint64."""
     size = _CHUNK_MIN
     if c == 1:
         lo = 1
         while lo <= q_max:
             q = np.arange(lo, min(lo + size, q_max + 1), dtype=np.int64)
-            yield [q], q
+            yield [q], q, (q + 1).view(np.uint64)
             lo += size
             size = min(2 * size, _CHUNK_MAX)
         return
@@ -145,16 +149,16 @@ def _shell_chunks(c: int, q_max: int):
     while n0 < n_max:
         # an annulus of area pi * (n1 - n0) / 2 holds about that many heights
         n1 = min(n0 + max(2 * size // 3, 1), n_max)
-        qcols, norms = _annulus(n0, n1)
+        qcols, norms, margin = _annulus(n0, n1)
         if len(norms):
-            yield qcols, norms
+            yield qcols, norms, margin
         n0 = n1
         size = min(2 * size, _CHUNK_MAX)
 
 
-def _frac64(tnum: Sequence[Sequence[int]], den: int) -> list[list[int]]:
+def _frac64(tnum: Sequence[Sequence[int]], den: int) -> list[list[np.uint64]]:
     """a_ji = floor((theta_ji mod 1) * 2^64) from the integer columns."""
-    return [[((t % den) << 64) // den for t in col] for col in tnum]
+    return [[np.uint64(((t % den) << 64) // den) for t in col] for col in tnum]
 
 
 def _bound64(best: int, den: int) -> int:
@@ -167,33 +171,35 @@ def _bound64(best: int, den: int) -> int:
 
 
 def _survivors(
-    qcols: Sequence[np.ndarray], frac64: Sequence[Sequence[int]], den: int, best: int
+    qcols: Sequence[np.ndarray],
+    margin: np.ndarray,
+    frac64: Sequence[Sequence[np.uint64]],
+    den: int,
+    best: int,
 ) -> np.ndarray:
     """Indices of the heights that can have dist_sq_scaled <= best.
 
     s_i = sum_j q_j a_ji mod 2^64 is exact in uint64 (a negative q_j
-    wraps to q_j mod 2^64), and it lies within E = sum_j |q_j| of the
-    true q.theta_i * 2^64, since each a_ji is short of theta_ji * 2^64
-    by less than 1.  So u_i = min(s_i, -s_i) differs from the distance
-    of q.theta_i to Z, in units of 2^-64, by less than E, and every
-    height with
-    dist_sq_scaled <= best has max_i u_i <= _bound64(best, den) + E
-    (E carries a spare +1).
+    wraps to q_j mod 2^64), and it lies within sum_j |q_j| of the true
+    q.theta_i * 2^64, since each a_ji is short of theta_ji * 2^64 by
+    less than 1.  So u_i = min(s_i, -s_i) differs from the distance of
+    q.theta_i to Z, in units of 2^-64, by less than that sum, and every
+    height with dist_sq_scaled <= best has max_i u_i <= _bound64(best,
+    den) + E, with the margin E = sum_j |q_j| + 1 (a spare +1).
     """
     bound = _bound64(best, den)
-    n = len(qcols[0])
     if bound >= 1 << 63:  # no u_i exceeds 2^63
-        return np.arange(n)
-    qu = [q.astype(np.uint64) for q in qcols]
-    zero = np.uint64(0)
-    worst = np.zeros(n, dtype=np.uint64)
+        return np.arange(len(margin))
+    qu = [q.view(np.uint64) for q in qcols]
+    limit = margin + np.uint64(bound)
+    worst = None
     for i in range(len(frac64[0])):
-        s = qu[0] * np.uint64(frac64[0][i])
+        s = qu[0] * frac64[0][i]
         for q, col in zip(qu[1:], frac64[1:]):
-            s += q * np.uint64(col[i])
-        np.maximum(worst, np.minimum(s, zero - s), out=worst)
-    slack = sum(np.abs(q) for q in qcols) + 1
-    return np.flatnonzero(worst <= slack.astype(np.uint64) + np.uint64(bound))
+            s += q * col[i]
+        u = np.minimum(s, np.negative(s))
+        worst = u if worst is None else np.maximum(worst, u, out=worst)
+    return np.flatnonzero(worst <= limit)
 
 
 def direct_scan(
@@ -210,17 +216,21 @@ def direct_scan(
 
     The heights come in chunks of whole shells that grow from 64 to
     about 2^15 heights (for c = 2 an annulus of norms, sorted by
-    (norm^2, q1, q2)).  The first chunk is checked exactly.  In every
-    later chunk an integer prefilter drops the heights that cannot
+    (norm^2, q1, q2)), each with its uint64 margins E = sum_j |q_j| + 1
+    (cached with the c = 2 annuli, which do not depend on theta).  In
+    every chunk an integer prefilter drops the heights that cannot
     reach the running minimum best: with a_ji = floor((theta_ji mod 1)
-    * 2^64), the uint64 sums s_i = sum_j q_j a_ji mod 2^64 give each
-    coordinate's distance to Z in units of 2^-64 within E = sum_j |q_j|
-    (+1), so a height survives only if max_i min(s_i, -s_i) - E <=
-    ceil(sqrt(best * 2^128 / den^2)) (_survivors).  The survivors get
-    the exact integer distance, shell by shell.  The budget counts d*c
-    ops per height in shell order and raises where the plain loop over
-    every height would, also inside a shell that the scan would have
-    ended at.
+    * 2^64), the uint64 sums s_i = sum_j q_j a_ji mod 2^64, taken over
+    a uint64 view of the int64 heights, give each coordinate's distance
+    to Z in units of 2^-64 within E, so a height survives only if
+    max_i min(s_i, -s_i) - E <= ceil(sqrt(best * 2^128 / den^2))
+    (_survivors).  The first chunk, before any record, is filtered by
+    the exact distance of its first height the budget pays for: the
+    first shell records its minimum, which is at most that.  The
+    survivors get the exact integer distance, shell by shell.  The
+    budget counts d*c ops per height in shell order and raises where
+    the plain loop over every height would, also inside a shell that
+    the scan would have ended at.
     """
     c = len(theta)
     d = len(theta[0])
@@ -247,14 +257,19 @@ def direct_scan(
     records: list[BestApproxRecord] = []
     best: Optional[int] = None
     room = max(budget // (d * c), 0)  # heights the budget pays for
-    for qcols, keys in _shell_chunks(c, q_max):
+    for qcols, keys, margin in _shell_chunks(c, q_max):
         over = len(keys) > room
         if over:
             # keep the shells that end before the first unpaid height
             keep = int(np.searchsorted(keys, keys[room]))
-            qcols, keys = [q[:keep] for q in qcols], keys[:keep]
+            qcols, keys, margin = [q[:keep] for q in qcols], keys[:keep], margin[:keep]
         room -= len(keys)
-        idx = np.arange(len(keys)) if best is None else _survivors(qcols, frac64, den, best)
+        bound = best
+        if bound is None:
+            # the first shell records its minimum, which is at most the
+            # distance of the first paid height (there is none at budget 0)
+            bound = dist_sq_scaled(tuple(int(q[0]) for q in qcols)) if len(keys) else 0
+        idx = _survivors(qcols, margin, frac64, den, bound)
         hs = list(zip(*(q[idx].tolist() for q in qcols)))
         ks = keys[idx].tolist()
         k = 0

@@ -16,7 +16,7 @@ from diolab.bestapprox import (
     direct_scan,
     sample_theta,
 )
-from conftest import exact_scan_2x1, reference_shells
+from conftest import exact_scan_2x1, reference_scan, reference_shells
 from diolab.core import (
     BudgetExceededError,
     NonGenericLatticeError,
@@ -105,10 +105,11 @@ def test_direct_scan_budget_builds_one_chunk(monkeypatch):
     assert len(built) == 1
 
 
-def test_direct_scan_reuses_cached_annuli():
+def test_direct_scan_reuses_cached_annuli(monkeypatch):
     # the c = 2 shell order does not depend on theta: a second scan of
-    # the same q_max builds no annulus, and the cached arrays are
-    # read-only
+    # the same q_max builds no annulus, the cached heights, norms and
+    # margins are read-only, and scans of two targets filter by the same
+    # margin arrays
     a = ((Fraction(123456789, 1 << 40),), (Fraction(987654321, 1 << 40),))
     b = ((Fraction(2, 7),), (Fraction(5, 1 << 30),))
     bestapprox._annulus.cache_clear()
@@ -119,16 +120,35 @@ def test_direct_scan_reuses_cached_annuli():
     direct_scan(b, 200)
     again = bestapprox._annulus.cache_info()
     assert again.misses == built.misses and again.hits >= built.misses
-    (q1, q2), norms = bestapprox._annulus(0, 42)
-    for arr in (q1, q2, norms):
+    (q1, q2), norms, margin = bestapprox._annulus(0, 42)
+    assert margin.dtype == np.uint64
+    assert margin.tolist() == (np.abs(q1) + np.abs(q2) + 1).tolist()
+    for arr in (q1, q2, norms, margin):
         with pytest.raises(ValueError):
             arr[0] = 7
+
+    seen = {}
+    survivors = bestapprox._survivors
+
+    def recorded(qcols, margin, frac64, den, best):
+        seen.setdefault(den, []).append(margin)
+        return survivors(qcols, margin, frac64, den, best)
+
+    monkeypatch.setattr(bestapprox, "_survivors", recorded)
+    direct_scan(a, 200)
+    direct_scan(b, 200)
+    # b = (2/7, 5/2^30) ends at its terminal height (7, 0), in its
+    # second chunk
+    ma, mb = seen.values()
+    assert len(ma) > len(mb) == 2
+    assert all(x is y for x, y in zip(ma, mb))
 
 
 def test_prefilter_keeps_every_height_within_the_bound():
     # non-dyadic denominators truncate every a_ji, and |q_j| runs up to
-    # q_max; each height whose exact squared distance is at most the
-    # bound survives, and some survive only by the margin E = sum |q_j|
+    # q_max; in every chunk, with the margins it comes with, each height
+    # whose exact squared distance is at most the bound survives, and
+    # some survive only by the margin E = sum |q_j| + 1
     rng = random.Random(23)
     by_margin = 0
     for d, c, q_max in ((1, 1, 3000), (3, 1, 1500), (1, 2, 36), (2, 2, 24)):
@@ -138,22 +158,80 @@ def test_prefilter_keeps_every_height_within_the_bound():
             theta = tuple(tuple(entries[j * d : (j + 1) * d]) for j in range(c))
             tnum, den_ = _int_columns(theta)
             frac64 = bestapprox._frac64(tnum, den_)
-            heights = [h for _, h in reference_shells(c, q_max)]
-            qcols = [np.array([h[j] for h in heights], dtype=np.int64) for j in range(c)]
-            w = []
-            u = []
+            assert int(frac64[0][0]) == (1 << 64) - 1
+            chunks = list(bestapprox._shell_chunks(c, q_max))
+            heights = [h for qcols, _, _ in chunks for h in zip(*(q.tolist() for q in qcols))]
+            assert heights == [h for _, h in reference_shells(c, q_max)]
+            w = {}
+            u = {}
             for h in heights:
                 dist = [sum(h[j] * tnum[j][i] for j in range(c)) % den_ for i in range(d)]
-                w.append(sum(min(x, den_ - x) ** 2 for x in dist))
-                s = [sum(h[j] * frac64[j][i] for j in range(c)) % (1 << 64) for i in range(d)]
-                u.append(max(min(x, (1 << 64) - x) for x in s))
-            for bound in sorted(w)[:: len(w) // 40]:
-                kept = set(bestapprox._survivors(qcols, frac64, den_, bound).tolist())
-                near = [k for k, wk in enumerate(w) if wk <= bound]
-                assert kept.issuperset(near)
+                w[h] = sum(min(x, den_ - x) ** 2 for x in dist)
+                s = [sum(h[j] * int(frac64[j][i]) for j in range(c)) % (1 << 64) for i in range(d)]
+                u[h] = max(min(x, (1 << 64) - x) for x in s)
+            for bound in sorted(w.values())[:: len(w) // 40]:
                 b64 = bestapprox._bound64(bound, den_)
-                by_margin += sum(u[k] > b64 for k in near)
+                for qcols, _, margin in chunks:
+                    hs = list(zip(*(q.tolist() for q in qcols)))
+                    assert margin.tolist() == [sum(map(abs, h)) + 1 for h in hs]
+                    kept = set(bestapprox._survivors(qcols, margin, frac64, den_, bound).tolist())
+                    near = [k for k, h in enumerate(hs) if w[h] <= bound]
+                    assert kept.issuperset(near)
+                    by_margin += sum(u[hs[k]] > b64 for k in near)
     assert by_margin > 0
+
+
+def scan_outcome(scan, theta, q_max, **kwargs):
+    try:
+        return scan(theta, q_max, **kwargs)
+    except NonGenericLatticeError:
+        return "tie"
+    except BudgetExceededError:
+        return "budget"
+
+
+@pytest.mark.parametrize(
+    "theta, q_max",
+    [
+        (((Fraction(123456789, 1 << 40),), (Fraction(987654321, 1 << 40),)), 30),
+        # the two unit heights of the first shell tie
+        (((Fraction(1, 3),), (Fraction(2, 3),)), 20),
+        # integer entries: the first height is terminal, seeding a bound 0
+        (((Fraction(1, 2),), (Fraction(4),)), 20),
+        (((Fraction(3), Fraction(-7)),), 40),
+        (((Fraction(2, 7), Fraction(3, 11)),), 500),
+    ],
+)
+def test_first_chunk_edges_match_reference_scan(theta, q_max):
+    # the first chunk is filtered by the exact distance of the first
+    # height the budget pays for; every budget from 0 to just past the
+    # first chunk, and the unlimited one, agrees with the plain loop
+    c, dc = len(theta), len(theta) * len(theta[0])
+    _, keys, _ = next(bestapprox._shell_chunks(c, q_max))
+    for budget in [*range(dc * (len(keys) + 2)), 10**9]:
+        assert scan_outcome(direct_scan, theta, q_max, budget=budget) == scan_outcome(
+            reference_scan, theta, q_max, budget=budget
+        )
+    assert scan_outcome(direct_scan, theta, q_max, budget=0) == "budget"
+
+
+def test_first_chunk_edges_pinned():
+    assert scan_outcome(direct_scan, ((Fraction(1, 3),), (Fraction(2, 3),)), 20) == "tie"
+    (rec,) = direct_scan(((Fraction(1, 2),), (Fraction(4),)), 20)
+    assert rec.Q == (0, 1) and rec.P == (4,) and rec.terminal
+    (rec,) = direct_scan(((Fraction(3), Fraction(-7)),), 40)
+    assert rec.Q == (1,) and rec.P == (3, -7) and rec.terminal
+
+
+def test_direct_scan_equals_reference_scan_at_workload_size():
+    # the bench's scan sizes: 256-bit 1x2 targets at q_max = 200 (c = 2
+    # annuli up to the chunk cap) and one 2x1 target at q_max = 2000
+    rng = random.Random(271)
+    for _ in range(3):
+        theta = sample_theta(1, 2, 256, rng)
+        assert direct_scan(theta, 200) == reference_scan(theta, 200)
+    theta = sample_theta(2, 1, 256, rng)
+    assert direct_scan(theta, 2000) == reference_scan(theta, 2000)
 
 
 def test_cf_convergents():
