@@ -142,7 +142,7 @@ def _gap_search(
     q_lo < q < q_hi (q_lo >= 1), or None when the range is empty.
 
     Every gap runs on one lattice of theta, each as one cylinder search
-    warm-started from the transform the previous gap left
+    warm-started from the reduced columns the previous gap left
     (core._cylinder_search), its width fixed by a witness height: w =
     max(q_lo + 1, q_hi - q_lo) lies in the range, so the cylinder of
     width^2 d(w theta, Z^2)^2 and height below q_hi holds w's own vector
@@ -150,7 +150,7 @@ def _gap_search(
     w = q_hi - q_lo and the triangle inequality bounds that width by
     d(q_lo theta, Z^2) + d(q_hi theta, Z^2).  The minimum is the least
     integer width, in the units of basis.kernel, among the points taller
-    than q_lo.
+    than q_lo; only norms are read, so no point's coordinates are built.
     """
     basis = LatticeBasis.from_theta((theta,))
     search = _cylinder_search(basis, budget)
@@ -161,9 +161,9 @@ def _gap_search(
             return None
         w = max(q_lo + 1, q_hi - q_lo)
         rp = math.floor(_r_sq(theta, w) * unit_w)
-        points = search(rp, math.floor((q_hi - 1) ** 2 * unit_h))
+        points, _ = search(rp, math.floor((q_hi - 1) ** 2 * unit_h))
         lo = math.floor(q_lo * q_lo * unit_h)
-        found = [pw for pw, ph in points.values() if ph > lo]
+        found = [pw for pw, ph, _ in points if ph > lo]
         if not found:
             raise AssertionError("gap search missed its witness height %d" % w)
         return min(found) / unit_w
@@ -280,12 +280,21 @@ def _drift_beats(drift_sq: Fraction, columns, which: str) -> Optional[tuple]:
     which ("M" or "m") of column j = columns[j-1] fails
     sqrt(drift_sq) + sqrt(B) <= sqrt(A), or None.  A column whose floor
     is at least drift_sq has no such entry (_drift_floor); the others
-    are decided entry by entry."""
+    are decided entry by entry, each by sqrt_affine_leq's integer test
+    with drift_sq's numerator and denominator read once."""
+    dn, dd = drift_sq.numerator, drift_sq.denominator
     for j, column in enumerate(columns, 1):
-        if drift_sq <= column.floor:
+        floor = column.floor
+        if dn * floor.denominator <= floor.numerator * dd:
             continue
         for i, ab in enumerate(getattr(column, which), 1):
-            if ab is not None and not sqrt_affine_leq(drift_sq, ab[1], ab[0]):
+            if ab is None:
+                continue
+            an, ad = ab[0].as_integer_ratio()
+            bn, bd = ab[1].as_integer_ratio()
+            # sqrt(drift) + sqrt(B) <= sqrt(A), with A = an/ad, B = bn/bd
+            rest = (an * dd - dn * ad) * bd - bn * dd * ad
+            if rest < 0 or 4 * dn * bn * dd * bd * ad * ad > rest * rest:
                 return (i, j)
     return None
 

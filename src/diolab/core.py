@@ -455,7 +455,7 @@ def _int_gso(
         row: list[int] = []
         for j in range(i + 1):
             lj = row if j == i else lam[j]
-            s = sum(a * b for a, b in zip(cols[i], cols[j]))
+            s = sum(map(mul, cols[i], cols[j]))
             for t in range(j):
                 s = (dd[t + 1] * s - row[t] * lj[t]) // dd[t]
             row.append(s)
@@ -739,7 +739,7 @@ def _plane_points(
     sw: int,
     sh: int,
     budget: int,
-) -> tuple[dict[tuple[int, ...], tuple[int, int]], list[list[int]]]:
+) -> tuple[list[tuple[int, int, tuple[int, ...]]], list[list[int]]]:
     """The m = 2 search of _cylinder_points on the rebalanced pair
     ``work`` (d = 1): Lagrange-Gauss reduction, then one pass over the
     sign-canonical half-plane y_b >= 0 (y_a >= 1 on y_b = 0) of the
@@ -747,14 +747,15 @@ def _plane_points(
     Gram entries and D = AB - G^2, that disk is D y_b^2 + (A y_a +
     G y_b)^2 <= A ball, so |y_b| <= isqrt(A ball // D) and |A y_a +
     G y_b| <= isqrt(A ball - D y_b^2).  Every row and every y_a tried
-    counts one node against ``budget``.
+    counts one node against ``budget``.  Returns [(width^2, height^2,
+    sign-canonical y)] and the transform for the next search.
     """
     (p0, p1), (q0, q1), (ga, gg, gb), u2 = _gauss_pair(*work)
     u = u2 if u is None else _matmul_int(u, u2)
     (s0, s1), (t0, t1) = u
     det = ga * gb - gg * gg
     bound = ga * ball
-    found: dict[tuple[int, ...], tuple[int, int]] = {}
+    found: list[tuple[int, int, tuple[int, ...]]] = []
     nodes = 0
     for yb in range(isqrt(bound // det) + 1):
         h = isqrt(bound - yb * yb * det)
@@ -778,18 +779,60 @@ def _plane_points(
             # canonical_sign for d = 1: the height coordinate decides first
             if y1 < 0 or (y1 == 0 and y0 < 0):
                 y0, y1 = -y0, -y1
-            found[(y0, y1)] = (w, ht)
+            found.append((w, ht, (y0, y1)))
     return found, u
+
+
+# the points of one cylinder search: (width^2, height^2, coordinates in
+# the search's own reduced basis), and the search's coordinate builder
+_Points = list[tuple[int, int, tuple[int, ...]]]
+_Coords = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
+def _as_is(y: tuple[int, ...]) -> tuple[int, ...]:
+    return y
+
+
+def _fold(node: list) -> list[list[int]]:
+    """The transform U of a warm m >= 3 search.  A search's node is
+    [prev, u2], its LLL transform u2 on top of the node of the search
+    before it, so U = U(prev) . u2; a from-scratch node, and a node once
+    folded, is [None, U].  Folding multiplies out the pending factors
+    down to the last folded node and stores each product in its node."""
+    pending = []
+    while node[0] is not None:
+        pending.append(node)
+        node = node[0]
+    u = node[1]
+    for nd in reversed(pending):
+        u = _matmul_int(u, nd[1])
+        nd[0], nd[1] = None, u
+    return u
+
+
+def _rescaled(
+    cols: Sequence[Sequence[int]], d: int, ew: int, eh: int
+) -> Sequence[Sequence[int]]:
+    """``cols`` with rows [:d] times 2^ew and rows [d:] times 2^eh
+    (``cols`` itself when both are 0); a negative exponent shifts right,
+    exact where it undoes a scaling."""
+    if not (ew or eh):
+        return cols
+
+    def block(part: Sequence[int], e: int) -> list[int]:
+        return [t << e for t in part] if e >= 0 else [t >> -e for t in part]
+
+    return [block(col[:d], ew) + block(col[d:], eh) for col in cols]
 
 
 def _cylinder_points(
     cols: Sequence[Sequence[int]],
-    u: Optional[Sequence[Sequence[int]]],
+    carry: Optional[object],
     d: int,
     rp: int,
     rm: int,
     budget: int,
-) -> tuple[dict[tuple[int, ...], tuple[int, int]], list[list[int]]]:
+) -> tuple[_Points, _Coords, object]:
     """The cylinder search under _cylinder_search and
     enumerate_in_cylinder: every nonzero y with |cols . y|^2 <= rp on
     rows [:d] and <= rm on rows [d:] (closed integer squared radii).
@@ -797,76 +840,102 @@ def _cylinder_points(
     The cylinder is rebalanced inside the Euclidean ball: with a =
     bitlen(isqrt(rm)) - bitlen(isqrt(rp)), the block with the smaller
     radius is scaled up by 2^|a|, which also pins a zero-radius block to
-    zero (every nonzero integer point there lands beyond the ball).  The
-    reduction starts from cols . u (``u`` None: from cols): for m = 2 it
-    is Lagrange-Gauss and the ball is walked over a half-plane
-    (_plane_points), for m >= 3 LLL hands its reduced columns and their
+    zero (every nonzero integer point there lands beyond the ball).
+    ``carry`` is what the previous search left (None: from scratch).
+    For m = 2 it is the transform u: the pair cols . u is rebalanced,
+    reduced by Lagrange-Gauss and its ball walked over a half-plane
+    (_plane_points).  For m >= 3 it is (a', red, node): the LLL-reduced
+    columns red = S(a') cols U of that search, S(a) the rebalancing
+    scale, and the node of U (_fold).  Their rows are re-shifted from
+    S(a') to S(a), exact since LLL's column operations commute with
+    row scaling, so the reduction starts from S(a) cols U without a
+    matrix product; LLL hands its reduced columns and their
     Gram-Schmidt data to fp_enumerate, which walks the half-ball of one
     y per pair +-y.  The visitor reads the norms off the rows of the
     reduced columns, built once per search, shifting the scaled block
-    back exactly; only for a point inside the cylinder does it take y
-    from the rows of the transform and flip its sign by canonical_sign.
-    Returns {sign-canonical y: (width^2, height^2)} in the units of
-    ``cols``, and the transform for the next search.
+    back exactly, and keeps each point inside the cylinder with its
+    reduced coordinates.
+
+    Returns (points, coords, carry): points [(width^2, height^2, z)] in
+    the units of ``cols``, one per pair +-y; coords(z), the
+    sign-canonical y of a point (canonical_sign), which for m >= 3
+    folds the transform on its first call and is never called by a
+    caller that reads only norms; and the carry for the next search.
+    For m = 2, z is y itself.
     """
     m = len(cols)
-    work = [list(col) for col in cols] if u is None else _matmul_int(cols, u)
     # (r.bit_length() + 1) // 2 == isqrt(r).bit_length() for r >= 0
     a = (rm.bit_length() + 1) // 2 - (rp.bit_length() + 1) // 2
-    if a:
-        rows = range(d) if a > 0 else range(d, m)
-        for col in work:
-            for i in rows:
-                col[i] <<= abs(a)
     ball = (rp << 2 * a) + rm if a > 0 else rp + (rm << -2 * a)
     sw, sh = (2 * a, 0) if a > 0 else (0, -2 * a)
     if m == 2:
-        return _plane_points(work, u, rp, rm, ball, sw, sh, budget)
+        work = [list(col) for col in cols] if carry is None else _matmul_int(cols, carry)
+        if a:
+            rows = range(d) if a > 0 else range(d, m)
+            for col in work:
+                for i in rows:
+                    col[i] <<= abs(a)
+        points, u = _plane_points(work, carry, rp, rm, ball, sw, sh, budget)
+        return points, _as_is, u
+    # S(a) scales rows [:d] by 2^ew and rows [d:] by 2^eh
+    ew, eh = sw >> 1, sh >> 1
+    if carry is None:
+        work, node = _rescaled(cols, d, ew, eh), None
+    else:
+        a0, red, node = carry
+        work = _rescaled(red, d, ew - max(a0, 0), eh - max(-a0, 0))
     red, u2, gso = lll_columns(work)
-    u = u2 if u is None else _matmul_int(u, u2)
-    found: dict[tuple[int, ...], tuple[int, int]] = {}
+    node = [node, u2]
+    points: _Points = []
     rows = list(zip(*red))
     w_rows, h_rows = rows[:d], rows[d:]
-    u_rows = list(zip(*u))
 
-    def visit(yred: tuple[int, ...]) -> None:
+    def visit(z: tuple[int, ...]) -> None:
         w = 0
         for row in w_rows:
-            t = sum(map(mul, row, yred))
+            t = sum(map(mul, row, z))
             w += t * t
         w >>= sw
         if w > rp:
             return
         h = 0
         for row in h_rows:
-            t = sum(map(mul, row, yred))
+            t = sum(map(mul, row, z))
             h += t * t
         h >>= sh
         if h <= rm:
-            y = [sum(map(mul, row, yred)) for row in u_rows]
-            found[canonical_sign(y, d)] = (w, h)
+            points.append((w, h, z))
 
     fp_enumerate(red, ball, visit, budget=budget, gso=gso)
-    return found, u
+    u_rows: Optional[list] = None
+
+    def coords(z: tuple[int, ...]) -> tuple[int, ...]:
+        nonlocal u_rows
+        if u_rows is None:
+            u_rows = list(zip(*_fold(node)))
+        return canonical_sign([sum(map(mul, row, z)) for row in u_rows], d)
+
+    return points, coords, (a, red, node)
 
 
 def _cylinder_search(
     basis: LatticeBasis, budget: int
-) -> Callable[[int, int], dict[tuple[int, ...], tuple[int, int]]]:
+) -> Callable[[int, int], tuple[_Points, _Coords]]:
     """Repeated cylinder searches on one basis.  ``search(rp, rm)`` is
     _cylinder_points on the columns of basis.kernel with closed integer
-    squared radii in its units; each search starts its reduction from
-    the transform the previous one left (from scratch on the first), and
-    ``budget`` counts the nodes of one search.  The points found are a
-    set, so they do not depend on the order of the searches."""
+    squared radii in its units, returning (points, coords); each search
+    starts from the carry the previous one left (from scratch on the
+    first): for m >= 3 its reduced columns, re-shifted, and ``budget``
+    counts the nodes of one search.  The points found are a set, so they
+    do not depend on the order of the searches."""
     cols = basis.kernel[0]
     d = basis.d
-    u: Optional[list[list[int]]] = None
+    carry: Optional[object] = None
 
-    def search(rp: int, rm: int) -> dict[tuple[int, ...], tuple[int, int]]:
-        nonlocal u
-        found, u = _cylinder_points(cols, u, d, rp, rm, budget)
-        return found
+    def search(rp: int, rm: int) -> tuple[_Points, _Coords]:
+        nonlocal carry
+        points, coords, carry = _cylinder_points(cols, carry, d, rp, rm, budget)
+        return points, coords
 
     return search
 
@@ -887,31 +956,36 @@ def chain_walker(
     width^(2d) height^(2c) <= C_{d,c}^2 det^2 (basis.kernel_minkowski_sq),
     or by ``cap`` on the other block when that is lower; it goes
     through _cylinder_search on basis.kernel, which rebalances it and
-    starts the reduction from the transform the previous step left (from
-    scratch on the first step).
+    starts the reduction from what the previous step's search left (from
+    scratch on the first step).  Only the answer class's coordinates are
+    built (the search's coords).
 
     For m >= 3 the walker keeps what it learnt from its last cylinder:
     the direction of the step, the cylinder's narrow radius R_n, the
-    floor F (the other^2 of the step's answer) and every point of the
-    cylinder with other^2 above F, which are all the lattice points with
-    narrow^2 <= R_n and F < other^2 <= B, B the cylinder's other radius.
+    floor F (the other^2 of the step's answer), its other radius B and
+    every point of the cylinder with other^2 above F, which are all the
+    lattice points with narrow^2 <= R_n and F < other^2 <= B.
     A later step from y in the same direction, with x_n - 1 <= R_n and
     x_o >= F (x_n, x_o the narrow^2 and other^2 of y), first reads the
     kept points with narrow^2 < x_n and other^2 > x_o.  If any is left,
     their minimal class is the answer and no search runs; the points
     read with other^2 above the answer's are kept, with R_n = x_n - 1
-    and the answer's other^2 as the floor.  This is exact.  The bound falls as the narrow
-    norm grows, and x_n <= R_n + 1, so the step's own bound is at least
-    B and every point read lies in its cylinder.  A candidate of y that
-    beats the answer, or ties it, has narrow^2 <= x_n - 1 <= R_n and F
-    <= x_o < other^2 <= the answer's other^2 <= B, so it was kept and is
-    read.  Along a chain the floor is the next step's x_o, so that step
-    makes no search whenever the last cylinder already holds its
-    successor.  A step answered from the kept points makes no nodes, so
-    it cannot raise BudgetExceededError.  For d = c = 1 no step is
-    answered so: C_{1,1} = 1 puts the cylinder searched from record
-    n - 1 at heights q <= 1 / r_{n-1} < q_{n-1} + q_n <= q_{n+1}, below
-    the record after next, so m = 2 keeps nothing.
+    and the answer's other^2 as the floor, and B unchanged.  This is
+    exact.  The bound falls as the narrow norm grows, and x_n <= R_n +
+    1, so the step's own bound is at least B and every point read lies
+    in its cylinder.  A candidate of y that beats the answer, or ties
+    it, has narrow^2 <= x_n - 1 <= R_n and F <= x_o < other^2 <= the
+    answer's other^2 <= B, so it was kept and is read.  If none is left
+    and the step's own bound is at most B (the cap binds on both), every
+    candidate of y would have been kept, so y has no successor and the
+    step returns (None, []) with no search.  Along a chain the floor is
+    the next step's x_o, so that step makes no search whenever the last
+    cylinder already holds its successor, or already shows that the
+    chain ends at the cap.  A step answered from the kept points makes
+    no nodes, so it cannot raise BudgetExceededError.  For d = c = 1 no
+    step is answered so: C_{1,1} = 1 puts the cylinder searched from
+    record n - 1 at heights q <= 1 / r_{n-1} < q_{n-1} + q_n <= q_{n+1},
+    below the record after next, so m = 2 keeps nothing.
 
     Returns (key, members): the minimal (other^2, narrow^2) in the
     integer units of basis.kernel and the sorted sign-canonical
@@ -928,9 +1002,9 @@ def chain_walker(
     mink_sq = basis.kernel_minkowski_sq
     d, m = basis.d, basis.m
     search = _cylinder_search(basis, budget)
-    # the last cylinder (m >= 3): (forward, R_n, floor, [(other^2,
-    # narrow^2, y) of each point above the floor])
-    last: Optional[tuple[bool, int, int, list]] = None
+    # the last cylinder (m >= 3): (forward, R_n, floor, B, [(other^2,
+    # narrow^2, z) of each point above the floor], coords of the z)
+    last: Optional[tuple[bool, int, int, int, list, _Coords]] = None
 
     def step(
         y: Sequence[int], forward: bool = True
@@ -942,8 +1016,10 @@ def chain_walker(
         if x_n == 0:
             return None, []
         found = []
-        if last and last[0] == forward and x_n - 1 <= last[1] and x_o >= last[2]:
-            found = [p for p in last[3] if p[1] < x_n and p[0] > x_o]
+        kept = last and last[0] == forward and x_n - 1 <= last[1] and x_o >= last[2]
+        if kept:
+            _, _, _, bound, points, coords = last
+            found = [p for p in points if p[1] < x_n and p[0] > x_o]
         if not found:
             k = d if forward else m - d  # size of the narrowing block
             # other^2 is an integer, so the exact floor of the root is the bound
@@ -952,18 +1028,22 @@ def chain_walker(
             )
             if cap is not None:
                 bound = min(bound, cap)
+            if kept and bound <= last[3]:
+                return None, []
             radii = (x_n - 1, bound) if forward else (bound, x_n - 1)
-            for yv, (w, h) in search(*radii).items():
+            points, coords = search(*radii)
+            for w, h, z in points:
                 n, o = (w, h) if forward else (h, w)
                 if o > x_o:
-                    found.append((o, n, yv))
+                    found.append((o, n, z))
         if not found:
             last = None
             return None, []
         best = min(found)[:2]
         if m > 2:
-            last = (forward, x_n - 1, best[0], [p for p in found if p[0] > best[0]])
-        return best, sorted(yv for o, n, yv in found if (o, n) == best)
+            above = [p for p in found if p[0] > best[0]]
+            last = (forward, x_n - 1, best[0], bound, above, coords)
+        return best, sorted(coords(z) for o, n, z in found if (o, n) == best)
 
     return step
 
@@ -1019,8 +1099,8 @@ def enumerate_in_cylinder(
     rm = math.floor(cyl.r_minus_sq * unit_h)
     if rp < 0 or rm < 0:
         return []
-    found, _ = _cylinder_points(cols, None, basis.d, rp, rm, budget)
-    out = [_kernel_vector(basis, y, w, h) for y, (w, h) in found.items()]
+    points, coords, _ = _cylinder_points(cols, None, basis.d, rp, rm, budget)
+    out = [_kernel_vector(basis, coords(z), w, h) for w, h, z in points]
     out.sort(key=lambda v: (v.height_sq, v.width_sq, v.y))
     return out
 
@@ -1057,10 +1137,10 @@ def _critical_ball(
     den = kms.denominator * td**m
     rp = _iroot(num * kd**c // (den * kn**c), m) + 1
     rm = _iroot(num * kn**d // (den * kd**d), m) + 1
-    found, _ = _cylinder_points(cols, None, d, rp, rm, budget)
-    if not found:
+    points, coords, _ = _cylinder_points(cols, None, d, rp, rm, budget)
+    if not points:
         raise AssertionError("the Minkowski ball holds no lattice vector")
-    lam = min(max(w * kn, h * kd) for w, h in found.values())
+    lam = min(max(w * kn, h * kd) for w, h, _ in points)
     one = kd * unit_h
     on_n = one.numerator * tn
 
@@ -1070,10 +1150,10 @@ def _critical_ball(
         return diff <= tn * max(a, lam) or diff * one.denominator <= on_n
 
     on = []
-    for y, (w, h) in found.items():
+    for w, h, z in points:
         big = max(w * kn, h * kd)
         if big * td <= lam * (td + 4 * tn) and close(big):
-            on.append((h, w, y))
+            on.append((h, w, coords(z)))
     on.sort()
     lam_sq = Fraction(lam * one.denominator, one.numerator)
     return lam_sq, [

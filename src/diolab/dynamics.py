@@ -165,7 +165,7 @@ def _anchor(basis: LatticeBasis, budget: int) -> list[LatticeVector]:
 
 
 def _certify(
-    search: Callable[[int, int], dict], basis: LatticeBasis, x: LatticeVector
+    search: Callable[[int, int], tuple], basis: LatticeBasis, x: LatticeVector
 ) -> int:
     """Check that every lattice point of C(x) is cylinder-equal to x;
     returns the number of sign-canonical points found.  ``search`` is a
@@ -173,11 +173,11 @@ def _certify(
     the radii are x's own squared width and height in the integer units
     of basis.kernel.  Widths are compared with widths and heights with
     heights, as integers, so the test is exact on every basis, flowed
-    ones included (see core.chain_walker)."""
+    ones included (see core.chain_walker); no coordinates are built."""
     _, (unit_w, unit_h), _ = basis.kernel
     key = (math.floor(x.width_sq * unit_w), math.floor(x.height_sq * unit_h))
-    points = search(*key)
-    if any(wh != key for wh in points.values()):
+    points, _ = search(*key)
+    if any((w, h) != key for w, h, _ in points):
         raise NonGenericLatticeError(
             "chain entry is not minimal: cylinder contains a "
             "strictly smaller vector"

@@ -638,7 +638,7 @@ def test_memo_misses_a_tampered_state(states, monkeypatch):
 
 
 def test_column_search_is_order_free(states):
-    # the warm start carries a transform from gap to gap; the minima
+    # the warm start carries reduced columns from gap to gap; the minima
     # must not depend on the order the gaps are asked in
     state = states[-1]
     qs = state.q_list
@@ -654,7 +654,7 @@ def test_column_search_is_order_free(states):
 
 def test_column_builds_one_basis_per_column(states, monkeypatch):
     # one lattice of theta_j per column, reduced from scratch once; the
-    # column's other gaps warm-start from the previous gap's transform
+    # column's other gaps warm-start from the previous gap's carry
     built = []
     scratch = []
     from_theta = LatticeBasis.from_theta.__func__
@@ -664,9 +664,9 @@ def test_column_builds_one_basis_per_column(states, monkeypatch):
         built.append(theta)
         return from_theta(cls, theta)
 
-    def counted_points(cols, u, *args):
-        scratch.append(u is None)
-        return cylinder_points(cols, u, *args)
+    def counted_points(cols, carry, *args):
+        scratch.append(carry is None)
+        return cylinder_points(cols, carry, *args)
 
     monkeypatch.setattr(LatticeBasis, "from_theta", classmethod(counted_from_theta))
     monkeypatch.setattr(core, "_cylinder_points", counted_points)

@@ -10,6 +10,7 @@ import math
 import pkgutil
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -467,6 +468,38 @@ def test_fp_enumerate_budget_edge_matches_the_exact_walk(monkeypatch, bits):
     assert edges > 500
 
 
+def test_kernel_calls_keep_the_shape_a_tracer_wraps(monkeypatch):
+    # a tracer times the kernel by rebinding core.lll_columns and
+    # core.fp_enumerate by name: it takes the visitor as fp_enumerate's
+    # third argument (or visit=), counts one call with one tuple per
+    # point and reads the int node count returned; lll_columns returns
+    # (red, u, (dd, lam)).  An m >= 3 search calls both through those names.
+    assert list(inspect.signature(fp_enumerate).parameters)[:3] == ["cols", "bound_sq", "visit"]
+    cols = [[5, 1, 0], [2, 7, 1], [1, 0, 9]]
+    seen = []
+    nodes = fp_enumerate(cols, 200, lambda *args: seen.append(args))
+    assert type(nodes) is int and nodes >= len(seen) > 0
+    assert all(len(args) == 1 and type(args[0]) is tuple and len(args[0]) == 3 for args in seen)
+    out = lll_columns(cols)
+    assert type(out) is tuple and len(out) == 3
+    red, u, gso = out
+    assert type(gso) is tuple and gso == _int_gso(red)
+    assert red == core._matmul_int(cols, u)
+    calls = []
+    for name in ("lll_columns", "fp_enumerate"):
+        fn = getattr(core, name)
+
+        def traced(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            if _name == "fp_enumerate":
+                assert callable(kwargs.get("visit", args[2] if len(args) > 2 else None))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(core, name, traced)
+    _cylinder_points(cols, None, 1, 60, 90, 10**7)
+    assert calls == ["lll_columns", "fp_enumerate"]
+
+
 def test_lll_columns_rejects_dependent_columns():
     with pytest.raises(SingularBasisError):
         lll_columns([[1, 1], [2, 2]])
@@ -613,7 +646,7 @@ def test_shortest_mixed_respects_scale():
 def test_an_empty_minkowski_ball_is_a_fault(monkeypatch):
     # Minkowski's theorem puts a lattice vector in the ball, so a search
     # finding none is a kernel fault, not an exhausted budget
-    monkeypatch.setattr(core, "_cylinder_points", lambda *args: ({}, None))
+    monkeypatch.setattr(core, "_cylinder_points", lambda *args: ([], None, None))
     with pytest.raises(AssertionError, match="Minkowski ball holds no"):
         shortest_mixed_vectors(LatticeBasis.identity(1, 1))
 
@@ -659,8 +692,21 @@ def _box_points(cols, rp, rm):
     return found
 
 
+def _expand(points, coords):
+    """{sign-canonical y: (width^2, height^2)} of a search's points."""
+    return {coords(z): (w, h) for w, h, z in points}
+
+
+def _search(cols, carry, d, rp, rm):
+    """_cylinder_points as {y: (width^2, height^2)} and its carry."""
+    points, coords, carry = _cylinder_points(cols, carry, d, rp, rm, 10**7)
+    got = _expand(points, coords)
+    assert len(got) == len(points)
+    return got, carry
+
+
 def _plane_matches(cols, u, rp, rm):
-    got, u2 = _cylinder_points(cols, u, 1, rp, rm, 10**7)
+    got, u2 = _search(cols, u, 1, rp, rm)
     assert got == _lll_fp_points(cols, 1, rp, rm)
     assert abs(u2[0][0] * u2[1][1] - u2[0][1] * u2[1][0]) == 1
     return got, u2
@@ -777,7 +823,7 @@ SHAPES_M3 = ((2, 1), (1, 2), (3, 1), (1, 3), (2, 2))
 
 def test_cylinder_points_matches_the_lll_route_at_m_3_and_4():
     # random columns and eccentric radii from scratch, then the chain
-    # cylinders of theta-lattices, each from the transform the last left
+    # cylinders of theta-lattices, each from the carry the last left
     rng = random.Random(64)
     hits = 0
     for m in (3, 4):
@@ -792,11 +838,11 @@ def test_cylinder_points_matches_the_lll_route_at_m_3_and_4():
                 rp, rm = rng.randrange(top), rng.randrange(top)
                 if rng.getrandbits(1):
                     rp, rm = (rp >> rng.randrange(12), rm) if rng.getrandbits(1) else (rp, rm >> 6)
-                got, u = _cylinder_points(cols, None, d, rp, rm, 10**7)
+                got, u = _search(cols, None, d, rp, rm)
                 assert got == _lll_fp_points(cols, d, rp, rm)
                 hits += bool(got)
                 rp, rm = rm, rp
-                got, _ = _cylinder_points(cols, u, d, rp, rm, 10**7)
+                got, _ = _search(cols, u, d, rp, rm)
                 assert got == _lll_fp_points(cols, d, rp, rm)
     assert hits >= 20
     warm = 0
@@ -811,10 +857,94 @@ def test_cylinder_points_matches_the_lll_route_at_m_3_and_4():
             if wy == 0:
                 break
             bound = core._iroot(mink.numerator // (mink.denominator * wy**d), c)
-            got, u = _cylinder_points(cols, u, d, wy - 1, bound, 10**7)
+            got, u = _search(cols, u, d, wy - 1, bound)
             assert got == _lll_fp_points(cols, d, wy - 1, bound)
             warm += u is not None and bool(got)
     assert warm >= 40
+
+
+def _scaled(cols, d, a):
+    """S(a) cols: rows [:d] times 2^a for a > 0, rows [d:] times 2^-a
+    for a < 0."""
+    ew, eh = max(a, 0), max(-a, 0)
+    return [[t << (ew if i < d else eh) for i, t in enumerate(col)] for col in cols]
+
+
+def test_warm_searches_carry_their_reduced_columns():
+    # warm m = 3 and m = 4 searches over radii whose rebalancing exponent
+    # a changes sign: each equals a from-scratch search, whether its
+    # coordinates are read at once, after later searches or not at all,
+    # and the carry holds S(a) cols U with U unimodular, kept multiplied
+    # out in its node once folded
+    rng = random.Random(73)
+    signs = set()
+    checked = 0
+    for m in (3, 4):
+        for bits in (8, 64, 256):
+            for _ in range(3):
+                d = rng.randrange(1, m)
+                cols = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(m)] for _ in range(m)]
+                if LatticeBasis(d, m - d, cols).det_raw() == 0:
+                    continue
+                red, _, _ = lll_columns(cols)
+                top = 3 * max(sum(t * t for t in col) for col in red)
+                carry = earlier = None
+                for _ in range(8):
+                    rp = rng.randrange(top) >> rng.randrange(0, 4 * bits, 3)
+                    rm = rng.randrange(top) >> rng.randrange(0, 4 * bits, 3)
+                    points, coords, carry = _cylinder_points(cols, carry, d, rp, rm, 10**7)
+                    want, _ = _search(cols, None, d, rp, rm)
+                    a, red, node = carry
+                    assert a == isqrt(rm).bit_length() - isqrt(rp).bit_length()
+                    signs.add((a > 0) - (a < 0))
+                    if earlier is not None:
+                        assert _expand(*earlier[:2]) == earlier[2]
+                        earlier = None
+                    if rng.randrange(3) == 0:
+                        earlier = points, coords, want
+                        continue
+                    if rng.randrange(2):
+                        norms = sorted((w, h) for w, h, _ in points)
+                        assert norms == sorted(want.values())
+                        continue
+                    assert _expand(points, coords) == want
+                    u = core._fold(node)
+                    assert node == [None, u]
+                    assert abs(LatticeBasis(d, m - d, u).det_raw()) == 1
+                    assert red == _scaled(core._matmul_int(cols, u), d, a)
+                    checked += 1
+    assert signs == {-1, 0, 1} and checked >= 40
+
+
+def test_norm_readers_fold_no_transform(monkeypatch):
+    # the gap searches of badk's columns and dynamics' certificate read
+    # only norms, so they never multiply out a transform; the chain
+    # steps that build the chains do
+    import diolab.badk as badk
+
+    folds = []
+    fold = core._fold
+
+    def counted(node):
+        folds.append(1)
+        return fold(node)
+
+    monkeypatch.setattr(core, "_fold", counted)
+    state = badk.init_state()
+    for _ in range(6):
+        state = badk.step(state)
+    for j in range(1, state.n + 1):
+        badk._column(state.thetas, state.q_list, j, 10**7)
+    assert folds == []
+    rng = random.Random(74)
+    for d, c in ((2, 1), (1, 2)):
+        basis = apply_flow(LatticeBasis.from_theta(sample_theta(d, c, 256, rng)), 20)
+        chain = dynamics.minimal_vectors(basis, 12, certify=False)
+        assert folds
+        folds.clear()
+        search = core._cylinder_search(basis, 10**7)
+        sizes = [dynamics._certify(search, basis, e.vector) for e in chain.entries]
+        assert folds == [] and sizes == [e.class_size for e in chain.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -844,10 +974,12 @@ def _record_ys(theta, depth):
 @pytest.mark.parametrize("capped", [False, True])
 def test_kept_cylinder_steps_match_fresh_walkers(monkeypatch, capped):
     # each step of a chain equals that of a walker built for it alone;
-    # a cap at the height of record 14 ends every capped chain there
+    # a cap at the height of record 14 ends every capped chain there,
+    # each with no search: the last cylinder, cut off by the same cap,
+    # already holds every candidate
     calls = _count_searches(monkeypatch)
     rng = random.Random(61)
-    steps = answered = 0
+    steps = answered = ended = 0
     for d, c in SHAPES_M3:
         for _ in range(2):
             theta = sample_theta(d, c, 256, rng)
@@ -859,14 +991,17 @@ def test_kept_cylinder_steps_match_fresh_walkers(monkeypatch, capped):
             for _ in range(30):
                 before = len(calls)
                 got = step(y)
-                answered += len(calls) == before
+                hit = len(calls) == before
+                answered += hit
                 assert got == _fresh_step(basis, y, cap=cap)
                 steps += 1
                 if not got[1]:
                     break
                 y = got[1][0]
             assert capped == (got == (None, []))
+            ended += capped and hit
     assert steps == (150 if capped else 300) and answered >= steps // 3
+    assert ended == (10 if capped else 0)
 
 
 def test_kept_cylinder_steps_off_the_chain(monkeypatch):
