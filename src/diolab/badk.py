@@ -22,13 +22,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .bestapprox import chain_engine, direct_scan
+from .bestapprox import direct_scan
 from .core import (
     LatticeBasis,
     SearchLimitError,
     _cylinder_search,
     _gauss_pair,
+    chain_walker,
     fp_enumerate,
+    nearest_int,
 )
 
 __all__ = [
@@ -50,6 +52,9 @@ Pair = tuple[Fraction, Fraction]
 # certify re-derives the denominator list by a direct scan while Q_n is
 # at most SCAN_CAP
 SCAN_CAP = 10**6
+
+# a gap search's width^2 radius over that of its witness height
+_RADIUS_FACTOR = 2
 
 
 def sqrt_affine_leq(a: Fraction, b: Fraction, u: Fraction) -> bool:
@@ -135,38 +140,106 @@ def _solve_k(gamma: tuple[int, int], theta: Pair, q: int) -> int:
     return k
 
 
+class _Gap(NamedTuple):
+    """One searched gap (q_lo, q_hi) of theta: every height q_lo < q <
+    q_hi with d(q theta, Z^2)^2 <= radius, as (that width^2, q), sorted,
+    so points[0][0] is the gap minimum on theta."""
+
+    theta: Pair
+    radius: Fraction
+    points: tuple
+
+
+def _carried_gap(held: _Gap, theta: Pair, q_hi: int) -> Optional[Fraction]:
+    """The minimum of d(q theta, Z^2)^2 over the gap that ``held``
+    searched on another theta', or None when the heights it kept cannot
+    decide it.
+
+    d(., Z^2) is 1-Lipschitz, so with delta = q_hi |theta - theta'| every
+    height q of the gap has |d(q theta) - d(q theta')| <= q |theta -
+    theta'| <= delta.  The kept heights are read in the order of their
+    width^2 w on theta' and the least d(q theta)^2 so far, best, stops
+    the read at the first w with sqrt(best) + delta <= sqrt(w): no later
+    kept height is below best.  A height not kept has d(q theta')^2 >
+    radius, so if sqrt(best) + delta <= sqrt(radius) it is not below
+    best either, and best is the minimum; otherwise None.  Both tests
+    are sqrt_affine_leq's, on delta^2."""
+    # |theta - theta'|^2 on the integers x / Q of each theta
+    den, den_src = _lcd(theta), _lcd(held.theta)
+    shift = Fraction(
+        q_hi * q_hi * sum(
+            (t.numerator * (den // t.denominator) * den_src
+             - s.numerator * (den_src // s.denominator) * den) ** 2
+            for t, s in zip(theta, held.theta)
+        ),
+        (den * den_src) ** 2,
+    )
+    best = None
+    for w, q in held.points:
+        if best is not None and sqrt_affine_leq(best, shift, w):
+            break
+        r = _r_sq(theta, q)
+        if best is None or r < best:
+            best = r
+    return best if sqrt_affine_leq(best, shift, held.radius) else None
+
+
 def _gap_search(
-    theta: Pair, budget: int
+    theta: Pair,
+    budget: int,
+    carried: Optional[dict] = None,
+    keep: Optional[dict] = None,
 ) -> Callable[[int, int], Optional[Fraction]]:
     """``gap(q_lo, q_hi)``: the smallest d(q theta, Z^2)^2 over integers
     q_lo < q < q_hi (q_lo >= 1), or None when the range is empty.
 
-    Every gap runs on one lattice of theta, each as one cylinder search
-    warm-started from the reduced columns the previous gap left
-    (core._cylinder_search), its width fixed by a witness height: w =
-    max(q_lo + 1, q_hi - q_lo) lies in the range, so the cylinder of
-    width^2 d(w theta, Z^2)^2 and height below q_hi holds w's own vector
-    and every height in the range that beats it.  When q_hi > 2 q_lo,
-    w = q_hi - q_lo and the triangle inequality bounds that width by
-    d(q_lo theta, Z^2) + d(q_hi theta, Z^2).  The minimum is the least
-    integer width, in the units of basis.kernel, among the points taller
-    than q_lo; only norms are read, so no point's coordinates are built.
+    A gap held in ``carried`` under (q_lo, q_hi, budget), searched on an
+    earlier theta of the lineage, answers without a search when its
+    Lipschitz margin holds (_carried_gap); the gap makes no nodes then,
+    so it cannot raise BudgetExceededError.  Otherwise the gap is
+    searched, and the _Gap it found is stored in ``keep`` under that
+    key.
+
+    Every search runs on one lattice of theta, built on the first, each
+    as one cylinder search warm-started from the reduced columns the
+    previous search left (core._cylinder_search).  Its width is fixed
+    by a witness height: w = max(q_lo + 1, q_hi - q_lo) lies in the
+    range, so the cylinder of width^2 radius = 2 d(w theta, Z^2)^2 and
+    height below q_hi holds w's own vector and every height in the range
+    that beats it; the factor 2 keeps the heights a later theta may
+    need (_carried_gap).  When q_hi > 2 q_lo, w = q_hi - q_lo and the
+    triangle inequality bounds that width by d(q_lo theta, Z^2) +
+    d(q_hi theta, Z^2).  Only norms are read, so no point's coordinates
+    are built.
     """
-    basis = LatticeBasis.from_theta((theta,))
-    search = _cylinder_search(basis, budget)
-    _, (unit_w, unit_h), _ = basis.kernel
+    lattice = None  # (search, unit_w), built on the first search
 
     def gap(q_lo: int, q_hi: int) -> Optional[Fraction]:
+        nonlocal lattice
         if q_hi - q_lo < 2:
             return None
+        key = (q_lo, q_hi, budget)
+        held = None if carried is None else carried.get(key)
+        if held is not None:
+            least = _carried_gap(held, theta, q_hi)
+            if least is not None:
+                return least
+        if lattice is None:
+            basis = LatticeBasis.from_theta((theta,))
+            lattice = (_cylinder_search(basis, budget), basis.kernel[1][0])
+        search, unit_w = lattice
         w = max(q_lo + 1, q_hi - q_lo)
-        rp = math.floor(_r_sq(theta, w) * unit_w)
-        points, _ = search(rp, math.floor((q_hi - 1) ** 2 * unit_h))
-        lo = math.floor(q_lo * q_lo * unit_h)
-        found = [pw for pw, ph, _ in points if ph > lo]
+        radius = _RADIUS_FACTOR * _r_sq(theta, w)
+        # the height unit of a theta-lattice is 1: height^2 is q^2
+        points, _ = search(math.floor(radius * unit_w), (q_hi - 1) ** 2)
+        lo = q_lo * q_lo
+        found = sorted((pw, math.isqrt(ph)) for pw, ph, _ in points if ph > lo)
         if not found:
             raise AssertionError("gap search missed its witness height %d" % w)
-        return min(found) / unit_w
+        held = _Gap(theta, radius, tuple((pw / unit_w, q) for pw, q in found))
+        if keep is not None:
+            keep[key] = held
+        return held.points[0][0]
 
     return gap
 
@@ -207,11 +280,13 @@ class BadConstructionState:
 
     columns[j-1] is column j of the tables, for 1 <= j < n.
 
-    certify_memo is certify's store of the columns it has built, shared
-    by every state of one lineage: init_state makes a fresh one, step
-    hands it on and only reads it.  Each column is keyed by everything
-    it is a function of (_column_key), so a state with other data
-    misses it.
+    certify_memo is certify's store of the columns it has built and of
+    the gaps it has searched, shared by every state of one lineage:
+    init_state makes a fresh one, step hands it on and only reads it.
+    Each column is keyed by everything it is a function of
+    (_column_key), so a state with other data misses it; each gap is
+    keyed by (q_lo, q_hi, budget) and holds the theta it was searched
+    on (_Gap), which every reader's Lipschitz margin accounts for.
     """
 
     n: int
@@ -255,12 +330,18 @@ def _drift_floor(entries) -> Fraction:
 
 
 def _column(
-    thetas, q_list, j: int, budget: int
+    thetas,
+    q_list,
+    j: int,
+    budget: int,
+    carried: Optional[dict] = None,
+    keep: Optional[dict] = None,
 ) -> tuple[Column, Callable[[int, int], Optional[Fraction]]]:
     """Column j of the tables (quantities of theta_j), and the gap search
-    of theta_j that built it."""
+    of theta_j that built it, reading and storing gaps as _gap_search
+    does with ``carried`` and ``keep``."""
     theta_j = thetas[j]
-    gap_search = _gap_search(theta_j, budget)
+    gap_search = _gap_search(theta_j, budget, carried, keep)
     r = [_r_sq(theta_j, q) for q in q_list[: j + 1]]
     gaps = [gap_search(q_list[i - 1], q_list[i]) for i in range(1, j)]
     M = tuple(None if g is None else (g, r[i]) for i, g in enumerate(gaps))
@@ -364,7 +445,9 @@ def step(
         _column_key(state.thetas, state.q_list, n, budget)
     )
     if column is None:
-        column, _ = _column(state.thetas, state.q_list, n, budget)
+        column, _ = _column(
+            state.thetas, state.q_list, n, budget, carried=state.certify_memo
+        )
     columns = state.columns + (column,)
     eps_prev_sq = (
         state.eps_list[-1][0] ** 2 + state.eps_list[-1][1] ** 2
@@ -455,6 +538,55 @@ class CertifyReport:
     scanned: bool
 
 
+def _gap_route(theta: Pair, qs, gaps, last_gap) -> None:
+    """Condition 1 by the gap minima: Q_0..Q_n are the best denominators
+    of theta = theta_n iff their distances strictly decrease and no
+    height in a gap (Q_{i-1}, Q_i) beats r_{i-1} = d(Q_{i-1} theta,
+    Z^2)^2, a tie with r_{i-1} being no record.  ``gaps`` is column n of
+    the tables, gaps[i-1] = (minimum, r_{i-1}) of gap i < n or None;
+    last_gap(Q_{n-1}, Q_n) gives the last one."""
+    n = len(gaps) + 1
+    if len(qs) != n + 1:
+        raise AssertionError("%d denominators for n = %d" % (len(qs), n))
+    r = [_r_sq(theta, q) for q in qs]
+    for i in range(1, n + 1):
+        if not r[i] < r[i - 1]:
+            raise AssertionError("distances fail to decrease at i=%d" % i)
+        if i < n:
+            gap = None if gaps[i - 1] is None else gaps[i - 1][0]
+        else:
+            gap = last_gap(qs[n - 1], qs[n])
+        if gap is not None and gap < r[i - 1]:
+            raise AssertionError(
+                "gap (%d, %d) beats r_{i-1}: %s < %s"
+                % (qs[i - 1], qs[i], gap, r[i - 1])
+            )
+
+
+def _chain_route(theta: Pair, qs, budget: int) -> None:
+    """Condition 1 by the chain of theta's lattice: from the height-1
+    record, step k goes to the successor of record Q_{k-1}, capped at
+    height Q_k (core.chain_walker), and must land at height Q_k.
+
+    This verifies the list without rediscovering it: a capped step
+    answers the true successor when its height is at most the cap, and
+    nothing otherwise.  So if Q_k is not the successor of Q_{k-1}, the
+    step finds a lower successor, or none when the true one is higher,
+    and the lists differ either way; the walk accepts exactly the list
+    chain_engine((theta,), q_max=Q_n) returns.  A step from a terminal
+    record finds nothing, so a list that goes on past one is rejected.
+    """
+    if qs[0] != 1:
+        raise AssertionError("chain route disagrees with Q list at Q_0")
+    step = chain_walker(LatticeBasis.from_theta((theta,)), budget=budget)
+    y = (nearest_int(theta[0]), nearest_int(theta[1]), 1)
+    for k in range(1, len(qs)):
+        key, members = step(y, cap=qs[k] * qs[k])
+        if key is None or key[0] != qs[k] * qs[k]:
+            raise AssertionError("chain route disagrees with Q list at Q_%d" % k)
+        y = members[0]
+
+
 def certify(
     state: BadConstructionState,
     *,
@@ -465,16 +597,25 @@ def certify(
 
     Raises AssertionError with the offending datum on any violation.
     certify never reads step's columns: it checks only columns it built
-    or stored itself, and condition 1 has three routes to the
-    denominator list, the gap searches (the tables' column n and the
-    last gap), chain_engine on theta_n, and a direct scan while
-    Q_n <= SCAN_CAP.
+    or stored itself.  Condition 1 has three routes to the denominator
+    list, each able to reject a wrong list alone: the gap minima
+    (_gap_route: the tables' column n and the last gap), theta_n's chain
+    capped step by step at the claimed heights (_chain_route), and a
+    direct scan while Q_n <= SCAN_CAP.
 
     Column j of the tables is a function of (theta_j, Q_0..Q_j, budget)
     alone, so columns j < n come from the lineage's certify_memo when
     that key is there, and are built and stored otherwise; column n is
     always built, and stored for the next state's certify.  Only certify
-    writes the memo; step reads column n from it.
+    writes the memo; step reads column n from it.  The memo also holds
+    every gap certify searched, under (Q_{i-1}, Q_i, budget), so a
+    lineage certified in order searches each gap once: gap i on
+    theta_i, as state i's last gap, and every later column reads it off
+    the heights that search kept (_carried_gap), unless its Lipschitz
+    margin fails and the column searches it again.  A 12-step
+    construction certified in order thus makes 13 gap searches and
+    carries the other 78 gaps; its chain route makes one search per
+    capped step, 91 in all.
     """
     n = state.n
     theta = state.theta
@@ -491,31 +632,16 @@ def certify(
         key = _column_key(state.thetas, qs, j, budget)
         column = memo.get(key) if j < n else None
         if column is None:
-            column, gap_search = _column(state.thetas, qs, j, budget)
+            column, gap_search = _column(state.thetas, qs, j, budget, memo, memo)
             memo[key] = column
         columns.append(column)
     gaps_n = columns[-1].M
 
     # condition 1: Q_0..Q_n are exactly the best denominators of theta_n
-    r_at = {i: _r_sq(theta, qs[i]) for i in range(n + 1)}
-    if r_at[n] != 0:
+    if _r_sq(theta, qs[-1]) != 0:
         raise AssertionError("theta_n not terminal at its own denominator")
-    for i in range(1, n + 1):
-        if not r_at[i] < r_at[i - 1]:
-            raise AssertionError("distances fail to decrease at i=%d" % i)
-        # a tie with r_{i-1} is allowed: a tying height is not a record
-        if i < n:
-            gap = None if gaps_n[i - 1] is None else gaps_n[i - 1][0]
-        else:
-            gap = gap_search(qs[n - 1], qs[n])
-        if gap is not None and gap < r_at[i - 1]:
-            raise AssertionError(
-                "gap (%d, %d) beats r_{i-1}: %s < %s"
-                % (qs[i - 1], qs[i], gap, r_at[i - 1])
-            )
-    recs = chain_engine((theta,), q_max=qs[-1], budget=budget)
-    if tuple(int(r.Q[0]) for r in recs) != qs:
-        raise AssertionError("chain_engine disagrees with Q list")
+    _gap_route(theta, qs, gaps_n, gap_search)
+    _chain_route(theta, qs, budget)
     scanned = False
     if qs[-1] <= SCAN_CAP:
         recs = direct_scan((theta,), qs[-1])

@@ -190,8 +190,18 @@ def _survivors(
     bound = _bound64(best, den)
     if bound >= 1 << 63:  # no u_i exceeds 2^63
         return np.arange(len(margin))
+    return np.flatnonzero(_excess(qcols, margin, frac64) <= bound)
+
+
+def _excess(
+    qcols: Sequence[np.ndarray],
+    margin: np.ndarray,
+    frac64: Sequence[Sequence[np.uint64]],
+) -> np.ndarray:
+    """max_i u_i - E per height (_survivors), as int64: u_i <= 2^63 and
+    E >= 1, so the difference fits, and it is negative where the margin
+    alone covers u_i."""
     qu = [q.view(np.uint64) for q in qcols]
-    limit = margin + np.uint64(bound)
     worst = None
     for i in range(len(frac64[0])):
         s = qu[0] * frac64[0][i]
@@ -199,7 +209,7 @@ def _survivors(
             s += q * col[i]
         u = np.minimum(s, np.negative(s))
         worst = u if worst is None else np.maximum(worst, u, out=worst)
-    return np.flatnonzero(worst <= limit)
+    return (worst - margin).view(np.int64)
 
 
 def direct_scan(
@@ -226,8 +236,11 @@ def direct_scan(
     max_i min(s_i, -s_i) - E <= ceil(sqrt(best * 2^128 / den^2))
     (_survivors).  The first chunk, before any record, is filtered by
     the exact distance of its first height the budget pays for: the
-    first shell records its minimum, which is at most that.  The
-    survivors get the exact integer distance, shell by shell.  The
+    first shell records its minimum, which is at most that.  That bound
+    is loose, so within the first chunk each record re-filters the
+    survivors still ahead by the new minimum, from their excess
+    max_i min(s_i, -s_i) - E (_excess) computed once.  The survivors
+    get the exact integer distance, shell by shell.  The
     budget counts d*c ops per height in shell order and raises where
     the plain loop over every height would, also inside a shell that
     the scan would have ended at.
@@ -264,20 +277,28 @@ def direct_scan(
             keep = int(np.searchsorted(keys, keys[room]))
             qcols, keys, margin = [q[:keep] for q in qcols], keys[:keep], margin[:keep]
         room -= len(keys)
-        bound = best
-        if bound is None:
+        first = best is None
+        if first:
             # the first shell records its minimum, which is at most the
             # distance of the first paid height (there is none at budget 0)
             bound = dist_sq_scaled(tuple(int(q[0]) for q in qcols)) if len(keys) else 0
+        else:
+            bound = best
         idx = _survivors(qcols, margin, frac64, den, bound)
         hs = list(zip(*(q[idx].tolist() for q in qcols)))
         ks = keys[idx].tolist()
+        if first:
+            excess = _excess([q[idx] for q in qcols], margin[idx], frac64).tolist()
+            limit = _bound64(bound, den)
         k = 0
         while k < len(hs):
             key = ks[k]
             shell_best: Optional[int] = None
             achievers: list[tuple[int, ...]] = []
             while k < len(hs) and ks[k] == key:
+                if first and excess[k] > limit:
+                    k += 1
+                    continue
                 w = dist_sq_scaled(hs[k])
                 if shell_best is None or w < shell_best:
                     shell_best = w
@@ -285,6 +306,8 @@ def direct_scan(
                 elif w == shell_best:
                     achievers.append(hs[k])
                 k += 1
+            if shell_best is None:
+                continue
             if best is None or shell_best < best:
                 qvec = achievers[0]
                 norm_sq = sum(t * t for t in qvec)
@@ -293,6 +316,8 @@ def direct_scan(
                         f"two heights of norm^2 {norm_sq} tie at the shell minimum"
                     )
                 best = shell_best
+                if first:
+                    limit = _bound64(best, den)
                 records.append(
                     BestApproxRecord(
                         len(records),
@@ -372,11 +397,10 @@ def chain_engine(
     if wsq == 0:
         return records
 
-    step = chain_walker(
-        basis, cap=None if q_max is None else q_max * q_max, budget=budget
-    )
+    step = chain_walker(basis, budget=budget)
+    cap = None if q_max is None else q_max * q_max
     while depth is None or len(records) < depth:
-        key, members = step(y)
+        key, members = step(y, cap=cap)
         if not members:
             break  # only reachable with a q_max cap
         h, w = key

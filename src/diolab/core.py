@@ -943,18 +943,19 @@ def _cylinder_search(
 def chain_walker(
     basis: LatticeBasis,
     *,
-    cap: Optional[int] = None,
     budget: int,
 ) -> Callable[..., tuple[Optional[tuple[int, int]], list[tuple[int, ...]]]]:
     """Steps along the minimal-vector chain of ``basis``.
 
-    ``step(y, forward=True)`` steps from the vector with coordinates
-    ``y``.  The successor (``forward``) is the class of minimal
-    (height^2, width^2) among vectors strictly narrower and strictly
-    taller than y; the predecessor is the same step with the blocks
-    swapped.  The cylinder searched is cut off by Minkowski's bound
-    width^(2d) height^(2c) <= C_{d,c}^2 det^2 (basis.kernel_minkowski_sq),
-    or by ``cap`` on the other block when that is lower; it goes
+    ``step(y, forward=True, cap=None)`` steps from the vector with
+    coordinates ``y``.  The successor (``forward``) is the class of
+    minimal (height^2, width^2) among vectors strictly narrower and
+    strictly taller than y; the predecessor is the same step with the
+    blocks swapped.  The cylinder searched is cut off by Minkowski's
+    bound width^(2d) height^(2c) <= C_{d,c}^2 det^2
+    (basis.kernel_minkowski_sq), or by the step's own ``cap`` on the
+    other block when that is lower, so a capped step answers the
+    minimal class with other^2 <= cap, or (None, []); it goes
     through _cylinder_search on basis.kernel, which rebalances it and
     starts the reduction from what the previous step's search left (from
     scratch on the first step).  Only the answer class's coordinates are
@@ -967,25 +968,27 @@ def chain_walker(
     lattice points with narrow^2 <= R_n and F < other^2 <= B.
     A later step from y in the same direction, with x_n - 1 <= R_n and
     x_o >= F (x_n, x_o the narrow^2 and other^2 of y), first reads the
-    kept points with narrow^2 < x_n and other^2 > x_o.  If any is left,
-    their minimal class is the answer and no search runs; the points
-    read with other^2 above the answer's are kept, with R_n = x_n - 1
-    and the answer's other^2 as the floor, and B unchanged.  This is
-    exact.  The bound falls as the narrow norm grows, and x_n <= R_n +
-    1, so the step's own bound is at least B and every point read lies
-    in its cylinder.  A candidate of y that beats the answer, or ties
-    it, has narrow^2 <= x_n - 1 <= R_n and F <= x_o < other^2 <= the
-    answer's other^2 <= B, so it was kept and is read.  If none is left
-    and the step's own bound is at most B (the cap binds on both), every
-    candidate of y would have been kept, so y has no successor and the
-    step returns (None, []) with no search.  Along a chain the floor is
-    the next step's x_o, so that step makes no search whenever the last
-    cylinder already holds its successor, or already shows that the
-    chain ends at the cap.  A step answered from the kept points makes
-    no nodes, so it cannot raise BudgetExceededError.  For d = c = 1 no
-    step is answered so: C_{1,1} = 1 puts the cylinder searched from
-    record n - 1 at heights q <= 1 / r_{n-1} < q_{n-1} + q_n <= q_{n+1},
-    below the record after next, so m = 2 keeps nothing.
+    kept points with narrow^2 < x_n and other^2 > x_o, and, when its
+    cap is below B, other^2 <= cap, B taking the cap's value.  If any
+    is left, their minimal class is the answer and no search runs; the
+    points read with other^2 above the answer's are kept, with R_n =
+    x_n - 1, the answer's other^2 as the floor, and that B.  This is
+    exact.  The Minkowski bound falls as the narrow norm grows, and
+    x_n <= R_n + 1, so it is at least B, the step's own bound is at
+    least min(B, cap), and every point read lies in its cylinder.  A
+    candidate of y that beats the answer, or ties it, has narrow^2 <=
+    x_n - 1 <= R_n and F <= x_o < other^2 <= the answer's other^2 <=
+    min(B, cap), so it was kept and is read.  If none is left and the
+    step's own bound is at most B, every candidate of y would have been
+    kept and read, so y has no successor and the step returns (None, [])
+    with no search.  Along a chain the floor is the next step's x_o, so
+    that step makes no search whenever the last cylinder already holds
+    its successor, or already shows that the chain ends at the cap.  A
+    step answered from the kept points makes no nodes, so it cannot
+    raise BudgetExceededError.  For d = c = 1 no step is answered so:
+    C_{1,1} = 1 puts the cylinder searched from record n - 1 at heights
+    q <= 1 / r_{n-1} < q_{n-1} + q_n <= q_{n+1}, below the record after
+    next, so m = 2 keeps nothing.
 
     Returns (key, members): the minimal (other^2, narrow^2) in the
     integer units of basis.kernel and the sorted sign-canonical
@@ -1007,7 +1010,7 @@ def chain_walker(
     last: Optional[tuple[bool, int, int, int, list, _Coords]] = None
 
     def step(
-        y: Sequence[int], forward: bool = True
+        y: Sequence[int], forward: bool = True, cap: Optional[int] = None
     ) -> tuple[Optional[tuple[int, int]], list[tuple[int, ...]]]:
         nonlocal last
         x = _matvec_int(cols, y)
@@ -1020,6 +1023,9 @@ def chain_walker(
         if kept:
             _, _, _, bound, points, coords = last
             found = [p for p in points if p[1] < x_n and p[0] > x_o]
+            if cap is not None and cap < bound:
+                bound = cap
+                found = [p for p in found if p[0] <= cap]
         if not found:
             k = d if forward else m - d  # size of the narrowing block
             # other^2 is an integer, so the exact floor of the root is the bound

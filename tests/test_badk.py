@@ -256,9 +256,45 @@ def test_certify_rejects_skipped_denominator_beyond_scan_cap():
     bad = dataclasses.replace(state, q_list=qs[:3] + (2 * qs[3],) + qs[4:])
     with pytest.raises(
         AssertionError,
-        match=r"gap \(366, 78212\) beats r_\{i-1\}|chain_engine disagrees",
+        match=r"gap \(366, 78212\) beats r_\{i-1\}|chain route disagrees",
     ):
         certify(bad)
+
+
+def test_chain_route_alone_rejects_every_wrong_list(monkeypatch):
+    # past SCAN_CAP, with the gap route stubbed out (its gap searches,
+    # which on a wrong list can exhaust the budget, and its checks) and
+    # the scan never reached, the chain route, each step capped at the
+    # claimed height, rejects each wrong list at the first index it
+    # differs, and passes the true one
+    state = advance(7)
+    assert state.Q > badk.SCAN_CAP
+
+    def no_scan(*args, **kwargs):
+        raise RuntimeError("the scan ran")
+
+    monkeypatch.setattr(badk, "_gap_search", lambda *args: lambda q_lo, q_hi: None)
+    monkeypatch.setattr(badk, "_gap_route", lambda *args: None)
+    monkeypatch.setattr(badk, "direct_scan", no_scan)
+    qs = state.q_list
+    rejected = 0
+    for k in range(1, state.n):
+        wrong = [
+            (qs[:k] + qs[k + 1 :], k),  # Q_k dropped
+            (qs[: k + 1] + qs[k:], k + 1),  # Q_k doubled
+            (qs[:k] + (qs[k] + 1,) + qs[k + 1 :], k),
+            (qs[:k] + ((qs[k - 1] + qs[k]) // 2,) + qs[k:], k),  # a midpoint
+            (qs[:k] + (qs[k] - qs[k - 1],) + qs[k + 1 :], k),
+        ]
+        for q_list, at in wrong:
+            bad = dataclasses.replace(state, q_list=q_list, certify_memo={})
+            with pytest.raises(
+                AssertionError, match=r"^chain route disagrees with Q list at Q_%d$" % at
+            ):
+                certify(bad)
+            rejected += 1
+    assert rejected == 5 * (state.n - 1)
+    assert all(certify(state).conditions.values())
 
 
 def test_gap_search_matches_brute_force_on_the_construction():
@@ -312,13 +348,40 @@ def test_gap_search_matches_brute_force_on_random_ranges():
     assert min(kinds.values()) >= 40, kinds
 
 
+def test_carried_gap_is_exact_or_declines():
+    # a gap searched on theta' and read on a theta at distance about
+    # 1/(s q_hi): where its Lipschitz margin holds the carried minimum
+    # is the brute-force one on theta, and where it fails the gap
+    # declines; both happen, and every theta' == theta is carried
+    rng = random.Random(7)
+    outcomes = {"carried": 0, "declined": 0, "same": 0}
+    for _ in range(400):
+        src = (Fraction(rng.randrange(1, 997), 997), Fraction(rng.randrange(1, 991), 991))
+        q_lo = rng.randrange(1, 60)
+        q_hi = q_lo + rng.randrange(2, 3 * q_lo + 3)
+        keep = {}
+        least = _gap_search(src, 10**7, keep=keep)(q_lo, q_hi)
+        (held,) = keep.values()
+        assert keep == {(q_lo, q_hi, 10**7): held} and held.theta == src
+        assert held.points[0][0] == least
+        s = rng.choice([1, 3, 30, 300])
+        theta = tuple(t + Fraction(rng.randrange(-97, 98), 97 * s * q_hi) for t in src)
+        want = min(r_sq(theta, q) for q in range(q_lo + 1, q_hi))
+        got = badk._carried_gap(held, theta, q_hi)
+        assert got in (None, want), (src, theta, q_lo, q_hi)
+        outcomes["declined" if got is None else "carried"] += 1
+        outcomes["same"] += badk._carried_gap(held, src, q_hi) == least
+    assert min(outcomes["carried"], outcomes["declined"]) >= 50, outcomes
+    assert outcomes["same"] == 400
+
+
 def recording_gap_search(monkeypatch, asked):
     """Patch badk._gap_search so every gap asked is appended to asked as
     (theta, q_lo, q_hi, gap)."""
     real_search = badk._gap_search
 
-    def recording_search(theta, budget):
-        gap_search = real_search(theta, budget)
+    def recording_search(theta, *args):
+        gap_search = real_search(theta, *args)
 
         def gap(q_lo, q_hi):
             got = gap_search(q_lo, q_hi)
@@ -335,9 +398,9 @@ def recording_column(monkeypatch, built):
     build is appended to built."""
     real_column = badk._column
 
-    def recording(thetas, q_list, j, budget):
+    def recording(thetas, q_list, j, *args, **kwargs):
         built.append(j)
-        return real_column(thetas, q_list, j, budget)
+        return real_column(thetas, q_list, j, *args, **kwargs)
 
     monkeypatch.setattr(badk, "_column", recording)
 
@@ -398,7 +461,13 @@ def test_memo_builds_one_column_per_certify(states, monkeypatch):
                 assert built == list(range(1, n + 1))
                 assert len(asked) == n * (n - 1) // 2 + 1
         assert reports[0] == reports[1], n
-    assert len(memo) == states[-1].n
+    columns = [key for key in memo if isinstance(key[0], tuple)]
+    assert len(columns) == states[-1].n
+    # the rest of the memo is the gaps certify searched: every gap of
+    # the lineage, under (Q_{i-1}, Q_i, budget)
+    qs = states[-1].q_list
+    assert len(memo) - len(columns) == len(qs) - 1
+    assert all((qs[i - 1], qs[i], 10**7) in memo for i in range(1, len(qs)))
 
 
 def test_lineages_never_share_a_memo():
@@ -437,14 +506,19 @@ def frozen(memo):
 
 
 def test_step_never_writes_the_memo(states):
-    # an empty memo, certify's warm memo, and a memo holding column n
-    # only under another budget, each frozen: step writes none of them and builds the fixture's next state on each
+    # an empty memo, certify's warm memo, a memo holding column n only
+    # under another budget, and the warm memo without column n, whose
+    # carried gaps build column n on the miss, each frozen: step writes
+    # none of them and builds the fixture's next state on each
     other = warm_memos(states, budget=10**6)
     for warm, elsewhere, after in zip(warm_memos(states), other, states[1:]):
         n = warm.n
-        assert (warm.thetas[n], warm.q_list, 10**7) in warm.certify_memo
+        key = (warm.thetas[n], warm.q_list, 10**7)
+        assert key in warm.certify_memo
         assert (warm.thetas[n], warm.q_list, 10**6) in elsewhere.certify_memo
-        for memo in ({}, warm.certify_memo, elsewhere.certify_memo):
+        carried = {k: v for k, v in warm.certify_memo.items() if k != key}
+        assert (warm.q_list[-2], warm.Q, 10**7) in carried
+        for memo in ({}, warm.certify_memo, elsewhere.certify_memo, carried):
             unwritable = frozen(memo)
             got = step(dataclasses.replace(warm, certify_memo=unwritable))
             assert got == after, n
@@ -587,23 +661,111 @@ def test_certify_names_the_first_beaten_entry(states):
         certify(warm)
 
 
-def test_certified_construction_makes_182_searches(monkeypatch):
-    # 12 steps in the bench's order, certify then step: certify builds
-    # each column once and step takes column n from it
-    calls = []
+def count_routes(monkeypatch):
+    """Patch badk so that counts["chain"] and counts["gap"] count the
+    cylinder searches of the chain route and of the gap searches, and
+    counts["carried"] and counts["failed"] the carried gaps that were
+    and were not decided by their Lipschitz margin."""
+    counts = {"chain": 0, "gap": 0, "carried": 0, "failed": 0}
+    inside = []
     cylinder_points = core._cylinder_points
+    chain_route = badk._chain_route
+    gap_search = badk._gap_search
+    carried_gap = badk._carried_gap
 
     def counted_points(*args):
-        calls.append(1)
+        counts[inside[-1]] += 1
         return cylinder_points(*args)
 
+    def counted_chain(*args):
+        inside.append("chain")
+        try:
+            return chain_route(*args)
+        finally:
+            inside.pop()
+
+    def counted_search(*args):
+        gap = gap_search(*args)
+
+        def counted_gap(q_lo, q_hi):
+            inside.append("gap")
+            try:
+                return gap(q_lo, q_hi)
+            finally:
+                inside.pop()
+
+        return counted_gap
+
+    def counted_carry(*args):
+        got = carried_gap(*args)
+        counts["failed" if got is None else "carried"] += 1
+        return got
+
     monkeypatch.setattr(core, "_cylinder_points", counted_points)
+    monkeypatch.setattr(badk, "_chain_route", counted_chain)
+    monkeypatch.setattr(badk, "_gap_search", counted_search)
+    monkeypatch.setattr(badk, "_carried_gap", counted_carry)
+    return counts
+
+
+def certified_lineage(n_steps):
+    """The states and reports of an n_steps construction certified in
+    the bench's order, certify then step."""
     state = init_state()
-    certify(state)
-    for _ in range(12):
+    states, reports = [state], [certify(state)]
+    for _ in range(n_steps):
         state = step(state)
-        certify(state)
-    assert len(calls) == 182
+        states.append(state)
+        reports.append(certify(state))
+    return states, reports
+
+
+def test_certified_construction_search_counts_per_route(monkeypatch):
+    # 12 steps in the bench's order: certify asks n gaps at state n, 91
+    # in all; each gap is searched once, as the last gap of its state,
+    # and the 78 others are carried; the chain route searches once per
+    # capped step, 91 in all; step takes column n from certify and
+    # makes no cylinder search
+    counts = count_routes(monkeypatch)
+    certified_lineage(12)
+    assert counts == {"chain": 91, "gap": 13, "carried": 78, "failed": 0}
+
+
+def test_forced_margin_failures_search_again_and_agree(monkeypatch):
+    # with the radius factor 1 a gap search keeps only heights up to its
+    # witness width, so no carried gap has a Lipschitz margin: every
+    # later column searches its gaps again, as before the carry, and
+    # the states, columns and reports are the carried lineage's
+    want = certified_lineage(12)
+    counts = count_routes(monkeypatch)
+    monkeypatch.setattr(badk, "_RADIUS_FACTOR", 1)
+    assert certified_lineage(12) == want
+    assert counts == {"chain": 91, "gap": 91, "carried": 0, "failed": 78}
+
+
+def certify_column(state):
+    """Column n of the tables as certify stored it."""
+    return state.certify_memo[badk._column_key(state.thetas, state.q_list, state.n, 10**7)]
+
+
+def test_carried_gaps_match_reference_gap_to_depth_40(monkeypatch):
+    # every M_{i,j} of a 40-step lineage certified in order, gap i
+    # searched once as state i's last gap and carried into every later
+    # column, against a fresh enumeration per gap
+    counts = count_routes(monkeypatch)
+    states, _ = certified_lineage(40)
+    assert counts["carried"] == 40 * 41 // 2 and counts["failed"] == 0
+    monkeypatch.undo()
+    state = states[-1]
+    thetas, qs = state.thetas, state.q_list
+    checked = 0
+    for j, column in enumerate(state.columns + (certify_column(state),), 1):
+        assert len(column.M) == max(j - 1, 0)
+        for i, entry in enumerate(column.M, 1):
+            want = reference_gap(thetas[j], qs[i - 1], qs[i])
+            assert (None if entry is None else entry[0]) == want, (i, j)
+            checked += 1
+    assert checked == 40 * 41 // 2
 
 
 def test_memo_is_keyed_by_budget(states, monkeypatch):
@@ -653,8 +815,11 @@ def test_column_search_is_order_free(states):
 
 
 def test_column_builds_one_basis_per_column(states, monkeypatch):
-    # one lattice of theta_j per column, reduced from scratch once; the
-    # column's other gaps warm-start from the previous gap's carry
+    # without a carry, one lattice of theta_j per column that has a gap
+    # to search, built on its first search and reduced from scratch
+    # once; the column's other gaps warm-start from the previous gap's
+    # carry.  On the memo of the lineage certified in order, every gap
+    # is carried: no column builds a lattice or searches
     built = []
     scratch = []
     from_theta = LatticeBasis.from_theta.__func__
@@ -668,15 +833,20 @@ def test_column_builds_one_basis_per_column(states, monkeypatch):
         scratch.append(carry is None)
         return cylinder_points(cols, carry, *args)
 
+    state = states[-1]
+    memo = {}
+    for earlier in states:
+        certify(dataclasses.replace(earlier, certify_memo=memo))
     monkeypatch.setattr(LatticeBasis, "from_theta", classmethod(counted_from_theta))
     monkeypatch.setattr(core, "_cylinder_points", counted_points)
-    state = states[-1]
     for j in range(1, state.n + 1):
-        _column(state.thetas, state.q_list, j, 10**7)
-        assert built == [(state.thetas[j],)], j
+        cold, _ = _column(state.thetas, state.q_list, j, 10**7)
+        assert built == [(state.thetas[j],)] * (j > 1), j
         assert len(scratch) == j - 1 and sum(scratch) == min(j - 1, 1), j
         built.clear()
         scratch.clear()
+        warm, _ = _column(state.thetas, state.q_list, j, 10**7, memo)
+        assert warm == cold and built == scratch == [], j
 
 
 def test_quadrant_candidates_match_coefficient_box():

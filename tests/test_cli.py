@@ -296,3 +296,14 @@ def test_outputs_are_pinned(tmp_path):
         for p in tmp_path.iterdir()
     }
     assert written == PINNED_FILES
+
+
+def test_badk_depth_40_is_pinned(tmp_path, capsys):
+    # the 40-step certificate: past a few steps certify reads most gap
+    # minima off earlier searches, which only a deep run exercises
+    assert run(tmp_path, "badk", "--steps", "40") == 0
+    path = only_file(tmp_path, r"badk_[0-9a-f]{12}\.json")
+    assert path.name == "badk_db4858c6b74f.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "de346ce217b5b5af4624fa8db0c4bbdf234c3bf621e6385b1318a4265ae9345d"
+    )

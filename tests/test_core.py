@@ -964,7 +964,7 @@ def _count_searches(monkeypatch):
 
 
 def _fresh_step(basis, y, forward=True, cap=None):
-    return chain_walker(basis, cap=cap, budget=10**7)(y, forward)
+    return chain_walker(basis, budget=10**7)(y, forward, cap=cap)
 
 
 def _record_ys(theta, depth):
@@ -986,11 +986,11 @@ def test_kept_cylinder_steps_match_fresh_walkers(monkeypatch, capped):
             basis = LatticeBasis.from_theta(theta)
             ys = _record_ys(theta, 30)
             cap = int(chain_engine(theta, depth=15)[-1].q_sq) if capped else None
-            step = chain_walker(basis, cap=cap, budget=10**7)
+            step = chain_walker(basis, budget=10**7)
             y = ys[0]
             for _ in range(30):
                 before = len(calls)
-                got = step(y)
+                got = step(y, cap=cap)
                 hit = len(calls) == before
                 answered += hit
                 assert got == _fresh_step(basis, y, cap=cap)
@@ -1002,6 +1002,74 @@ def test_kept_cylinder_steps_match_fresh_walkers(monkeypatch, capped):
             ended += capped and hit
     assert steps == (150 if capped else 300) and answered >= steps // 3
     assert ended == (10 if capped else 0)
+
+
+def test_kept_cylinder_step_bound_one_above_the_last(monkeypatch):
+    # step k from record k, capped at o - 1 (o the height^2 of record
+    # k + 2) under a Minkowski bound of at least o - 1, keeps a cylinder
+    # of other radius B = o - 1; step k + 1 from record k + 1, capped at
+    # o, reads nothing kept and has its own bound exactly B + 1, with
+    # record k + 2 on it: it must search, and answer record k + 2
+    calls = _count_searches(monkeypatch)
+    rng = random.Random(68)
+    checked = 0
+    for d, c in SHAPES_M3:
+        theta = sample_theta(d, c, 256, rng)
+        basis = LatticeBasis.from_theta(theta)
+        cols, _, _ = basis.kernel
+        mink_sq = basis.kernel_minkowski_sq
+        ys = _record_ys(theta, 20)
+        for y0, y1, y2 in zip(ys, ys[1:], ys[2:]):
+            x0, x2 = core._matvec_int(cols, y0), core._matvec_int(cols, y2)
+            narrow = sum(t * t for t in x0[:d])
+            o = sum(t * t for t in x2[d:])
+            bound = core._iroot(mink_sq.numerator // (mink_sq.denominator * narrow**d), c)
+            if bound < o - 1:
+                continue
+            step = chain_walker(basis, budget=10**7)
+            assert step(y0, cap=o - 1)[1][0] == y1
+            before = len(calls)
+            got = step(y1, cap=o)
+            assert len(calls) == before + 1
+            assert got == _fresh_step(basis, y1, cap=o) and got[1][0] == y2
+            checked += 1
+    assert checked >= 20
+
+
+def test_kept_cylinder_under_a_lower_cap(monkeypatch):
+    # an uncapped step from record k keeps every point up to its
+    # Minkowski bound B, here at least the height^2 o3 of record k + 3.
+    # A later step capped below B reads only the kept points under its
+    # cap and keeps B = cap: from record k + 1 capped at o2 - 1 it
+    # finds nothing, capped at o2 it answers record k + 2, and from
+    # there, capped at o3, it must search for record k + 3
+    calls = _count_searches(monkeypatch)
+    rng = random.Random(69)
+    checked = 0
+    for d, c in SHAPES_M3:
+        theta = sample_theta(d, c, 256, rng)
+        basis = LatticeBasis.from_theta(theta)
+        cols, _, _ = basis.kernel
+        mink_sq = basis.kernel_minkowski_sq
+        ys = _record_ys(theta, 20)
+        for y0, y1, y2, y3 in zip(ys, ys[1:], ys[2:], ys[3:]):
+            x0 = core._matvec_int(cols, y0)
+            o2, o3 = (sum(t * t for t in core._matvec_int(cols, y)[d:]) for y in (y2, y3))
+            narrow = sum(t * t for t in x0[:d])
+            if core._iroot(mink_sq.numerator // (mink_sq.denominator * narrow**d), c) < o3:
+                continue
+            step = chain_walker(basis, budget=10**7)
+            assert step(y0)[1][0] == y1
+            searched = []
+            for y, cap, want in ((y1, o2 - 1, None), (y1, o2, y2), (y2, o3, y3)):
+                before = len(calls)
+                got = step(y, cap=cap)
+                searched.append(len(calls) - before)
+                assert got == _fresh_step(basis, y, cap=cap)
+                assert (got[1][0] if got[1] else None) == want
+            assert searched == [0, 0, 1]
+            checked += 1
+    assert checked >= 10
 
 
 def test_kept_cylinder_steps_off_the_chain(monkeypatch):
