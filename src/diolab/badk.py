@@ -53,7 +53,7 @@ Pair = tuple[Fraction, Fraction]
 # at most SCAN_CAP
 SCAN_CAP = 10**6
 
-# a gap search's width^2 radius over that of its witness height
+# a kept gap search's width^2 radius over that of its witness height
 _RADIUS_FACTOR = 2
 
 
@@ -204,10 +204,11 @@ def _gap_search(
     as one cylinder search warm-started from the reduced columns the
     previous search left (core._cylinder_search).  Its width is fixed
     by a witness height: w = max(q_lo + 1, q_hi - q_lo) lies in the
-    range, so the cylinder of width^2 radius = 2 d(w theta, Z^2)^2 and
+    range, so the cylinder of width^2 radius = d(w theta, Z^2)^2 and
     height below q_hi holds w's own vector and every height in the range
-    that beats it; the factor 2 keeps the heights a later theta may
-    need (_carried_gap).  When q_hi > 2 q_lo, w = q_hi - q_lo and the
+    that beats it.  A search whose gap goes to ``keep`` takes twice that
+    radius, for the heights a later theta may need (_carried_gap); one
+    that keeps nothing searches no wider than it must.  When q_hi > 2 q_lo, w = q_hi - q_lo and the
     triangle inequality bounds that width by d(q_lo theta, Z^2) +
     d(q_hi theta, Z^2).  Only norms are read, so no point's coordinates
     are built.
@@ -229,7 +230,7 @@ def _gap_search(
             lattice = (_cylinder_search(basis, budget), basis.kernel[1][0])
         search, unit_w = lattice
         w = max(q_lo + 1, q_hi - q_lo)
-        radius = _RADIUS_FACTOR * _r_sq(theta, w)
+        radius = _r_sq(theta, w) * (1 if keep is None else _RADIUS_FACTOR)
         # the height unit of a theta-lattice is 1: height^2 is q^2
         points, _ = search(math.floor(radius * unit_w), (q_hi - 1) ** 2)
         lo = q_lo * q_lo

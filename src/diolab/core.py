@@ -966,22 +966,21 @@ def chain_walker(
     floor F (the other^2 of the step's answer), its other radius B and
     every point of the cylinder with other^2 above F, which are all the
     lattice points with narrow^2 <= R_n and F < other^2 <= B.
-    A later step from y in the same direction, with x_n - 1 <= R_n and
-    x_o >= F (x_n, x_o the narrow^2 and other^2 of y), first reads the
-    kept points with narrow^2 < x_n and other^2 > x_o, and, when its
-    cap is below B, other^2 <= cap, B taking the cap's value.  If any
-    is left, their minimal class is the answer and no search runs; the
-    points read with other^2 above the answer's are kept, with R_n =
-    x_n - 1, the answer's other^2 as the floor, and that B.  This is
-    exact.  The Minkowski bound falls as the narrow norm grows, and
-    x_n <= R_n + 1, so it is at least B, the step's own bound is at
-    least min(B, cap), and every point read lies in its cylinder.  A
-    candidate of y that beats the answer, or ties it, has narrow^2 <=
-    x_n - 1 <= R_n and F <= x_o < other^2 <= the answer's other^2 <=
-    min(B, cap), so it was kept and is read.  If none is left and the
-    step's own bound is at most B, every candidate of y would have been
-    kept and read, so y has no successor and the step returns (None, [])
-    with no search.  Along a chain the floor is the next step's x_o, so
+    A later step from y in the same direction, with x_n - 1 <= R_n,
+    x_o >= F (x_n, x_o the narrow^2 and other^2 of y) and no cap below
+    B, first reads the kept points with narrow^2 < x_n and other^2 >
+    x_o.  If any is left, their minimal class is the answer and no
+    search runs; the points read with other^2 above the answer's are
+    kept, with R_n = x_n - 1, the answer's other^2 as the floor, and B
+    unchanged.  This is exact.  The Minkowski bound falls as the narrow
+    norm grows, and x_n <= R_n + 1, so it is at least B; with the cap
+    at least B, so is the step's own bound, and every point read lies
+    in its cylinder.  A candidate of y that beats the answer, or ties
+    it, has narrow^2 <= x_n - 1 <= R_n and F <= x_o < other^2 <= the
+    answer's other^2 <= B, so it was kept and is read.  A step capped
+    below B searches.  If none is left and the step's own bound is at
+    most B, every candidate of y would have been kept and read, so y
+    has no successor and the step returns (None, []) with no search.  Along a chain the floor is the next step's x_o, so
     that step makes no search whenever the last cylinder already holds
     its successor, or already shows that the chain ends at the cap.  A
     step answered from the kept points makes no nodes, so it cannot
@@ -1019,13 +1018,16 @@ def chain_walker(
         if x_n == 0:
             return None, []
         found = []
-        kept = last and last[0] == forward and x_n - 1 <= last[1] and x_o >= last[2]
+        kept = (
+            last
+            and last[0] == forward
+            and x_n - 1 <= last[1]
+            and x_o >= last[2]
+            and (cap is None or cap >= last[3])
+        )
         if kept:
             _, _, _, bound, points, coords = last
             found = [p for p in points if p[1] < x_n and p[0] > x_o]
-            if cap is not None and cap < bound:
-                bound = cap
-                found = [p for p in found if p[0] <= cap]
         if not found:
             k = d if forward else m - d  # size of the narrowing block
             # other^2 is an integer, so the exact floor of the root is the bound
