@@ -599,10 +599,13 @@ def certify(
     Raises AssertionError with the offending datum on any violation.
     certify never reads step's columns: it checks only columns it built
     or stored itself.  Condition 1 has three routes to the denominator
-    list, each able to reject a wrong list alone: the gap minima
-    (_gap_route: the tables' column n and the last gap), theta_n's chain
-    capped step by step at the claimed heights (_chain_route), and a
-    direct scan while Q_n <= SCAN_CAP.
+    list, each able to reject a wrong list alone, run in this order:
+    theta_n's chain capped step by step at the claimed heights
+    (_chain_route), a direct scan while Q_n <= SCAN_CAP, and the gap
+    minima (_gap_route: the tables' column n and the last gap).  The
+    first two build no table column, so a wrong list is rejected by name
+    before a column's gap searches, which on a wrong list can open gaps
+    of ~10^12 heights and exhaust the budget, are run.
 
     Column j of the tables is a function of (theta_j, Q_0..Q_j, budget)
     alone, so columns j < n come from the lineage's certify_memo when
@@ -625,6 +628,17 @@ def certify(
     vacuous = []
     if _lcd(theta) != qs[-1]:
         raise AssertionError("det invariant broken: lcd != Q_n")
+
+    # condition 1: Q_0..Q_n are exactly the best denominators of theta_n
+    if _r_sq(theta, qs[-1]) != 0:
+        raise AssertionError("theta_n not terminal at its own denominator")
+    _chain_route(theta, qs, budget)
+    scanned = False
+    if qs[-1] <= SCAN_CAP:
+        recs = direct_scan((theta,), qs[-1])
+        if tuple(int(r.Q[0]) for r in recs) != qs:
+            raise AssertionError("direct scan disagrees with Q list")
+        scanned = True
     # columns 1..n; column n holds the gaps i < n, and its search also
     # serves the last gap
     columns = []
@@ -637,18 +651,7 @@ def certify(
             memo[key] = column
         columns.append(column)
     gaps_n = columns[-1].M
-
-    # condition 1: Q_0..Q_n are exactly the best denominators of theta_n
-    if _r_sq(theta, qs[-1]) != 0:
-        raise AssertionError("theta_n not terminal at its own denominator")
     _gap_route(theta, qs, gaps_n, gap_search)
-    _chain_route(theta, qs, budget)
-    scanned = False
-    if qs[-1] <= SCAN_CAP:
-        recs = direct_scan((theta,), qs[-1])
-        if tuple(int(r.Q[0]) for r in recs) != qs:
-            raise AssertionError("direct scan disagrees with Q list")
-        scanned = True
     conditions["best_denominators"] = True
 
     # condition 2: growth and recorded branching

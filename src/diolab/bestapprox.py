@@ -162,35 +162,12 @@ def _frac64(tnum: Sequence[Sequence[int]], den: int) -> list[list[np.uint64]]:
 
 
 def _bound64(best: int, den: int) -> int:
-    """ceil(sqrt(best * 2^128 / den^2)): the largest distance, in units
-    of 2^-64, that a coordinate of a height with dist_sq_scaled <= best
-    can have."""
+    """min(ceil(sqrt(best * 2^128 / den^2)), 2^63 - 1): the largest
+    distance, in units of 2^-64, that a coordinate of a height with
+    dist_sq_scaled <= best can have, clamped at the largest _excess."""
     num, den_sq = best << 128, den * den
     k = isqrt(num // den_sq)
-    return k + 1 if k * k * den_sq < num else k
-
-
-def _survivors(
-    qcols: Sequence[np.ndarray],
-    margin: np.ndarray,
-    frac64: Sequence[Sequence[np.uint64]],
-    den: int,
-    best: int,
-) -> np.ndarray:
-    """Indices of the heights that can have dist_sq_scaled <= best.
-
-    s_i = sum_j q_j a_ji mod 2^64 is exact in uint64 (a negative q_j
-    wraps to q_j mod 2^64), and it lies within sum_j |q_j| of the true
-    q.theta_i * 2^64, since each a_ji is short of theta_ji * 2^64 by
-    less than 1.  So u_i = min(s_i, -s_i) differs from the distance of
-    q.theta_i to Z, in units of 2^-64, by less than that sum, and every
-    height with dist_sq_scaled <= best has max_i u_i <= _bound64(best,
-    den) + E, with the margin E = sum_j |q_j| + 1 (a spare +1).
-    """
-    bound = _bound64(best, den)
-    if bound >= 1 << 63:  # no u_i exceeds 2^63
-        return np.arange(len(margin))
-    return np.flatnonzero(_excess(qcols, margin, frac64) <= bound)
+    return min(k + 1 if k * k * den_sq < num else k, (1 << 63) - 1)
 
 
 def _excess(
@@ -198,9 +175,18 @@ def _excess(
     margin: np.ndarray,
     frac64: Sequence[Sequence[np.uint64]],
 ) -> np.ndarray:
-    """max_i u_i - E per height (_survivors), as int64: u_i <= 2^63 and
+    """max_i u_i - E per height, as int64: a height with dist_sq_scaled
+    <= best has an excess at most _bound64(best, den).
+
+    s_i = sum_j q_j a_ji mod 2^64 is exact in uint64 (a negative q_j
+    wraps to q_j mod 2^64), and it lies within sum_j |q_j| of the true
+    q.theta_i * 2^64, since each a_ji is short of theta_ji * 2^64 by
+    less than 1.  So u_i = min(s_i, -s_i) differs from the distance of
+    q.theta_i to Z, in units of 2^-64, by less than that sum, which the
+    margin E = sum_j |q_j| + 1 covers with a spare +1.  u_i <= 2^63 and
     E >= 1, so the difference fits, and it is negative where the margin
-    alone covers u_i."""
+    alone covers u_i.
+    """
     qu = [q.view(np.uint64) for q in qcols]
     worst = None
     for i in range(len(frac64[0])):
@@ -232,18 +218,16 @@ def direct_scan(
     reach the running minimum best: with a_ji = floor((theta_ji mod 1)
     * 2^64), the uint64 sums s_i = sum_j q_j a_ji mod 2^64, taken over
     a uint64 view of the int64 heights, give each coordinate's distance
-    to Z in units of 2^-64 within E, so a height survives only if
-    max_i min(s_i, -s_i) - E <= ceil(sqrt(best * 2^128 / den^2))
-    (_survivors).  The first chunk, before any record, is filtered by
-    the exact distance of its first height the budget pays for: the
-    first shell records its minimum, which is at most that.  That bound
-    is loose, so within the first chunk each record re-filters the
-    survivors still ahead by the new minimum, from their excess
-    max_i min(s_i, -s_i) - E (_excess) computed once.  The survivors
-    get the exact integer distance, shell by shell.  The
-    budget counts d*c ops per height in shell order and raises where
-    the plain loop over every height would, also inside a shell that
-    the scan would have ended at.
+    to Z in units of 2^-64 within E, so a height survives only if its
+    excess max_i min(s_i, -s_i) - E, computed once per chunk (_excess),
+    is at most ceil(sqrt(best * 2^128 / den^2)) (_bound64).  Before the
+    first record best is the exact distance of the first height the
+    budget pays for: the first shell records its minimum, which is at
+    most that.  Each record re-filters the chunk's survivors still
+    ahead by the new minimum.  The survivors get the exact integer
+    distance, shell by shell.  The budget counts d*c ops per height in
+    shell order and raises where the plain loop over every height
+    would, also inside a shell that the scan would have ended at.
     """
     c = len(theta)
     d = len(theta[0])
@@ -277,26 +261,25 @@ def direct_scan(
             keep = int(np.searchsorted(keys, keys[room]))
             qcols, keys, margin = [q[:keep] for q in qcols], keys[:keep], margin[:keep]
         room -= len(keys)
-        first = best is None
-        if first:
+        if best is None:
             # the first shell records its minimum, which is at most the
             # distance of the first paid height (there is none at budget 0)
             bound = dist_sq_scaled(tuple(int(q[0]) for q in qcols)) if len(keys) else 0
         else:
             bound = best
-        idx = _survivors(qcols, margin, frac64, den, bound)
+        limit = _bound64(bound, den)
+        ex = _excess(qcols, margin, frac64)
+        idx = np.flatnonzero(ex <= limit)
         hs = list(zip(*(q[idx].tolist() for q in qcols)))
         ks = keys[idx].tolist()
-        if first:
-            excess = _excess([q[idx] for q in qcols], margin[idx], frac64).tolist()
-            limit = _bound64(bound, den)
+        excess = ex[idx].tolist()
         k = 0
         while k < len(hs):
             key = ks[k]
             shell_best: Optional[int] = None
             achievers: list[tuple[int, ...]] = []
             while k < len(hs) and ks[k] == key:
-                if first and excess[k] > limit:
+                if excess[k] > limit:
                     k += 1
                     continue
                 w = dist_sq_scaled(hs[k])
@@ -316,8 +299,7 @@ def direct_scan(
                         f"two heights of norm^2 {norm_sq} tie at the shell minimum"
                     )
                 best = shell_best
-                if first:
-                    limit = _bound64(best, den)
+                limit = _bound64(best, den)
                 records.append(
                     BestApproxRecord(
                         len(records),

@@ -730,84 +730,59 @@ def _gauss_pair(
         a, b, na, nb, ua, ub = b, a, nb, na, ub, ua
 
 
+# the points of one cylinder search: (width^2, height^2, coordinates in
+# the search's own reduced basis), and the search's coordinate builder
+_Points = list[tuple[int, int, tuple[int, ...]]]
+_Coords = Callable[[tuple[int, ...]], tuple[int, ...]]
+# what a cylinder search leaves the next: (a, red, U) (_cylinder_points)
+_Carry = tuple[int, Sequence[Sequence[int]], list[list[int]]]
+
+
 def _plane_points(
     work: Sequence[Sequence[int]],
-    u: Optional[Sequence[Sequence[int]]],
     rp: int,
     rm: int,
     ball: int,
     sw: int,
     sh: int,
     budget: int,
-) -> tuple[list[tuple[int, int, tuple[int, ...]]], list[list[int]]]:
+) -> tuple[_Points, list[tuple[int, ...]], list[list[int]]]:
     """The m = 2 search of _cylinder_points on the rebalanced pair
     ``work`` (d = 1): Lagrange-Gauss reduction, then one pass over the
-    sign-canonical half-plane y_b >= 0 (y_a >= 1 on y_b = 0) of the
-    disk |y_a b_1 + y_b b_2|^2 <= ``ball``.  With A, G, B the reduced
-    Gram entries and D = AB - G^2, that disk is D y_b^2 + (A y_a +
-    G y_b)^2 <= A ball, so |y_b| <= isqrt(A ball // D) and |A y_a +
-    G y_b| <= isqrt(A ball - D y_b^2).  Every row and every y_a tried
-    counts one node against ``budget``.  Returns [(width^2, height^2,
-    sign-canonical y)] and the transform for the next search.
+    half-plane z_b >= 0 (z_a >= 1 on z_b = 0) of the disk |z_a b_1 +
+    z_b b_2|^2 <= ``ball``.  With A, G, B the reduced Gram entries and
+    D = AB - G^2, that disk is D z_b^2 + (A z_a + G z_b)^2 <= A ball, so
+    |z_b| <= isqrt(A ball // D) and |A z_a + G z_b| <= isqrt(A ball -
+    D z_b^2).  Every row and every z_a tried counts one node against
+    ``budget``.  Returns what LLL and fp_enumerate give the m >= 3
+    search: the points [(width^2, height^2, z)] inside the cylinder, one
+    per pair +-z, z = (z_a, z_b) in the reduced pair, then the reduced
+    pair and its transform u2 (reduced = work . u2).
     """
-    (p0, p1), (q0, q1), (ga, gg, gb), u2 = _gauss_pair(*work)
-    u = u2 if u is None else _matmul_int(u, u2)
-    (s0, s1), (t0, t1) = u
+    p, q, (ga, gg, gb), u2 = _gauss_pair(*work)
+    (p0, p1), (q0, q1) = p, q
     det = ga * gb - gg * gg
     bound = ga * ball
-    found: list[tuple[int, int, tuple[int, ...]]] = []
+    found: _Points = []
     nodes = 0
-    for yb in range(isqrt(bound // det) + 1):
-        h = isqrt(bound - yb * yb * det)
-        n = -gg * yb
-        lo = -((h - n) // ga) if yb else 1
+    for zb in range(isqrt(bound // det) + 1):
+        h = isqrt(bound - zb * zb * det)
+        n = -gg * zb
+        lo = -((h - n) // ga) if zb else 1
         hi = (n + h) // ga
         nodes += 1 + max(hi - lo + 1, 0)
         if nodes > budget:
             raise BudgetExceededError(f"enumeration exceeded budget of {budget} nodes")
-        for ya in range(lo, hi + 1):
-            x0 = ya * p0 + yb * q0
+        for za in range(lo, hi + 1):
+            x0 = za * p0 + zb * q0
             w = x0 * x0 >> sw
             if w > rp:
                 continue
-            x1 = ya * p1 + yb * q1
+            x1 = za * p1 + zb * q1
             ht = x1 * x1 >> sh
-            if ht > rm:
-                continue
-            y0 = ya * s0 + yb * t0
-            y1 = ya * s1 + yb * t1
-            # canonical_sign for d = 1: the height coordinate decides first
-            if y1 < 0 or (y1 == 0 and y0 < 0):
-                y0, y1 = -y0, -y1
-            found.append((w, ht, (y0, y1)))
-    return found, u
-
-
-# the points of one cylinder search: (width^2, height^2, coordinates in
-# the search's own reduced basis), and the search's coordinate builder
-_Points = list[tuple[int, int, tuple[int, ...]]]
-_Coords = Callable[[tuple[int, ...]], tuple[int, ...]]
-
-
-def _as_is(y: tuple[int, ...]) -> tuple[int, ...]:
-    return y
-
-
-def _fold(node: list) -> list[list[int]]:
-    """The transform U of a warm m >= 3 search.  A search's node is
-    [prev, u2], its LLL transform u2 on top of the node of the search
-    before it, so U = U(prev) . u2; a from-scratch node, and a node once
-    folded, is [None, U].  Folding multiplies out the pending factors
-    down to the last folded node and stores each product in its node."""
-    pending = []
-    while node[0] is not None:
-        pending.append(node)
-        node = node[0]
-    u = node[1]
-    for nd in reversed(pending):
-        u = _matmul_int(u, nd[1])
-        nd[0], nd[1] = None, u
-    return u
+            if ht <= rm:
+                found.append((w, ht, (za, zb)))
+    return found, [p, q], u2
 
 
 def _rescaled(
@@ -818,104 +793,90 @@ def _rescaled(
     exact where it undoes a scaling."""
     if not (ew or eh):
         return cols
-
-    def block(part: Sequence[int], e: int) -> list[int]:
-        return [t << e for t in part] if e >= 0 else [t >> -e for t in part]
-
-    return [block(col[:d], ew) + block(col[d:], eh) for col in cols]
+    shifts = [ew] * d + [eh] * (len(cols) - d)
+    return [[t << e if e >= 0 else t >> -e for t, e in zip(col, shifts)] for col in cols]
 
 
 def _cylinder_points(
     cols: Sequence[Sequence[int]],
-    carry: Optional[object],
+    carry: Optional[_Carry],
     d: int,
     rp: int,
     rm: int,
     budget: int,
-) -> tuple[_Points, _Coords, object]:
+) -> tuple[_Points, _Coords, _Carry]:
     """The cylinder search under _cylinder_search and
     enumerate_in_cylinder: every nonzero y with |cols . y|^2 <= rp on
     rows [:d] and <= rm on rows [d:] (closed integer squared radii).
 
     The cylinder is rebalanced inside the Euclidean ball: with a =
     bitlen(isqrt(rm)) - bitlen(isqrt(rp)), the block with the smaller
-    radius is scaled up by 2^|a|, which also pins a zero-radius block to
-    zero (every nonzero integer point there lands beyond the ball).
-    ``carry`` is what the previous search left (None: from scratch).
-    For m = 2 it is the transform u: the pair cols . u is rebalanced,
-    reduced by Lagrange-Gauss and its ball walked over a half-plane
-    (_plane_points).  For m >= 3 it is (a', red, node): the LLL-reduced
-    columns red = S(a') cols U of that search, S(a) the rebalancing
-    scale, and the node of U (_fold).  Their rows are re-shifted from
-    S(a') to S(a), exact since LLL's column operations commute with
-    row scaling, so the reduction starts from S(a) cols U without a
-    matrix product; LLL hands its reduced columns and their
-    Gram-Schmidt data to fp_enumerate, which walks the half-ball of one
-    y per pair +-y.  The visitor reads the norms off the rows of the
-    reduced columns, built once per search, shifting the scaled block
-    back exactly, and keeps each point inside the cylinder with its
-    reduced coordinates.
+    radius is scaled up by 2^|a| (S(a), the rebalancing scale), which
+    also pins a zero-radius block to zero (every nonzero integer point
+    there lands beyond the ball).  ``carry`` is what the previous search
+    left (None: from scratch), for every m the triple (a', red, U): its
+    exponent, its reduced columns red = S(a') cols U and the unimodular
+    transform U, kept multiplied out.  The search re-shifts red's rows
+    from S(a') to S(a) (_rescaled), exact since column operations
+    commute with row scaling and the scaled block holds multiples of
+    2^|a'|, so the reduction starts from S(a) cols U without a matrix
+    product.  For m = 2, Lagrange-Gauss reduces that pair and its disk
+    is walked over a half-plane (_plane_points); for m >= 3, LLL hands
+    its reduced columns and their Gram-Schmidt data to fp_enumerate,
+    which walks the half-ball of one z per pair +-z, and the visitor
+    reads the norms off the rows of the reduced columns, built once per
+    search, shifting the scaled block back exactly.  Either way the
+    reduction's transform u2 gives the new U = U' u2.
 
     Returns (points, coords, carry): points [(width^2, height^2, z)] in
-    the units of ``cols``, one per pair +-y; coords(z), the
-    sign-canonical y of a point (canonical_sign), which for m >= 3
-    folds the transform on its first call and is never called by a
-    caller that reads only norms; and the carry for the next search.
-    For m = 2, z is y itself.
+    the units of ``cols``, one per pair +-y, z the reduced coordinates;
+    coords(z) = canonical_sign(U z), the sign-canonical y of a point,
+    called only by a caller that reads coordinates; and the carry for
+    the next search.
     """
     m = len(cols)
     # (r.bit_length() + 1) // 2 == isqrt(r).bit_length() for r >= 0
     a = (rm.bit_length() + 1) // 2 - (rp.bit_length() + 1) // 2
     ball = (rp << 2 * a) + rm if a > 0 else rp + (rm << -2 * a)
     sw, sh = (2 * a, 0) if a > 0 else (0, -2 * a)
-    if m == 2:
-        work = [list(col) for col in cols] if carry is None else _matmul_int(cols, carry)
-        if a:
-            rows = range(d) if a > 0 else range(d, m)
-            for col in work:
-                for i in rows:
-                    col[i] <<= abs(a)
-        points, u = _plane_points(work, carry, rp, rm, ball, sw, sh, budget)
-        return points, _as_is, u
     # S(a) scales rows [:d] by 2^ew and rows [d:] by 2^eh
     ew, eh = sw >> 1, sh >> 1
     if carry is None:
-        work, node = _rescaled(cols, d, ew, eh), None
+        work = _rescaled(cols, d, ew, eh)
     else:
-        a0, red, node = carry
+        a0, red, u = carry
         work = _rescaled(red, d, ew - max(a0, 0), eh - max(-a0, 0))
-    red, u2, gso = lll_columns(work)
-    node = [node, u2]
-    points: _Points = []
-    rows = list(zip(*red))
-    w_rows, h_rows = rows[:d], rows[d:]
+    if m == 2:
+        points, red, u2 = _plane_points(work, rp, rm, ball, sw, sh, budget)
+    else:
+        red, u2, gso = lll_columns(work)
+        points = []
+        rows = list(zip(*red))
+        w_rows, h_rows = rows[:d], rows[d:]
 
-    def visit(z: tuple[int, ...]) -> None:
-        w = 0
-        for row in w_rows:
-            t = sum(map(mul, row, z))
-            w += t * t
-        w >>= sw
-        if w > rp:
-            return
-        h = 0
-        for row in h_rows:
-            t = sum(map(mul, row, z))
-            h += t * t
-        h >>= sh
-        if h <= rm:
-            points.append((w, h, z))
+        def visit(z: tuple[int, ...]) -> None:
+            w = 0
+            for row in w_rows:
+                t = sum(map(mul, row, z))
+                w += t * t
+            w >>= sw
+            if w > rp:
+                return
+            h = 0
+            for row in h_rows:
+                t = sum(map(mul, row, z))
+                h += t * t
+            h >>= sh
+            if h <= rm:
+                points.append((w, h, z))
 
-    fp_enumerate(red, ball, visit, budget=budget, gso=gso)
-    u_rows: Optional[list] = None
+        fp_enumerate(red, ball, visit, budget=budget, gso=gso)
+    u = u2 if carry is None else _matmul_int(u, u2)
 
     def coords(z: tuple[int, ...]) -> tuple[int, ...]:
-        nonlocal u_rows
-        if u_rows is None:
-            u_rows = list(zip(*_fold(node)))
-        return canonical_sign([sum(map(mul, row, z)) for row in u_rows], d)
+        return canonical_sign(_matvec_int(u, z), d)
 
-    return points, coords, (a, red, node)
+    return points, coords, (a, red, u)
 
 
 def _cylinder_search(
@@ -924,13 +885,13 @@ def _cylinder_search(
     """Repeated cylinder searches on one basis.  ``search(rp, rm)`` is
     _cylinder_points on the columns of basis.kernel with closed integer
     squared radii in its units, returning (points, coords); each search
-    starts from the carry the previous one left (from scratch on the
-    first): for m >= 3 its reduced columns, re-shifted, and ``budget``
-    counts the nodes of one search.  The points found are a set, so they
-    do not depend on the order of the searches."""
+    starts from the carry (a, red, U) the previous one left (from
+    scratch on the first), its reduced columns re-shifted, for every m,
+    and ``budget`` counts the nodes of one search.  The points found are
+    a set, so they do not depend on the order of the searches."""
     cols = basis.kernel[0]
     d = basis.d
-    carry: Optional[object] = None
+    carry: Optional[_Carry] = None
 
     def search(rp: int, rm: int) -> tuple[_Points, _Coords]:
         nonlocal carry

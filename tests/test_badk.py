@@ -297,6 +297,21 @@ def test_chain_route_alone_rejects_every_wrong_list(monkeypatch):
     assert all(certify(state).conditions.values())
 
 
+def test_certify_rejects_a_wrong_list_before_any_gap_search(monkeypatch):
+    # Q_4 + 1 in the n = 8 state: a column built on that list opens gaps
+    # too wide for a budget of 10^5 nodes, but the chain route runs
+    # first, builds no column and names the wrong denominator
+    state = advance(7)
+    assert state.n == 8
+    qs = state.q_list
+    bad = dataclasses.replace(state, q_list=qs[:4] + (qs[4] + 1,) + qs[5:], certify_memo={})
+    built = []
+    recording_column(monkeypatch, built)
+    with pytest.raises(AssertionError, match=r"^chain route disagrees with Q list at Q_4$"):
+        certify(bad, budget=10**5)
+    assert built == [] and bad.certify_memo == {}
+
+
 def test_gap_search_matches_brute_force_on_the_construction():
     state = advance(3)
     qs = state.q_list
@@ -771,11 +786,14 @@ def test_carried_gaps_match_reference_gap_to_depth_40(monkeypatch):
 def test_memo_is_keyed_by_budget(states, monkeypatch):
     # the default-budget columns are in the memo, yet a budget of one
     # node rebuilds from column 1 and fails at column 2's first search
+    # (the chain route, which runs before any column and would exhaust
+    # that budget first, is stubbed out)
     state = dataclasses.replace(states[4], certify_memo={})
     for earlier in states[:5]:
         certify(dataclasses.replace(earlier, certify_memo=state.certify_memo))
     built = []
     recording_column(monkeypatch, built)
+    monkeypatch.setattr(badk, "_chain_route", lambda *args: None)
     with pytest.raises(BudgetExceededError):
         certify(state, budget=1)
     assert built == [1, 2]
@@ -783,8 +801,11 @@ def test_memo_is_keyed_by_budget(states, monkeypatch):
 
 def test_memo_misses_a_tampered_state(states, monkeypatch):
     # doubling Q_3 changes the key of every column j >= 3: certify
-    # rebuilds those columns and rejects the state
+    # rebuilds those columns and rejects the state.  The chain route,
+    # which would reject it before any column, is stubbed out, and Q_6
+    # is beyond SCAN_CAP, so the scan is off
     state = states[5]
+    assert state.Q > badk.SCAN_CAP
     memo = {}
     for earlier in states[:6]:
         certify(dataclasses.replace(earlier, certify_memo=memo))
@@ -794,7 +815,8 @@ def test_memo_misses_a_tampered_state(states, monkeypatch):
     )
     built = []
     recording_column(monkeypatch, built)
-    with pytest.raises(AssertionError):
+    monkeypatch.setattr(badk, "_chain_route", lambda *args: None)
+    with pytest.raises(AssertionError, match=r"gap \(366, 78212\) beats"):
         certify(bad)
     assert built == [3, 4, 5, 6]
 

@@ -127,19 +127,20 @@ def test_direct_scan_reuses_cached_annuli(monkeypatch):
         with pytest.raises(ValueError):
             arr[0] = 7
 
-    seen = {}
-    survivors = bestapprox._survivors
+    seen = []
+    excess = bestapprox._excess
 
-    def recorded(qcols, margin, frac64, den, best):
-        seen.setdefault(den, []).append(margin)
-        return survivors(qcols, margin, frac64, den, best)
+    def recorded(qcols, margin, frac64):
+        seen[-1].append(margin)
+        return excess(qcols, margin, frac64)
 
-    monkeypatch.setattr(bestapprox, "_survivors", recorded)
-    direct_scan(a, 200)
-    direct_scan(b, 200)
+    monkeypatch.setattr(bestapprox, "_excess", recorded)
+    for theta in (a, b):
+        seen.append([])
+        direct_scan(theta, 200)
     # b = (2/7, 5/2^30) ends at its terminal height (7, 0), in its
     # second chunk
-    ma, mb = seen.values()
+    ma, mb = seen
     assert len(ma) > len(mb) == 2
     assert all(x is y for x, y in zip(ma, mb))
 
@@ -174,7 +175,8 @@ def test_prefilter_keeps_every_height_within_the_bound():
                 for qcols, _, margin in chunks:
                     hs = list(zip(*(q.tolist() for q in qcols)))
                     assert margin.tolist() == [sum(map(abs, h)) + 1 for h in hs]
-                    kept = set(bestapprox._survivors(qcols, margin, frac64, den_, bound).tolist())
+                    ex = bestapprox._excess(qcols, margin, frac64)
+                    kept = set(np.flatnonzero(ex <= b64).tolist())
                     near = [k for k, h in enumerate(hs) if w[h] <= bound]
                     assert kept.issuperset(near)
                     by_margin += sum(u[hs[k]] > b64 for k in near)

@@ -116,6 +116,47 @@ def test_every_helper_is_called():
     assert unread == []
 
 
+# the integer lattice kernel: every decision there is made on integers
+KERNEL = (
+    "_iroot",
+    "_int_gso",
+    "lll_columns",
+    "_fp_weights",
+    "fp_enumerate",
+    "_matvec_int",
+    "_matmul_int",
+    "_gauss_pair",
+    "_plane_points",
+    "_rescaled",
+    "_cylinder_points",
+    "_cylinder_search",
+    "chain_walker",
+    "canonical_sign",
+)
+
+
+def test_kernel_is_integer_only():
+    # no float literal, float() call, true division or math, numpy or
+    # mpmath attribute anywhere in a kernel function, nested ones included
+    tree = ast.parse(inspect.getsource(core))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert sorted(set(KERNEL) - set(defs)) == []
+    found = []
+    for name in KERNEL:
+        for node in ast.walk(defs[name]):
+            if (
+                (isinstance(node, ast.Constant) and type(node.value) in (float, complex))
+                or (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float")
+                or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+                or (
+                    isinstance(node, ast.Attribute)
+                    and getattr(node.value, "id", None) in ("math", "np", "numpy", "mpmath")
+                )
+            ):
+                found.append((name, node.lineno, ast.dump(node)[:60]))
+    assert found == []
+
+
 def test_nearest_int_halves_round_down():
     assert nearest_int(Fraction(1, 2)) == 0
     assert nearest_int(Fraction(3, 2)) == 1
@@ -705,11 +746,26 @@ def _search(cols, carry, d, rp, rm):
     return got, carry
 
 
-def _plane_matches(cols, u, rp, rm):
-    got, u2 = _search(cols, u, 1, rp, rm)
+def _scaled(cols, d, a):
+    """S(a) cols: rows [:d] times 2^a for a > 0, rows [d:] times 2^-a
+    for a < 0."""
+    ew, eh = max(a, 0), max(-a, 0)
+    return [[t << (ew if i < d else eh) for i, t in enumerate(col)] for col in cols]
+
+
+def _carries(cols, d, carry):
+    """Assert that a search's carry is (a, S(a) cols U, U), U unimodular."""
+    a, red, u = carry
+    assert abs(LatticeBasis(d, len(cols) - d, u).det_raw()) == 1
+    assert [list(col) for col in red] == _scaled(core._matmul_int(cols, u), d, a)
+    return a
+
+
+def _plane_matches(cols, carry, rp, rm):
+    got, carry = _search(cols, carry, 1, rp, rm)
     assert got == _lll_fp_points(cols, 1, rp, rm)
-    assert abs(u2[0][0] * u2[1][1] - u2[0][1] * u2[1][0]) == 1
-    return got, u2
+    _carries(cols, 1, carry)
+    return got, carry
 
 
 def test_plane_search_matches_box_scan_and_lll_route():
@@ -731,23 +787,23 @@ def test_plane_search_matches_box_scan_and_lll_route():
 
 def test_plane_search_on_skewed_chains():
     # the cylinders of 512-bit 1x1 chains, forward and backward, from the
-    # previous step's transform and from scratch
+    # previous step's carry and from scratch
     steps = 0
     for seed in range(4):
         theta = ((Fraction(random.Random(seed).getrandbits(512), 1 << 512),),)
         basis = LatticeBasis.from_theta(theta)
         cols, mink = basis.kernel[0], basis.kernel_minkowski_sq
         step = chain_walker(basis, budget=10**7)
-        y, u = (nearest_int(theta[0][0]), 1), None
+        y, carry = (nearest_int(theta[0][0]), 1), None
         for _ in range(40):
             x = [sum(cols[j][i] * y[j] for j in range(2)) for i in range(2)]
             wy, hy = x[0] ** 2, x[1] ** 2
             ahead = mink.numerator // (mink.denominator * wy)
             behind = mink.numerator // (mink.denominator * hy)
-            _plane_matches(cols, u, behind, hy - 1)
+            _plane_matches(cols, carry, behind, hy - 1)
             _plane_matches(cols, None, wy - 1, ahead)
-            # the walker's own search, whose transform it keeps
-            got, u = _plane_matches(cols, u, wy - 1, ahead)
+            # the walker's own search, whose carry it keeps
+            got, carry = _plane_matches(cols, carry, wy - 1, ahead)
             key, members = step(y)
             assert set(members) <= set(got) and got[members[0]] == key[::-1]
             y = members[0]
@@ -863,26 +919,18 @@ def test_cylinder_points_matches_the_lll_route_at_m_3_and_4():
     assert warm >= 40
 
 
-def _scaled(cols, d, a):
-    """S(a) cols: rows [:d] times 2^a for a > 0, rows [d:] times 2^-a
-    for a < 0."""
-    ew, eh = max(a, 0), max(-a, 0)
-    return [[t << (ew if i < d else eh) for i, t in enumerate(col)] for col in cols]
-
-
 def test_warm_searches_carry_their_reduced_columns():
-    # warm m = 3 and m = 4 searches over radii whose rebalancing exponent
+    # warm m = 2, 3 and 4 searches over radii whose rebalancing exponent
     # a changes sign: each equals a from-scratch search, whether its
     # coordinates are read at once, after later searches or not at all,
-    # and the carry holds S(a) cols U with U unimodular, kept multiplied
-    # out in its node once folded
+    # and for every m the carry is (a, S(a) cols U, U), U unimodular
     rng = random.Random(73)
-    signs = set()
+    signs = {m: set() for m in (2, 3, 4)}
     checked = 0
-    for m in (3, 4):
+    for m in (2, 3, 4):
         for bits in (8, 64, 256):
             for _ in range(3):
-                d = rng.randrange(1, m)
+                d = 1 if m == 2 else rng.randrange(1, m)
                 cols = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(m)] for _ in range(m)]
                 if LatticeBasis(d, m - d, cols).det_raw() == 0:
                     continue
@@ -894,9 +942,9 @@ def test_warm_searches_carry_their_reduced_columns():
                     rm = rng.randrange(top) >> rng.randrange(0, 4 * bits, 3)
                     points, coords, carry = _cylinder_points(cols, carry, d, rp, rm, 10**7)
                     want, _ = _search(cols, None, d, rp, rm)
-                    a, red, node = carry
+                    a = _carries(cols, d, carry)
                     assert a == isqrt(rm).bit_length() - isqrt(rp).bit_length()
-                    signs.add((a > 0) - (a < 0))
+                    signs[m].add((a > 0) - (a < 0))
                     if earlier is not None:
                         assert _expand(*earlier[:2]) == earlier[2]
                         earlier = None
@@ -908,43 +956,8 @@ def test_warm_searches_carry_their_reduced_columns():
                         assert norms == sorted(want.values())
                         continue
                     assert _expand(points, coords) == want
-                    u = core._fold(node)
-                    assert node == [None, u]
-                    assert abs(LatticeBasis(d, m - d, u).det_raw()) == 1
-                    assert red == _scaled(core._matmul_int(cols, u), d, a)
                     checked += 1
-    assert signs == {-1, 0, 1} and checked >= 40
-
-
-def test_norm_readers_fold_no_transform(monkeypatch):
-    # the gap searches of badk's columns and dynamics' certificate read
-    # only norms, so they never multiply out a transform; the chain
-    # steps that build the chains do
-    import diolab.badk as badk
-
-    folds = []
-    fold = core._fold
-
-    def counted(node):
-        folds.append(1)
-        return fold(node)
-
-    monkeypatch.setattr(core, "_fold", counted)
-    state = badk.init_state()
-    for _ in range(6):
-        state = badk.step(state)
-    for j in range(1, state.n + 1):
-        badk._column(state.thetas, state.q_list, j, 10**7)
-    assert folds == []
-    rng = random.Random(74)
-    for d, c in ((2, 1), (1, 2)):
-        basis = apply_flow(LatticeBasis.from_theta(sample_theta(d, c, 256, rng)), 20)
-        chain = dynamics.minimal_vectors(basis, 12, certify=False)
-        assert folds
-        folds.clear()
-        search = core._cylinder_search(basis, 10**7)
-        sizes = [dynamics._certify(search, basis, e.vector) for e in chain.entries]
-        assert folds == [] and sizes == [e.class_size for e in chain.entries]
+    assert all(s == {-1, 0, 1} for s in signs.values()) and checked >= 60
 
 
 # ---------------------------------------------------------------------------
