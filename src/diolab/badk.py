@@ -247,20 +247,15 @@ def _gap_search(
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Search outcome producing theta_{n+1} from theta_n; d_sq is the
-    squared window scale 1/(Q_n L_n)^2."""
+    """Search outcome producing theta_{n+1} from theta_n: alpha =
+    gamma / Q_n, the shift k, the window integer p and the window's
+    integer count; eps_n is the next state's eps_list[n]."""
 
     n: int
-    gamma: tuple[int, int]
     alpha: Pair
     k: int
-    ab: tuple[int, int]
     p: int
     p_count: int
-    L_sq: Fraction
-    d_sq: Fraction
-    eps: Pair
-    q_next: int
 
 
 class Column(NamedTuple):
@@ -477,13 +472,7 @@ def step(
             ):
                 continue
             alpha = (Fraction(gamma[0], Q), Fraction(gamma[1], Q))
-            ab_vec = (
-                int(alpha[0] - k * theta[0]),
-                int(alpha[1] - k * theta[1]),
-            )
-            if (alpha[0] - k * theta[0]) != ab_vec[0] or (
-                alpha[1] - k * theta[1]
-            ) != ab_vec[1]:
+            if any((a - k * t).denominator != 1 for a, t in zip(alpha, theta)):
                 raise AssertionError("alpha decomposition failed")
             theta_next = (theta[0] + eps[0] / Q, theta[1] + eps[1] / Q)
             if _lcd(theta_next) != q_next:
@@ -497,19 +486,7 @@ def step(
             sign = 1 if n % 2 == 0 else -1
             if not (sign * eps[0] > 0 and sign * eps[1] > 0):
                 raise AssertionError("quadrant sign violated")
-            rec = StepRecord(
-                n,
-                gamma,
-                alpha,
-                k,
-                ab_vec,
-                p_lo,
-                p_count,
-                Fraction(n2, Q * Q),
-                Fraction(1, n2),
-                eps,
-                q_next,
-            )
+            rec = StepRecord(n, alpha, k, p_lo, p_count)
             return BadConstructionState(
                 n=n + 1,
                 thetas=state.thetas + (theta_next,),
@@ -767,7 +744,7 @@ def certificate(
             row["k"] = rec.k
             row["p"] = rec.p
             row["p_count"] = rec.p_count
-            row["eps"] = [str(rec.eps[0]), str(rec.eps[1])]
+            row["eps"] = [str(t) for t in state.eps_list[idx - 1]]
         stats = _prefix_stats(theta_idx, state.q_list[: idx + 1])
         row["prefix_min_q_r_sq"] = str(stats.a)
         row["prefix_min_qnext_r_sq"] = str(stats.b)

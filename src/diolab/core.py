@@ -220,9 +220,6 @@ class Cylinder:
     r_plus_sq: Fraction
     r_minus_sq: Fraction
 
-    def contains_sq(self, width_sq: Fraction, height_sq: Fraction) -> bool:
-        return width_sq <= self.r_plus_sq and height_sq <= self.r_minus_sq
-
 
 @dataclass(frozen=True)
 class LatticeVector:
@@ -237,10 +234,6 @@ class LatticeVector:
     raw: tuple[Fraction, ...]
     width_sq: Fraction
     height_sq: Fraction
-
-    @property
-    def mixed_sq(self) -> Fraction:
-        return max(self.width_sq, self.height_sq)
 
 
 @cache
@@ -313,14 +306,6 @@ class LatticeBasis:
         return self.d + self.c
 
     @classmethod
-    def identity(cls, d: int, c: int) -> "LatticeBasis":
-        m = d + c
-        cols = tuple(
-            tuple(Fraction(1 if i == j else 0) for i in range(m)) for j in range(m)
-        )
-        return cls(d, c, cols)
-
-    @classmethod
     def from_theta(cls, theta: Sequence[Sequence[Fraction]]) -> "LatticeBasis":
         """Basis mapping integer (P, Q) to (P - theta Q, Q); ``theta`` is a
         list of c columns of length d."""
@@ -378,11 +363,6 @@ class LatticeBasis:
             fp, fm = self.flow
             det *= fp**self.d * fm**self.c
         return det
-
-    def det_sq(self) -> Fraction:
-        """Squared covolume of the physical lattice."""
-        dr = self.det_raw()
-        return dr * dr / self.scale_sq ** self.m
 
     @property
     def tol(self) -> Fraction:

@@ -24,10 +24,12 @@ from .bestapprox import BestApproxRecord, beta_sequence, chain_engine, sample_th
 from .core import (
     NonGenericLatticeError,
     SearchLimitError,
+    _cylinder_points,
     ln_frac,
+    minkowski_bound_sq_range,
     minkowski_leq,
 )
-from .dynamics import SurfacePoint2D, chart_lattice_2d, surface_membership_S
+from .dynamics import SurfacePoint2D, chart_lattice_2d
 
 __all__ = [
     "LevyEstimate",
@@ -230,7 +232,10 @@ def surface_measure_1d() -> float:
 @dataclass(frozen=True)
 class SurfaceMeasureEstimate:
     """Monte Carlo mass of the d=2 transversal chart in the rotation x
-    Lebesgue normalization; the absolute scale is diagnostic only."""
+    Lebesgue normalization; the absolute scale is diagnostic only.
+    ``nongeneric`` is always 0: the exact acceptance test raises no
+    NonGenericLatticeError, so no proposal is set aside as non-generic;
+    the field stays because the surface JSON output holds it."""
 
     muS_hat: float
     accept_rate: float
@@ -244,21 +249,27 @@ class SurfaceMeasureEstimate:
 # n33 in (0,4], and a rotation angle contributing the factor 2 pi.
 _BOX_VOLUME = 128 * math.pi**2
 
-# nonzero integer combinations of three columns, one per +- pair
-_COMBOS = np.array(
-    [
-        (a, b, e)
-        for a in range(-2, 3)
-        for b in range(-2, 3)
-        for e in range(-2, 3)
-        if (a, b, e) > (0, 0, 0)
-    ],
-    dtype=float,
-)
-
 
 def _dyadic(rng: random.Random, bits: int = 53) -> Fraction:
     return Fraction(rng.getrandbits(bits), 1 << bits)
+
+
+def _surface_weight(p: SurfacePoint2D, budget: int) -> float:
+    """The density (det N)^(-3) of a proposal ``p`` accepted by
+    surface_mc_2d's exact rule, 0.0 for a rejected one."""
+    if p.n31 == 0:
+        return 0.0
+    basis = chart_lattice_2d(p)
+    det = basis.det_raw()
+    if det <= 0 or minkowski_bound_sq_range(2, 1)[1] * det * det < 1:
+        return 0.0
+    cols, (unit_w, unit_h), _ = basis.kernel
+    points, coords, _ = _cylinder_points(
+        cols, None, 2, math.floor(unit_w), math.floor(unit_h), budget
+    )
+    if sorted(coords(z) for _, _, z in points) != [(0, 1, 0), (1, 0, 0)]:
+        return 0.0
+    return float(1 / det**3)
 
 
 def surface_mc_2d(
@@ -269,20 +280,33 @@ def surface_mc_2d(
 ) -> SurfaceMeasureEstimate:
     """Rejection-sample the d=2, c=1 transversal chart and accumulate the
     density (det N)^(-3) over points whose lattice has exactly the first
-    two columns as critical pair.
+    two columns as critical pair, wide (1, 0, 0) and tall (0, 1, 0).
 
-    Proposal coordinates are drawn as exact dyadic rationals so that the
-    membership test is exact; a float prescreen over small integer
-    combinations discards most rejected points cheaply.  An accepted
-    point on the closed proposal-box boundary raises, as it would prove
-    the box too small.
+    Proposal coordinates are exact dyadic rationals with 0 <= n31 < 1
+    and n12^2 + n22^2 < 1, so the columns (1, 0, n31) and (n12, n22, 1)
+    have mixed norm 1 and neither is a corner.  A proposal is accepted
+    exactly when n31 != 0, (n12, n22) != 0 (neither short vector is
+    degenerate) and the sign-canonical lattice points of the closed unit
+    cylinder are (1, 0, 0) and (0, 1, 0) alone: then no vector is
+    shorter, so lambda_1 = 1, the critical ball is that cylinder and it
+    holds no third pair; conversely, membership with those short vectors
+    puts lambda_1 at 1 and makes the cylinder the critical ball.  The
+    search decides (n12, n22) != 0 too: otherwise (1, -1, 0), or (1, 1,
+    0) when n31 = 0, lies in the cylinder.
+    Minkowski's lambda_1^6 <= C_{2,1}^2 det^2 first rejects hi det^2 < 1
+    exactly, hi the upper end of minkowski_bound_sq_range(2, 1), which
+    also bounds the points the search can meet.  The search is the
+    kernel's _cylinder_points on basis.kernel, each squared radius 1
+    floored into its block's integer units, so no float decides.  An
+    accepted point on the closed proposal-box boundary raises, as it
+    would prove the box too small.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
 
-    def attempt(rng: random.Random) -> tuple[float, bool]:
-        """The weight of one proposal (0.0 if rejected) and whether its
-        lattice was non-generic; a rejected proposal is not re-drawn."""
+    def attempt(rng: random.Random) -> float:
+        """The weight of one proposal, 0.0 if rejected; a rejected
+        proposal is not re-drawn."""
         n31 = _dyadic(rng)
         for _ in range(256):
             n12 = 2 * _dyadic(rng) - 1
@@ -299,39 +323,14 @@ def surface_mc_2d(
                 break
         else:
             raise RuntimeError("n33 draw failed to terminate")
-        point = SurfacePoint2D(n12, n22, n13, n23, n31, n33)
-        basis = chart_lattice_2d(point)
-        det = basis.det_raw()
-        if det <= 0:
-            return 0.0, False
-        cols = np.array(
-            [[1.0, float(n12), float(n13)],
-             [0.0, float(n22), float(n23)],
-             [float(n31), 1.0, float(n33)]]
-        )
-        vecs = _COMBOS @ cols.T
-        mixed = np.maximum(np.hypot(vecs[:, 0], vecs[:, 1]), np.abs(vecs[:, 2]))
-        if np.min(mixed) < 1 - 1e-9:
-            return 0.0, False
-        try:
-            mem = surface_membership_S(basis, budget=budget)
-        except NonGenericLatticeError:
-            return 0.0, True
-        if not (
-            mem.member
-            and mem.wide.y == (1, 0, 0)
-            and mem.tall.y == (0, 1, 0)
-        ):
-            return 0.0, False
-        if n13 == -2 or n23 == -2:
+        weight = _surface_weight(SurfacePoint2D(n12, n22, n13, n23, n31, n33), budget)
+        if weight and (n13 == -2 or n23 == -2):
             raise ValueError(
                 "accepted point on the proposal-box boundary; enlarge the box"
             )
-        return float(1 / Fraction(det) ** 3), False
+        return weight
 
-    draws = [result for result, _ in _seeded_trials(seed, samples, attempt)]
-    weights = np.array([weight for weight, _ in draws])
-    nongeneric = sum(dropped for _, dropped in draws)
+    weights = np.array([weight for weight, _ in _seeded_trials(seed, samples, attempt)])
     # an accepted point has 0 < det N < 10 in the box: a positive weight
     accepted = int(np.count_nonzero(weights))
     mean = float(np.mean(weights))
@@ -341,12 +340,7 @@ def surface_mc_2d(
     else:
         stderr = 0.0
     return SurfaceMeasureEstimate(
-        muS_hat,
-        accepted / samples,
-        stderr,
-        samples,
-        accepted,
-        nongeneric,
+        muS_hat, accepted / samples, stderr, samples, accepted, nongeneric=0
     )
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "write_csv",
     "read_csv",
     "write_json",
-    "read_json",
     "output_dir",
 ]
 
@@ -102,8 +101,3 @@ def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

@@ -11,6 +11,9 @@ enumeration per gap) is the oracle for badk's warm-started gap searches,
 and the flat-table drift scan is the oracle for its column drift floors.
 The reference critical ball (enumerate_in_cylinder and Fraction
 sq_close) is the oracle for the integer decisions of core._critical_ball.
+The reference surface acceptance (a positive determinant and
+surface_membership_S with the first two columns as short vectors) is the
+oracle for the d=2 sampler's one cylinder search.
 The Fraction Gram-Schmidt process is the oracle the integral LLL data
 are checked against, and the reference Fincke-Pohst walk (every range
 decided on the exact integer remainder) is the oracle for the
@@ -45,7 +48,13 @@ from diolab.core import (
     nearest_int,
     sq_close,
 )
-from diolab.dynamics import chart_lattice_1d, first_return, sample_surface_point_1d
+from diolab.dynamics import (
+    chart_lattice_1d,
+    chart_lattice_2d,
+    first_return,
+    sample_surface_point_1d,
+    surface_membership_S,
+)
 
 
 def brute_cylinder(basis, cyl, box):
@@ -59,7 +68,7 @@ def brute_cylinder(basis, cyl, box):
         if ys in seen:
             continue
         v = basis.vector(ys)
-        if cyl.contains_sq(v.width_sq, v.height_sq):
+        if v.width_sq <= cyl.r_plus_sq and v.height_sq <= cyl.r_minus_sq:
             seen[ys] = v
     return sorted(seen.values(), key=lambda v: (v.height_sq, v.width_sq, v.y))
 
@@ -309,16 +318,29 @@ def reference_critical_ball(basis, tol, budget=10**7):
     found = enumerate_in_cylinder(basis, Cylinder(r_sq, r_sq), budget=budget)
     if not found:
         raise AssertionError("the Minkowski ball holds no lattice vector")
-    lam_sq = min(v.mixed_sq for v in found)
+    lam_sq = min(max(v.width_sq, v.height_sq) for v in found)
     on = [
         v
         for v in found
-        if v.mixed_sq <= lam_sq * slack and sq_close(v.mixed_sq, lam_sq, tol)
+        if (mixed := max(v.width_sq, v.height_sq)) <= lam_sq * slack
+        and sq_close(mixed, lam_sq, tol)
     ]
     return lam_sq, [
         (v, sq_close(v.width_sq, lam_sq, tol), sq_close(v.height_sq, lam_sq, tol))
         for v in on
     ]
+
+
+def reference_surface_accept(p):
+    """Whether surface_mc_2d accepts the chart point ``p`` by its rule
+    before it decided on one unit-cylinder search, the float prescreen
+    left out: a positive determinant, membership on S, wide short vector
+    (1, 0, 0) and tall short vector (0, 1, 0)."""
+    basis = chart_lattice_2d(p)
+    if basis.det_raw() <= 0:
+        return False
+    mem = surface_membership_S(basis)
+    return mem.member and mem.wide.y == (1, 0, 0) and mem.tall.y == (0, 1, 0)
 
 
 def return_orbit(seed, n, bits=48):

@@ -155,18 +155,23 @@ def test_certify_initial_state():
 
 
 def test_first_step_frozen():
-    state = step(init_state())
+    seed = init_state()
+    state = step(seed)
     assert state.n == 2
     rec = state.steps[0]
-    assert rec.gamma == (-1, -6)
+    # gamma = Q_1 alpha, (a, b) = alpha - k theta_1, L^2 = |gamma|^2 / Q_1^2,
+    # d^2 = 1 / |gamma|^2, q_next = Q_2 and eps = eps_list[1], all read off
+    # the record and the two states
+    gamma = tuple(seed.Q * t for t in rec.alpha)
+    assert gamma == (-1, -6)
     assert rec.k == 4
-    assert rec.ab == (-1, -2)
+    assert tuple(a - rec.k * t for a, t in zip(rec.alpha, seed.theta)) == (-1, -2)
     assert rec.p == 74
     assert rec.p_count == 75
-    assert rec.q_next == 366
-    assert rec.L_sq == Fraction(37, 25)
-    assert rec.d_sq == Fraction(1, 37)
-    assert rec.eps == (Fraction(-1, 366), Fraction(-1, 61))
+    n2 = gamma[0] ** 2 + gamma[1] ** 2
+    assert Fraction(n2, seed.Q**2) == Fraction(37, 25)
+    assert Fraction(1, n2) == Fraction(1, 37)
+    assert state.eps_list[-1] == (Fraction(-1, 366), Fraction(-1, 61))
     assert state.theta == (Fraction(73, 366), Fraction(12, 61))
     assert state.Q == 366
     rep = certify(state)

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from diolab.cli import main
-from diolab.serialize import read_csv, read_json
+from diolab.serialize import read_csv
 
 
 def fib(n):
@@ -155,7 +155,7 @@ def test_levy_smoke_and_seed_echo(tmp_path, capsys):
     jb = only_file(b, r"levy_[0-9a-f]{12}\.json")
     assert ja.name == jb.name
     assert ja.read_bytes() == jb.read_bytes()
-    summary = read_json(str(ja))
+    summary = json.loads(ja.read_text())
     assert summary["config"]["seed"] == int(seed)
     assert summary["target"] == pytest.approx(1.1865691104156255)
     assert summary["abs_error"] == pytest.approx(
@@ -174,7 +174,7 @@ def test_dist_smoke(tmp_path, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "KS vs oracle" in out
-    summary = read_json(str(only_file(tmp_path, r"dist_[0-9a-f]{12}\.json")))
+    summary = json.loads(only_file(tmp_path, r"dist_[0-9a-f]{12}\.json").read_text())
     assert summary["pool"] == 3 * 22
     assert summary["resamples"] == 0
     assert 0.5 < summary["support_min"] <= summary["support_max"] <= 1.0 + 1e-12
@@ -186,7 +186,7 @@ def test_dist_smoke(tmp_path, capsys):
 
 def test_surface_1d_exact_string(tmp_path):
     assert run(tmp_path, "surface", "--d", "1") == 0
-    summary = read_json(str(only_file(tmp_path, r"surface_[0-9a-f]{12}\.json")))
+    summary = json.loads(only_file(tmp_path, r"surface_[0-9a-f]{12}\.json").read_text())
     assert summary["exact"] == "1.38629436111989061883446424292"
     assert summary["abs_diff"] < 1e-9
 
@@ -194,7 +194,7 @@ def test_surface_1d_exact_string(tmp_path):
 def test_surface_2d_smoke(tmp_path):
     assert run(tmp_path, "surface", "--d", "2", "--samples", "60",
                "--seed", "11") == 0
-    summary = read_json(str(only_file(tmp_path, r"surface_[0-9a-f]{12}\.json")))
+    summary = json.loads(only_file(tmp_path, r"surface_[0-9a-f]{12}\.json").read_text())
     assert summary["samples"] == 60
     assert summary["accepted"] >= 1
     assert summary["muS_hat"] > 0
@@ -229,7 +229,7 @@ def test_badk_smoke(tmp_path, capsys):
     assert run(tmp_path, "badk", "--steps", "2") == 0
     out = capsys.readouterr().out
     assert "n= 2 Q=366" in out
-    payload = read_json(str(only_file(tmp_path, r"badk_[0-9a-f]{12}\.json")))
+    payload = json.loads(only_file(tmp_path, r"badk_[0-9a-f]{12}\.json").read_text())
     assert payload["config"]["command"] == "badk"
     assert [row["n"] for row in payload["steps"]] == [1, 2, 3]
     assert payload["steps"][1]["Q"] == 366
@@ -238,7 +238,7 @@ def test_badk_smoke(tmp_path, capsys):
 def test_badk_goes_past_twelve_steps(tmp_path, capsys):
     # Q_14 exceeds 10^30: no denominator cap stops the construction
     assert run(tmp_path, "badk", "--steps", "13") == 0
-    payload = read_json(str(only_file(tmp_path, r"badk_[0-9a-f]{12}\.json")))
+    payload = json.loads(only_file(tmp_path, r"badk_[0-9a-f]{12}\.json").read_text())
     rows = payload["steps"]
     assert [row["n"] for row in rows] == list(range(1, 15))
     assert rows[-1]["Q"] > 10**30

@@ -231,7 +231,7 @@ def test_canonical_sign_scans_minus_block_first():
 
 
 def test_basis_tol_and_sq_close():
-    basis = LatticeBasis.identity(1, 1)
+    basis = LatticeBasis.from_theta([[0]])
     assert basis.tol == 0
     tol = apply_flow(basis, 0.5).tol
     assert tol == Fraction(1, 1 << 112)
@@ -250,7 +250,7 @@ def test_from_theta_unimodular():
     theta = ((Fraction(1, 2), Fraction(1, 3)),)
     basis = LatticeBasis.from_theta(theta)
     assert (basis.d, basis.c) == (2, 1)
-    assert basis.det_sq() == 1
+    assert basis.det_raw() ** 2 / basis.scale_sq**basis.m == 1
     v = basis.vector((0, 0, 1))
     assert v.raw == (Fraction(-1, 2), Fraction(-1, 3), Fraction(1))
     assert v.height_sq == 1
@@ -547,14 +547,14 @@ def test_lll_columns_rejects_dependent_columns():
 
 
 def test_enumerate_z2_unit_cylinder():
-    basis = LatticeBasis.identity(1, 1)
+    basis = LatticeBasis.from_theta([[0]])
     vecs = enumerate_in_cylinder(basis, Cylinder(Fraction(1), Fraction(1)))
     ys = [v.y for v in vecs]
     assert ys == [(1, 0), (0, 1), (-1, 1), (1, 1)]
 
 
 def test_enumerate_z3_cylinder():
-    basis = LatticeBasis.identity(2, 1)
+    basis = LatticeBasis.from_theta([[0, 0]])
     vecs = enumerate_in_cylinder(basis, Cylinder(Fraction(1), Fraction(4)))
     assert len(vecs) == 12
     assert {v.y for v in vecs if v.height_sq == 0} == {(1, 0, 0), (0, 1, 0)}
@@ -562,12 +562,12 @@ def test_enumerate_z3_cylinder():
 
 
 def test_enumerate_empty_cylinder():
-    basis = LatticeBasis.identity(1, 1)
+    basis = LatticeBasis.from_theta([[0]])
     assert enumerate_in_cylinder(basis, Cylinder(Fraction(1, 4), Fraction(1, 4))) == []
 
 
 def test_enumerate_budget_error():
-    basis = LatticeBasis.identity(1, 1)
+    basis = LatticeBasis.from_theta([[0]])
     with pytest.raises(BudgetExceededError):
         enumerate_in_cylinder(basis, Cylinder(Fraction(10**6), Fraction(10**6)), budget=10)
 
@@ -672,16 +672,16 @@ def test_enumerate_output_sorted_and_canonical():
 def test_shortest_mixed_vectors_z2():
     # the sup-norm first minimum of Z^2 is attained along both axes and
     # both diagonals
-    vecs = shortest_mixed_vectors(LatticeBasis.identity(1, 1))
+    vecs = shortest_mixed_vectors(LatticeBasis.from_theta([[0]]))
     assert {v.y for v in vecs} == {(1, 0), (0, 1), (1, 1), (-1, 1)}
-    assert all(v.mixed_sq == 1 for v in vecs)
+    assert all(max(v.width_sq, v.height_sq) == 1 for v in vecs)
 
 
 def test_shortest_mixed_respects_scale():
     basis = LatticeBasis(1, 1, ((1, 0), (0, 1)), scale_sq=Fraction(4))
     vecs = shortest_mixed_vectors(basis)
     assert len(vecs) == 4
-    assert all(v.mixed_sq == Fraction(1, 4) for v in vecs)
+    assert all(max(v.width_sq, v.height_sq) == Fraction(1, 4) for v in vecs)
 
 
 def test_an_empty_minkowski_ball_is_a_fault(monkeypatch):
@@ -689,7 +689,7 @@ def test_an_empty_minkowski_ball_is_a_fault(monkeypatch):
     # finding none is a kernel fault, not an exhausted budget
     monkeypatch.setattr(core, "_cylinder_points", lambda *args: ([], None, None))
     with pytest.raises(AssertionError, match="Minkowski ball holds no"):
-        shortest_mixed_vectors(LatticeBasis.identity(1, 1))
+        shortest_mixed_vectors(LatticeBasis.from_theta([[0]]))
 
 
 # ---------------------------------------------------------------------------

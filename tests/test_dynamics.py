@@ -61,7 +61,9 @@ def fib(n):
 
 def physical_minkowski_sq(basis):
     """C_{d,c}^2 det^2 in physical units, from the Fraction determinant."""
-    return minkowski_bound_sq_range(basis.d, basis.c)[1] * basis.det_sq()
+    return minkowski_bound_sq_range(basis.d, basis.c)[1] * (
+        basis.det_raw() ** 2 / basis.scale_sq**basis.m
+    )
 
 
 def theta_basis(bits, seed, d=1, c=1):
@@ -74,7 +76,7 @@ def theta_basis(bits, seed, d=1, c=1):
 
 
 def test_apply_flow_zero_is_identity():
-    basis = LatticeBasis.identity(1, 1)
+    basis = LatticeBasis.from_theta([[0]])
     assert apply_flow(basis, 0) is basis
     assert apply_flow_log(basis, Fraction(1)) is basis
 
@@ -83,7 +85,7 @@ def test_apply_flow_preserves_covolume():
     _, basis = theta_basis(64, 5)
     flowed = apply_flow(basis, 0.37)
     assert flowed.tol == Fraction(1, 1 << 112)
-    assert abs(flowed.det_sq() - 1) < Fraction(1, 1 << 110)
+    assert abs(flowed.det_raw() ** 2 / flowed.scale_sq**flowed.m - 1) < Fraction(1, 1 << 110)
 
 
 def test_apply_flow_scales_blocks():
@@ -106,7 +108,7 @@ def test_apply_flow_scales_blocks():
 
 
 def test_chain_z2_terminates_both_ways():
-    chain = minimal_vectors(LatticeBasis.identity(1, 1), 5)
+    chain = minimal_vectors(LatticeBasis.from_theta([[0]]), 5)
     assert [(e.n, e.vector.y) for e in chain.entries] == [(0, (1, 0)), (1, (0, 1))]
     assert chain.backward_finite and chain.forward_finite
     assert chain.entry(0).class_size == 1
@@ -124,7 +126,7 @@ def test_chain_ends_known_without_search(count):
 
 
 def test_chain_z3_class_sizes():
-    chain = minimal_vectors(LatticeBasis.identity(2, 1), 5)
+    chain = minimal_vectors(LatticeBasis.from_theta([[0, 0]]), 5)
     assert [(e.n, e.vector.y) for e in chain.entries] == [
         (0, (1, 0, 0)),
         (1, (0, 0, 1)),
@@ -346,7 +348,10 @@ def test_flow_factors_match_scaled_columns():
             assert flowed.columns is basis.columns and flowed.scale_sq == basis.scale_sq
             assert flowed.tol == Fraction(1, 1 << 112) and ref.flow is None
             assert flowed.det_raw() == ref.det_raw()
-            assert flowed.det_sq() == ref.det_sq()
+            assert (
+                flowed.det_raw() ** 2 / flowed.scale_sq**basis.m
+                == ref.det_raw() ** 2 / ref.scale_sq**basis.m
+            )
             assert flowed.kernel == ref.kernel
             assert flowed.kernel_minkowski_sq == ref.kernel_minkowski_sq
             assert [flowed.vector(y) for y in ys] == [ref.vector(y) for y in ys]
@@ -413,12 +418,12 @@ def test_an_empty_successor_cylinder_is_a_fault(monkeypatch):
         dynamics, "chain_walker", lambda *args, **kwargs: lambda y, forward=True: (None, [])
     )
     with pytest.raises(AssertionError, match="no chain neighbour"):
-        minimal_vectors(LatticeBasis.identity(1, 1), 2)
+        minimal_vectors(LatticeBasis.from_theta([[0]]), 2)
 
 
 def test_chain_count_validation():
     with pytest.raises(ValueError):
-        minimal_vectors(LatticeBasis.identity(1, 1), 0)
+        minimal_vectors(LatticeBasis.from_theta([[0]]), 0)
 
 
 def test_origin_is_the_first_class_meeting_the_condition():
@@ -486,7 +491,7 @@ def test_visiting_times_land_on_transversal():
 
 
 def test_visiting_times_need_two_entries():
-    chain = minimal_vectors(LatticeBasis.identity(1, 1), 1)
+    chain = minimal_vectors(LatticeBasis.from_theta([[0]]), 1)
     with pytest.raises(ValueError):
         visiting_times(chain)
 
@@ -496,15 +501,15 @@ def test_visiting_times_need_two_entries():
 
 
 def test_z2_fails_on_corner():
-    mem = surface_membership_S(LatticeBasis.identity(1, 1))
+    mem = surface_membership_S(LatticeBasis.from_theta([[0]]))
     assert not mem.member
     assert mem.reason == "corner vector on the critical ball"
     assert mem.corner.y == (-1, 1)
-    assert not surface_membership_Sprime(LatticeBasis.identity(1, 1)).member
+    assert not surface_membership_Sprime(LatticeBasis.from_theta([[0]])).member
 
 
 def test_z3_fails_on_corner():
-    mem = surface_membership_S(LatticeBasis.identity(2, 1))
+    mem = surface_membership_S(LatticeBasis.from_theta([[0, 0]]))
     assert not mem.member
     assert mem.corner is not None
 
@@ -528,12 +533,16 @@ def brute_critical_ball(basis):
     box = safe_box(basis, cyl)
     assert box <= 4
     found = brute_cylinder(basis, cyl, box)
-    lam_sq = min(v.mixed_sq for v in found)
+    lam_sq = min(max(v.width_sq, v.height_sq) for v in found)
 
     def close(a, b):
         return sq_close(a, b, tol)
 
-    on = [v for v in found if v.mixed_sq <= lam_sq * slack and close(v.mixed_sq, lam_sq)]
+    on = [
+        v
+        for v in found
+        if (mixed := max(v.width_sq, v.height_sq)) <= lam_sq * slack and close(mixed, lam_sq)
+    ]
     wide = [v.y for v in on if close(v.width_sq, lam_sq) and not close(v.height_sq, lam_sq)]
     tall = [v.y for v in on if close(v.height_sq, lam_sq) and not close(v.width_sq, lam_sq)]
     corner = [v.y for v in on if close(v.width_sq, lam_sq) and close(v.height_sq, lam_sq)]
@@ -543,8 +552,8 @@ def brute_critical_ball(basis):
 def test_membership_matches_brute_force():
     rng = random.Random(77)
     lattices = [
-        LatticeBasis.identity(1, 1),
-        LatticeBasis.identity(2, 1),
+        LatticeBasis.from_theta([[0]]),
+        LatticeBasis.from_theta([[0, 0]]),
         LatticeBasis(1, 1, ((1, Fraction(3, 5)), (Fraction(3, 5), 1))),
         chart_lattice_2d(SurfacePoint2D(
             Fraction(-5, 16), Fraction(5, 8), Fraction(-7, 8), Fraction(-1, 2),
@@ -691,7 +700,7 @@ def test_critical_ball_closed_at_tol(a, e):
 def test_critical_classes_file_no_vector_silently(monkeypatch):
     # a vector on the ball is wide, tall or both; one that is neither
     # raises instead of being filed as tall
-    basis = LatticeBasis.identity(1, 1)
+    basis = LatticeBasis.from_theta([[0]])
     lam_sq, on = core._critical_ball(basis, basis.tol, 10**7)
     monkeypatch.setattr(
         dynamics, "_critical_ball", lambda *args: (lam_sq, [(v, False, False) for v, _, _ in on])
@@ -812,7 +821,7 @@ def test_first_return_raises_where_the_chain_ends():
 
 def test_first_return_needs_transversal():
     with pytest.raises(ValueError):
-        first_return(LatticeBasis.identity(1, 1))
+        first_return(LatticeBasis.from_theta([[0]]))
 
 
 def test_first_return_clears_each_basis_once(monkeypatch):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import diolab
+from conftest import reference_surface_accept
 from diolab import estimators
-from diolab.core import SearchLimitError
+from diolab.core import SearchLimitError, minkowski_bound_sq_range
+from diolab.dynamics import SurfacePoint2D, chart_lattice_2d
 from diolab.estimators import (
     LEVY_2_1,
     EmpiricalCDF,
@@ -263,6 +265,70 @@ def test_surface_mc_2d_smoke():
     assert est.stderr > 0
     again = surface_mc_2d(250, seed=7)
     assert again == est
+
+
+def _surface_proposal(rng):
+    """A chart point drawn from surface_mc_2d's proposal box."""
+
+    def dyadic():
+        return Fraction(rng.getrandbits(53), 1 << 53)
+
+    n31 = dyadic()
+    while True:
+        n12, n22 = 2 * dyadic() - 1, 2 * dyadic() - 1
+        if n12 * n12 + n22 * n22 < 1:
+            break
+    n13, n23 = 4 * dyadic() - 2, 4 * dyadic() - 2
+    return SurfacePoint2D(n12, n22, n13, n23, n31, 4 - 4 * dyadic())
+
+
+def _check_surface_weight(p):
+    weight = estimators._surface_weight(p, 10**7)
+    assert (weight > 0) == reference_surface_accept(p), p
+    if weight:
+        assert weight == float(1 / chart_lattice_2d(p).det_raw() ** 3)
+    return weight
+
+
+def test_surface_weight_matches_membership_on_proposals():
+    rng = random.Random(20240)
+    weights = [_check_surface_weight(_surface_proposal(rng)) for _ in range(2000)]
+    # about one proposal in seven lies on S
+    assert 150 < sum(1 for w in weights if w) < 500
+
+
+def test_surface_weight_edge_cases(monkeypatch):
+    half = Fraction(1, 2)
+    base = SurfacePoint2D(-half, half, half, -half, half, Fraction(3))
+    assert _check_surface_weight(base) == 1 / 8
+    # n31 = 0: the unit cylinder holds only (1,0,0) and (0,1,0), but the
+    # wide short vector has height 0
+    flat = SurfacePoint2D(Fraction(0), Fraction(3, 4), half, -half, Fraction(0), Fraction(3))
+    assert _check_surface_weight(flat) == 0
+    # (n12, n22) = (0, 0): the tall short vector has width 0, and
+    # (1, -1, 0) lies in the unit cylinder
+    assert _check_surface_weight(SurfacePoint2D(0, 0, half, -half, half, Fraction(3))) == 0
+    # the third column on the closed cylinder's boundary (height 1, width
+    # below 1) is a third pair; just outside it the point is accepted
+    edge = SurfacePoint2D(-half, half, Fraction(0), -half, half, Fraction(1))
+    assert _check_surface_weight(edge) == 0
+    outside = SurfacePoint2D(-half, half, Fraction(0), -half, half, 1 + Fraction(1, 1 << 40))
+    assert _check_surface_weight(outside) > 0
+    # det on each side of the Minkowski reject hi det^2 < 1, det = (n33 + 1) / 2
+    # here: below it no cylinder is searched
+    searches = []
+    search = estimators._cylinder_points
+    monkeypatch.setattr(
+        estimators, "_cylinder_points", lambda *a: searches.append(a) or search(*a)
+    )
+    hi = minkowski_bound_sq_range(2, 1)[1]
+    for det, searched in ((Fraction(785398, 10**6), 0), (Fraction(785399, 10**6), 1)):
+        assert (hi * det * det < 1) == (not searched)
+        p = SurfacePoint2D(-half, half, half, -half, half, 2 * det - 1)
+        assert chart_lattice_2d(p).det_raw() == det
+        searches.clear()
+        assert _check_surface_weight(p) == 0
+        assert len(searches) == searched
 
 
 def test_surface_mc_2d_validation():

@@ -1,5 +1,6 @@
 """Deterministic text forms and file round trips."""
 
+import json
 import os
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from diolab.serialize import (
     frac_str,
     output_dir,
     read_csv,
-    read_json,
     write_csv,
     write_json,
 )
@@ -90,7 +90,8 @@ def test_json_round_trip(tmp_path):
     path = str(tmp_path / "t.json")
     payload = {"config": {"seed": 1}, "value": "1/3", "list": [1, 2, 3]}
     write_json(path, payload)
-    assert read_json(path) == payload
+    with open(path) as fh:
+        assert json.load(fh) == payload
     with open(path, "rb") as fh:
         data = fh.read()
     assert data.endswith(b"\n")
